@@ -11,6 +11,7 @@ from trapgraph.tanner import (
     serialize_alist,
 )
 from trapgraph.decomp import (
+    InvalidDecompositionError,
     NiceTreeDecomposition,
     TdFormatError,
     TreeDecomposition,
@@ -35,6 +36,7 @@ __all__ = [
     "AlistError",
     "DPResult",
     "DPTable",
+    "InvalidDecompositionError",
     "NiceTreeDecomposition",
     "ScLdpcParams",
     "TannerGraph",

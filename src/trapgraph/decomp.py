@@ -8,10 +8,9 @@ lays the rooted tree out as a post-order array (children precede parents).
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
-
-import networkx as nx
+import heapq
+from collections import Counter, deque
+from dataclasses import dataclass
 
 from trapgraph.tanner import TannerGraph, ScLdpcParams
 
@@ -31,6 +30,15 @@ class TdFormatError(ValueError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+class InvalidDecompositionError(ValueError):
+    """A decomposition that fails ``validate``; ``violations`` lists why."""
+
+    def __init__(self, violations: tuple[str, ...]):
+        super().__init__("invalid tree decomposition: "
+                         + "; ".join(violations[:5]))
+        self.violations = violations
 
 
 @dataclass(frozen=True)
@@ -122,14 +130,10 @@ def validate(g: TannerGraph, td: TreeDecomposition) -> ValidationReport:
 
     # connectivity of each node's occurrence set: a subforest of a tree is
     # connected iff #bags == #edges-within + 1
-    bag_sets = [set(b) for b in td.bags]
+    inside = Counter(x for i, j in td.edges for x in td.bags[i] & td.bags[j])
     for x in range(total):
         occ = occurrence[x]
-        if not occ:
-            continue
-        inside = sum(1 for i, j in td.edges
-                     if x in bag_sets[i] and x in bag_sets[j])
-        if len(occ) != inside + 1:
+        if occ and len(occ) != inside[x] + 1:
             violations.append(f"node {x}: occurrence bags are disconnected")
 
     return ValidationReport(tuple(violations))
@@ -306,12 +310,12 @@ def make_nice(g: TannerGraph, td: TreeDecomposition) -> NiceTreeDecomposition:
     smallest-index bag of tree-degree at most one (for a path: an endpoint,
     which yields a join-free nice form).  Multi-child bags become binary join
     cascades; adjacent differing bags are bridged by forget-then-introduce
-    chains in ascending id order.
+    chains in ascending id order.  Raises ``InvalidDecompositionError`` when
+    ``validate`` finds violations.
     """
     report = validate(g, td)
     if not report.ok:
-        raise ValueError("invalid tree decomposition: "
-                         + "; ".join(report.violations[:5]))
+        raise InvalidDecompositionError(report.violations)
 
     num = len(td.bags)
     adj: list[list[int]] = [[] for _ in range(num)]
@@ -361,7 +365,9 @@ def make_nice(g: TannerGraph, td: TreeDecomposition) -> NiceTreeDecomposition:
 
     b.chain(top[root], td.bags[root], frozenset())
     ntd = NiceTreeDecomposition(g.n_var, g.n_chk, tuple(b.nodes))
-    assert ntd.width() == width(td)
+    if ntd.width() != width(td):
+        raise ValueError(f"nice form has width {ntd.width()}, "
+                         f"input has width {width(td)}")
     return ntd
 
 
@@ -394,18 +400,69 @@ def sc_path_decomposition(g: TannerGraph, p: ScLdpcParams) -> TreeDecomposition:
 
 
 def heuristic_decomposition(g: TannerGraph) -> TreeDecomposition:
-    """Greedy min-fill decomposition; valid for any graph, no width guarantee."""
+    """Greedy min-fill elimination decomposition; valid for any graph.
+
+    Repeatedly eliminates the node with the smallest (fill-in, current
+    degree, id), where fill-in counts the missing edges among its current
+    neighbours, and turns that neighbourhood into a clique.  Node x
+    eliminated with neighbourhood N gives bag {x} | N, whose parent is the
+    bag of the earliest-eliminated node of N; parentless bags are chained
+    together.  Bag i belongs to the i-th eliminated node.  Each step
+    rescores only the eliminated node's neighbours and theirs.  No width
+    guarantee (Bodlaender & Koster, "Treewidth computations I. Upper
+    bounds", Inf. Comput. 2010).
+    """
     total = g.n_var + g.n_chk
     if total == 0:
         return TreeDecomposition(0, (frozenset(),), ())
-    gx = nx.Graph()
-    gx.add_nodes_from(range(total))
-    for c in range(g.n_chk):
-        for v in g.chk_adj[c]:
-            gx.add_edge(v, g.n_var + c)
-    _, tree = nx.approximation.treewidth_min_fill_in(gx)
-    bag_list = list(tree.nodes)
-    index = {bag: i for i, bag in enumerate(bag_list)}
-    bags = tuple(frozenset(bag) for bag in bag_list)
-    edges = tuple((index[a], index[b]) for a, b in tree.edges)
-    return TreeDecomposition(total, bags, edges)
+    adj: list[set[int]] = [set() for _ in range(total)]
+    for c, vs in enumerate(g.chk_adj):
+        for v in vs:
+            adj[v].add(g.n_var + c)
+            adj[g.n_var + c].add(v)
+
+    def key(x: int) -> tuple[int, int, int]:
+        nbrs = adj[x]
+        # each missing pair is seen from both ends; -1 drops a itself
+        fill = sum(len(nbrs - adj[a]) - 1 for a in nbrs) // 2
+        return fill, len(nbrs), x
+
+    # lazy heap: an entry is live while it equals current[x]
+    current = [key(x) for x in range(total)]
+    heap = list(current)
+    heapq.heapify(heap)
+    position = [-1] * total
+    bags: list[frozenset[int]] = []
+    eliminated_nbrs: list[set[int]] = []
+    while heap:
+        k = heapq.heappop(heap)
+        x = k[2]
+        if position[x] >= 0 or k != current[x]:
+            continue
+        position[x] = len(bags)
+        nbrs = adj[x]
+        bags.append(frozenset(nbrs | {x}))
+        eliminated_nbrs.append(nbrs)
+        for a in nbrs:
+            adj[a] |= nbrs
+            adj[a].discard(a)
+            adj[a].discard(x)
+        # only N(x) changed degree, and only N(x) and their neighbours can
+        # have gained an edge inside their neighbourhood
+        touched = set(nbrs)
+        for a in nbrs:
+            touched |= adj[a]
+        for y in touched:
+            k = key(y)
+            if k != current[y]:
+                current[y] = k
+                heapq.heappush(heap, k)
+
+    edges, parentless = [], []
+    for i, nbrs in enumerate(eliminated_nbrs):
+        if nbrs:
+            edges.append((i, min(position[u] for u in nbrs)))
+        else:
+            parentless.append(i)
+    edges.extend(zip(parentless, parentless[1:]))
+    return TreeDecomposition(total, tuple(bags), tuple(edges))

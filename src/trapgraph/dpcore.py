@@ -176,8 +176,15 @@ def join(left: DPTable, right: DPTable, bag_v: int, bag_c: int,
 
 @dataclass
 class DPResult:
+    """Answer at the requested b, plus the root table it was read from.
+
+    The root table also holds ``(0, 0, b')`` for every ``b' <= b`` with the
+    value a run at ``b'`` would give, since d never decreases toward the root.
+    """
+
     a_min: int | None
     count: int | None
+    root_table: DPTable
     tables: list[DPTable] | None = None
 
     @property
@@ -223,11 +230,12 @@ def run_dp(g: TannerGraph, ntd: NiceTreeDecomposition, b: int,
             for ch in node.children:
                 tables[ch] = None
 
-    root_entry = tables[ntd.root].entries.get((0, 0, b))
+    root_table = tables[ntd.root]
+    root_entry = root_table.entries.get((0, 0, b))
     retained = [t for t in tables] if retain_tables else None
     if root_entry is None:
-        return DPResult(None, None, retained)
-    return DPResult(root_entry[0], root_entry[1], retained)
+        return DPResult(None, None, root_table, retained)
+    return DPResult(root_entry[0], root_entry[1], root_table, retained)
 
 
 def min_distance(g: TannerGraph, ntd: NiceTreeDecomposition) -> DPResult:

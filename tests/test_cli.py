@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from trapgraph.cli import main
-from trapgraph.decomp import parse_td, width
+from trapgraph.decomp import parse_td, validate, width
 from trapgraph.tanner import TannerGraph, serialize_alist
 from helpers import HAMMING_74
 
@@ -141,3 +145,47 @@ def test_analyze_report_is_deterministic(hamming_alist, monkeypatch, capsys):
                      "--witness", "--no-timing"]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
+
+
+def test_import_does_not_load_networkx():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = ("import sys, trapgraph.cli; "
+            "print('networkx' in sys.modules, trapgraph.cli.__file__)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert out[0] == "False"
+    assert Path(out[1]).resolve().parent.parent == Path(src)
+
+
+@pytest.mark.parametrize("route", [["--sc-params", "3,4,10,2"], []],
+                         ids=["sc-params", "heuristic"])
+def test_analyze_one_pass_matches_single_b_runs(tmp_path, capsys, route):
+    path = tmp_path / "sc.alist"
+    assert main(["generate", "--sc", "3,4,10,2", "--deg", "3", "--seed", "7",
+                 "--out", str(path)]) == 0
+    base = ["analyze", "--alist", str(path), *route, "--witness",
+            "--no-timing"]
+    assert main(base + ["--b", "0,1,2"]) == 0
+    together = json.loads(capsys.readouterr().out)["results"]
+    assert [r["b"] for r in together] == [0, 1, 2]
+    for r in together:
+        assert main(base + ["--b", str(r["b"])]) == 0
+        (alone,) = json.loads(capsys.readouterr().out)["results"]
+        assert r == alone
+
+
+def test_invalid_td_exits_2_with_each_violation(hamming_alist, tmp_path,
+                                                capsys):
+    bad = tmp_path / "bad.td"
+    bad.write_text("s td 1 1 10\nb 1 10\n")
+    violations = list(validate(TannerGraph.from_matrix(HAMMING_74),
+                               parse_td(bad.read_text())).violations)
+    assert main(["analyze", "--alist", hamming_alist, "--td", str(bad)]) == 2
+    assert capsys.readouterr().err.splitlines() == \
+        [f"invalid decomposition: {v}" for v in violations]
+    assert main(["decomp", "nice", "--alist", hamming_alist,
+                 "--td", str(bad)]) == 2
+    assert capsys.readouterr().err.splitlines() == violations

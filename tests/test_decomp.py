@@ -5,6 +5,7 @@ import pytest
 from trapgraph.decomp import (
     JOIN,
     LEAF,
+    InvalidDecompositionError,
     TdFormatError,
     TreeDecomposition,
     heuristic_decomposition,
@@ -159,8 +160,9 @@ def test_make_nice_random():
 def test_make_nice_rejects_invalid():
     g = TannerGraph.from_matrix([[1, 1]])
     bad = TreeDecomposition(3, (frozenset({0}),), ())
-    with pytest.raises(ValueError, match="invalid"):
+    with pytest.raises(InvalidDecompositionError, match="invalid") as exc:
         make_nice(g, bad)
+    assert exc.value.violations == validate(g, bad).violations
 
 
 def join_subtree_unions(ntd):
@@ -257,3 +259,28 @@ def test_heuristic_decomposition_fuzz():
         g = random_graph(rng, max_var=10, max_chk=8)
         td = heuristic_decomposition(g)
         assert validate(g, td).ok
+
+
+def test_heuristic_decomposition_width_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.approximation import treewidth_min_fill_in
+
+    def nx_min_fill(g):
+        gx = nx.Graph()
+        gx.add_nodes_from(range(g.n_var + g.n_chk))
+        gx.add_edges_from((v, g.n_var + c)
+                          for c in range(g.n_chk) for v in g.chk_adj[c])
+        return treewidth_min_fill_in(gx)
+
+    rng = random.Random(32)
+    graphs = [random_graph(rng) for _ in range(200)]
+    graphs += [generate_sc_ldpc(ScLdpcParams(3, 4, L, 2, var_degree=3, seed=L))
+               for L in (10, 40, 80)]
+    for g in graphs:
+        td = heuristic_decomposition(g)
+        assert validate(g, td).ok
+        nx_width, nx_tree = nx_min_fill(g)
+        assert width(td) == nx_width
+        # networkx stops once the rest is a clique and keeps it as one bag;
+        # every bag it makes up to there is an elimination bag here too
+        assert set(nx_tree.nodes) <= set(td.bags)

@@ -234,6 +234,18 @@ def test_decomposition_invariance():
             assert len(answers) == 1
 
 
+def test_root_table_answers_every_smaller_b():
+    rng = random.Random(81)
+    for _ in range(80):
+        g = random_graph(rng, max_var=10, max_chk=8)
+        ntd = make_nice(g, random_td(g, rng))
+        root = run_dp(g, ntd, 3).root_table
+        for b in range(4):
+            res = run_dp(g, ntd, b)
+            assert root.get((0, 0, b)) == \
+                ((res.a_min, res.count) if res.found else None)
+
+
 def test_table_json_dump():
     t = DPTable(bag_v=0b101, bag_c=0b1,
                 entries={(0b1, 0b100, 1): (2, 10**30)})
