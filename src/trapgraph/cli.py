@@ -59,11 +59,14 @@ def _node_kind_counts(ntd: decomp.NiceTreeDecomposition) -> dict[str, int]:
 
 
 def _write_output(text: str, out: str | None) -> None:
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise SystemExit(f"cannot write {out}: {exc}")
 
 
 def cmd_analyze(args) -> int:
@@ -107,7 +110,7 @@ def cmd_analyze(args) -> int:
 
     # one pass at the largest b answers every smaller b from its root table
     t0 = time.perf_counter()
-    res = dpcore.run_dp(g, ntd, max(b_values), retain_tables=args.witness)
+    res = dpcore.run_dp(g, ntd, max(b_values))
     wall_ms = int((time.perf_counter() - t0) * 1000)
     results = []
     mismatch = False
@@ -131,7 +134,7 @@ def cmd_analyze(args) -> int:
             except oracle.WorkLimitExceeded as exc:
                 print(f"oracle: {exc}", file=sys.stderr)
                 return 3
-            if expected != dp_ans:
+            if expected != (dp_ans[:2] if dp_ans else None):
                 print(f"ORACLE MISMATCH at b={b}: dp={dp_ans} oracle={expected}",
                       file=sys.stderr)
                 mismatch = True
@@ -175,12 +178,10 @@ def cmd_generate(args) -> int:
         print(f"warning: coupling width {w} exceeds coupling length {L}",
               file=sys.stderr)
     g = tanner.generate_sc_ldpc(params)
-    with open(args.out, "w") as fh:
-        fh.write(tanner.serialize_alist(g))
+    _write_output(tanner.serialize_alist(g), args.out)
     if args.emit_td:
         td = decomp.sc_path_decomposition(g, params)
-        with open(args.emit_td, "w") as fh:
-            fh.write(decomp.serialize_td(td))
+        _write_output(decomp.serialize_td(td), args.emit_td)
     return 0
 
 
@@ -238,16 +239,14 @@ def build_parser() -> argparse.ArgumentParser:
     pa = sub.add_parser("analyze", help="compute smallest (a,b)-trapping sets")
     pa.add_argument("--alist", required=True)
     src = pa.add_mutually_exclusive_group()
+    # without --td or --sc-params the greedy min-fill decomposition is used
     src.add_argument("--td", help="tree decomposition in .td format")
     src.add_argument("--sc-params", metavar="r,c,L,w",
                      help="sliding-window path decomposition for an SC code")
-    src.add_argument("--heuristic", action="store_true",
-                     help="greedy min-fill decomposition (default)")
     pa.add_argument("--b", default="0", help="comma-separated b values")
     pa.add_argument("--witness", action="store_true")
-    fmt = pa.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", default=True)
-    fmt.add_argument("--text", action="store_true")
+    pa.add_argument("--text", action="store_true",
+                    help="plain summary instead of the JSON report")
     pa.add_argument("--validate-oracle", type=int, metavar="N",
                     help="cross-check against brute force when n_var <= N")
     pa.add_argument("--no-timing", action="store_true",

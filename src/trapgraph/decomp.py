@@ -12,7 +12,7 @@ import heapq
 from collections import Counter, deque
 from dataclasses import dataclass
 
-from trapgraph.tanner import TannerGraph, ScLdpcParams
+from trapgraph.tanner import ScLdpcParams, TannerGraph, bit_ids
 
 LEAF = "leaf"
 INTRO_VAR = "intro_var"
@@ -245,20 +245,13 @@ class NiceTreeDecomposition:
         bags = []
         edges = []
         for i, node in enumerate(self.nodes):
-            bag = {v for v in _bits(node.bag_v)}
-            bag |= {self.n_var + c for c in _bits(node.bag_c)}
+            bag = set(bit_ids(node.bag_v))
+            bag |= {self.n_var + c for c in bit_ids(node.bag_c)}
             bags.append(frozenset(bag))
             for ch in node.children:
                 edges.append((ch, i))
         return TreeDecomposition(self.n_var + self.n_chk, tuple(bags),
                                  tuple(edges), root=self.root)
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 class _NiceBuilder:

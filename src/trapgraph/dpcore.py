@@ -1,9 +1,10 @@
 """Sparse dynamic program over a rooted nice tree decomposition.
 
-Per nice node a table maps keys (I, Q, d) to (f, g): I is the bitmask of
-odd checks inside the bag, Q the bitmask of partial-trapping-set members
+Per nice node a table maps keys (I, Q, d) to (f, g, w): I is the bitmask
+of odd checks inside the bag, Q the bitmask of partial-trapping-set members
 inside the bag, d the number of already-forgotten odd checks; f is the
-minimum partial-set size and g the exact count of minimizers.  Absent keys
+minimum partial-set size, g the exact count of minimizers and w the variable
+bitmask of one minimizer, so the root entry carries a witness.  Absent keys
 mean (+inf, 0).  Counts are Python ints, so arbitrary precision.
 
 The b=0 run is simply the d-pinned-to-0 slice of the general recurrence.
@@ -23,55 +24,48 @@ from trapgraph.decomp import (
     LEAF,
     NiceTreeDecomposition,
 )
-from trapgraph.tanner import TannerGraph, gamma_odd_mask
+from trapgraph.tanner import TannerGraph, bit_ids, gamma_odd_mask
 
 Key = tuple[int, int, int]          # (I mask, Q mask, d)
-Entry = tuple[int, int]             # (f, g)
+Entry = tuple[int, int, int]        # (f, g, w)
 
 
 class DPTable:
-    """Sparse table of one nice node: realizable (I, Q, d) -> (f, g)."""
+    """Sparse table of one nice node: realizable (I, Q, d) -> (f, g, w)."""
 
-    __slots__ = ("bag_v", "bag_c", "entries", "node_index")
+    __slots__ = ("bag_v", "bag_c", "entries")
 
     def __init__(self, bag_v: int, bag_c: int,
-                 entries: dict[Key, Entry] | None = None, node_index: int = -1):
+                 entries: dict[Key, Entry] | None = None):
         self.bag_v = bag_v
         self.bag_c = bag_c
         self.entries = entries if entries is not None else {}
-        self.node_index = node_index
 
     def get(self, key: Key) -> Entry | None:
-        """(f, g) for a key, or None for the implicit (+inf, 0) state."""
+        """(f, g, w) for a key, or None for the implicit (+inf, 0) state."""
         return self.entries.get(key)
 
     def to_json(self) -> dict:
         return {
-            "bag_v": _ids(self.bag_v),
-            "bag_c": _ids(self.bag_c),
+            "bag_v": list(bit_ids(self.bag_v)),
+            "bag_c": list(bit_ids(self.bag_c)),
             "entries": [
-                {"I": _ids(i), "Q": _ids(q), "d": d, "f": f, "g": str(g)}
-                for (i, q, d), (f, g) in sorted(self.entries.items())
+                {"I": list(bit_ids(i)), "Q": list(bit_ids(q)), "d": d,
+                 "f": f, "g": str(g), "w": list(bit_ids(w))}
+                for (i, q, d), (f, g, w) in sorted(self.entries.items())
             ],
         }
 
 
-def _ids(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
-def _merge(entries: dict[Key, Entry], key: Key, f: int, g: int) -> None:
-    # strict f-minimum; counts add only on ties
+def _merge(entries: dict[Key, Entry], key: Key, f: int, g: int,
+           w: int) -> None:
+    # strict f-minimum; counts add only on ties, where the first minimizer
+    # reached is kept, so the carried witness follows the fixed post-order
     old = entries.get(key)
     if old is None or f < old[0]:
-        entries[key] = (f, g)
+        entries[key] = (f, g, w)
     elif f == old[0]:
-        entries[key] = (f, old[1] + g)
+        entries[key] = (f, old[1] + g, old[2])
 
 
 def leaf_table() -> DPTable:
@@ -80,7 +74,7 @@ def leaf_table() -> DPTable:
 
 
 def introduce_variable(child: DPTable, v: int, new_bag_v: int,
-                       g: TannerGraph, b: int) -> DPTable:
+                       g: TannerGraph) -> DPTable:
     vb = 1 << v
     if child.bag_v & vb or new_bag_v != child.bag_v | vb:
         raise ValueError(f"introduce-variable bag mismatch for v{v}")
@@ -88,25 +82,25 @@ def introduce_variable(child: DPTable, v: int, new_bag_v: int,
     entries = dict(child.entries)
     # extensions add v to the partial set; a fully-forgotten codeword state
     # (0,0,0) is not extended, per the base case below
-    for (i, q, d), (f, cnt) in child.entries.items():
+    for (i, q, d), (f, cnt, w) in child.entries.items():
         if (i, q, d) != (0, 0, 0):
-            entries[(i ^ iv, q | vb, d)] = (f + 1, cnt)
-    entries[(iv, vb, 0)] = (1, 1)
+            entries[(i ^ iv, q | vb, d)] = (f + 1, cnt, w | vb)
+    entries[(iv, vb, 0)] = (1, 1, vb)
     return DPTable(new_bag_v, child.bag_c, entries)
 
 
-def forget_variable(child: DPTable, v: int, new_bag_v: int, b: int) -> DPTable:
+def forget_variable(child: DPTable, v: int, new_bag_v: int) -> DPTable:
     vb = 1 << v
     if not child.bag_v & vb or new_bag_v != child.bag_v ^ vb:
         raise ValueError(f"forget-variable bag mismatch for v{v}")
     entries: dict[Key, Entry] = {}
-    for (i, q, d), (f, cnt) in child.entries.items():
-        _merge(entries, (i, q & ~vb, d), f, cnt)
+    for (i, q, d), (f, cnt, w) in child.entries.items():
+        _merge(entries, (i, q & ~vb, d), f, cnt, w)
     return DPTable(new_bag_v, child.bag_c, entries)
 
 
 def introduce_check(child: DPTable, c: int, new_bag_c: int,
-                    g: TannerGraph, b: int) -> DPTable:
+                    g: TannerGraph) -> DPTable:
     cb = 1 << c
     if child.bag_c & cb or new_bag_c != child.bag_c | cb:
         raise ValueError(f"introduce-check bag mismatch for c{c}")
@@ -125,13 +119,13 @@ def forget_check(child: DPTable, c: int, new_bag_c: int, b: int) -> DPTable:
     if not child.bag_c & cb or new_bag_c != child.bag_c ^ cb:
         raise ValueError(f"forget-check bag mismatch for c{c}")
     entries: dict[Key, Entry] = {}
-    for (i, q, d), (f, cnt) in child.entries.items():
+    for (i, q, d), (f, cnt, w) in child.entries.items():
         if i & cb:
             if d + 1 > b:
                 continue
-            _merge(entries, (i ^ cb, q, d + 1), f, cnt)
+            _merge(entries, (i ^ cb, q, d + 1), f, cnt, w)
         else:
-            _merge(entries, (i, q, d), f, cnt)
+            _merge(entries, (i, q, d), f, cnt, w)
     return DPTable(child.bag_v, new_bag_c, entries)
 
 
@@ -143,12 +137,12 @@ def join(left: DPTable, right: DPTable, bag_v: int, bag_c: int,
     var_masks = g.var_masks
     entries: dict[Key, Entry] = {}
 
-    right_by_q: dict[int, list[tuple[int, int, int, int]]] = defaultdict(list)
-    for (i2, q2, d2), (f2, g2) in right.entries.items():
-        right_by_q[q2].append((i2, d2, f2, g2))
+    right_by_q: dict[int, list[tuple[int, ...]]] = defaultdict(list)
+    for (i2, q2, d2), (f2, g2, w2) in right.entries.items():
+        right_by_q[q2].append((i2, d2, f2, g2, w2))
 
     gamma_cache: dict[int, int] = {}
-    for (i1, q, d1), (f1, g1) in left.entries.items():
+    for (i1, q, d1), (f1, g1, w1) in left.entries.items():
         partners = right_by_q.get(q)
         if not partners:
             continue
@@ -157,20 +151,21 @@ def join(left: DPTable, right: DPTable, bag_v: int, bag_c: int,
             gam = gamma_cache[q] = gamma_odd_mask(var_masks, q, bag_c)
         qsize = q.bit_count()
         base = i1 ^ gam
-        for i2, d2, f2, g2 in partners:
+        for i2, d2, f2, g2, w2 in partners:
             d = d1 + d2
             if d > b:
                 continue
-            _merge(entries, (base ^ i2, q, d), f1 + f2 - qsize, g1 * g2)
+            _merge(entries, (base ^ i2, q, d), f1 + f2 - qsize, g1 * g2,
+                   w1 | w2)
 
     # a partial set living entirely in one subtree survives verbatim,
     # but only when it is disjoint from the bag's variables
-    for (i, q, d), (f, cnt) in left.entries.items():
+    for (i, q, d), ent in left.entries.items():
         if q == 0:
-            _merge(entries, (i, q, d), f, cnt)
-    for (i, q, d), (f, cnt) in right.entries.items():
+            _merge(entries, (i, q, d), *ent)
+    for (i, q, d), ent in right.entries.items():
         if q == 0:
-            _merge(entries, (i, q, d), f, cnt)
+            _merge(entries, (i, q, d), *ent)
     return DPTable(bag_v, bag_c, entries)
 
 
@@ -180,12 +175,14 @@ class DPResult:
 
     The root table also holds ``(0, 0, b')`` for every ``b' <= b`` with the
     value a run at ``b'`` would give, since d never decreases toward the root.
+    ``tables`` is indexed by nice node; only the root's slot is filled unless
+    the run retained every table.
     """
 
     a_min: int | None
     count: int | None
     root_table: DPTable
-    tables: list[DPTable] | None = None
+    tables: list[DPTable | None]
 
     @property
     def found(self) -> bool:
@@ -197,7 +194,8 @@ def run_dp(g: TannerGraph, ntd: NiceTreeDecomposition, b: int,
     """Process nice nodes in post-order and read out the root state (0, 0, b).
 
     Child tables are freed as soon as they are consumed unless
-    ``retain_tables`` is set (needed for witness extraction).
+    ``retain_tables`` is set, which only serves to inspect them: the witness
+    is carried in the root table either way.
     """
     if b < 0:
         raise ValueError("b must be >= 0")
@@ -215,16 +213,15 @@ def run_dp(g: TannerGraph, ntd: NiceTreeDecomposition, b: int,
         else:
             child = tables[node.children[0]]
             if kind == INTRO_VAR:
-                table = introduce_variable(child, node.elem, node.bag_v, g, b)
+                table = introduce_variable(child, node.elem, node.bag_v, g)
             elif kind == FORGET_VAR:
-                table = forget_variable(child, node.elem, node.bag_v, b)
+                table = forget_variable(child, node.elem, node.bag_v)
             elif kind == INTRO_CHK:
-                table = introduce_check(child, node.elem, node.bag_c, g, b)
+                table = introduce_check(child, node.elem, node.bag_c, g)
             elif kind == FORGET_CHK:
                 table = forget_check(child, node.elem, node.bag_c, b)
             else:
                 raise ValueError(f"unknown node kind {kind!r}")
-        table.node_index = idx
         tables[idx] = table
         if not retain_tables:
             for ch in node.children:
@@ -232,10 +229,9 @@ def run_dp(g: TannerGraph, ntd: NiceTreeDecomposition, b: int,
 
     root_table = tables[ntd.root]
     root_entry = root_table.entries.get((0, 0, b))
-    retained = [t for t in tables] if retain_tables else None
     if root_entry is None:
-        return DPResult(None, None, root_table, retained)
-    return DPResult(root_entry[0], root_entry[1], root_table, retained)
+        return DPResult(None, None, root_table, tables)
+    return DPResult(root_entry[0], root_entry[1], root_table, tables)
 
 
 def min_distance(g: TannerGraph, ntd: NiceTreeDecomposition) -> DPResult:

@@ -149,7 +149,7 @@ def gamma_odd(g: TannerGraph, s: Iterable[int],
                 raise ValueError(f"check id {c} out of range")
             r |= 1 << c
         x &= r
-    return set(_bits(x))
+    return set(bit_ids(x))
 
 
 def gamma_odd_mask(var_masks, q_mask: int, restrict_mask: int) -> int:
@@ -183,7 +183,8 @@ def edge_count_parity(g: TannerGraph, c: int, q: Iterable[int]) -> EdgeParity:
     return EdgeParity(count, bool(count & 1))
 
 
-def _bits(mask: int):
+def bit_ids(mask: int):
+    """Ids of the set bits of ``mask``, in increasing order."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1

@@ -1,23 +1,16 @@
-"""Extract one smallest trapping set by backtracking through retained DP tables.
+"""Read one smallest trapping set out of the DP's root table.
 
-At every node the followed table entry is re-derived from its predecessor
-candidates; ties break to the lexicographically smallest predecessor key,
-with the left join child before the right, so extraction is deterministic.
+Every table entry carries the bitmask of one minimizer next to its (f, g)
+pair, so the root state ``(0, 0, b)`` already names a witness; nothing is
+retained or backtracked.  The carried minimizer is the first one the fixed
+post-order reaches, so extraction is deterministic.
 """
 
 from __future__ import annotations
 
-from trapgraph.decomp import (
-    INTRO_CHK,
-    INTRO_VAR,
-    FORGET_CHK,
-    FORGET_VAR,
-    JOIN,
-    LEAF,
-    NiceTreeDecomposition,
-)
+from trapgraph.decomp import NiceTreeDecomposition
 from trapgraph.dpcore import DPTable
-from trapgraph.tanner import TannerGraph, gamma_odd_mask
+from trapgraph.tanner import TannerGraph, bit_ids, gamma_odd_mask
 
 
 class WitnessError(RuntimeError):
@@ -28,120 +21,15 @@ def extract_witness(g: TannerGraph, ntd: NiceTreeDecomposition, b: int,
                     tables: list[DPTable | None]) -> frozenset[int]:
     """One variable set S with |S| = a_min and exactly b odd checks.
 
-    Requires the tables retained by ``run_dp(..., retain_tables=True)`` and a
-    present root state; raises WitnessError otherwise.  The result is
-    validated against the graph before returning.
+    ``tables`` is ``DPResult.tables``; only its root slot is read.  Raises
+    WitnessError when the root state is absent.  The result is validated
+    against the graph before returning.
     """
-    if tables is None or len(tables) != len(ntd.nodes):
-        raise WitnessError("DP tables were not retained")
-    root = ntd.root
-    root_key = (0, 0, b)
-    root_entry = tables[root].entries.get(root_key)
+    root_entry = tables[ntd.root].entries.get((0, 0, b))
     if root_entry is None:
         raise WitnessError(f"no (a,{b})-trapping set exists")
-    a_min = root_entry[0]
-
-    members: set[int] = set()
-    stack: list[tuple[int, tuple[int, int, int]]] = [(root, root_key)]
-    while stack:
-        idx, key = stack.pop()
-        node = ntd.nodes[idx]
-        table = tables[idx]
-        if table is None:
-            raise WitnessError(f"table for node {idx} was not retained")
-        entry = table.entries.get(key)
-        if entry is None:
-            raise WitnessError(f"followed key missing at node {idx}")
-        f = entry[0]
-        i, q, d = key
-        kind = node.kind
-
-        if kind == LEAF:
-            raise WitnessError("reached a leaf with a pending key")
-
-        if kind == INTRO_VAR:
-            v = node.elem
-            vb = 1 << v
-            iv = g.var_masks[v] & node.bag_c
-            if key == (iv, vb, 0) and f == 1:
-                members.add(v)
-                continue
-            if q & vb:
-                members.add(v)
-                stack.append((node.children[0], (i ^ iv, q ^ vb, d)))
-            else:
-                stack.append((node.children[0], key))
-            continue
-
-        if kind == FORGET_VAR:
-            vb = 1 << node.elem
-            cands = sorted([(i, q, d), (i, q | vb, d)])
-            stack.append((node.children[0],
-                          _pick(tables[node.children[0]], cands, f, idx)))
-            continue
-
-        if kind == INTRO_CHK:
-            cb = 1 << node.elem
-            child_key = (i ^ cb, q, d) if i & cb else key
-            stack.append((node.children[0], child_key))
-            continue
-
-        if kind == FORGET_CHK:
-            cb = 1 << node.elem
-            cands = [(i, q, d)]
-            if d >= 1:
-                cands.append((i | cb, q, d - 1))
-            cands.sort()
-            stack.append((node.children[0],
-                          _pick(tables[node.children[0]], cands, f, idx)))
-            continue
-
-        # join node
-        c1, c2 = node.children
-        left, right = tables[c1], tables[c2]
-        if q == 0:
-            ent = left.entries.get(key)
-            if ent is not None and ent[0] == f:
-                stack.append((c1, key))
-                continue
-            ent = right.entries.get(key)
-            if ent is not None and ent[0] == f:
-                stack.append((c2, key))
-                continue
-        pair = _find_pair(g, node, left, right, key, f)
-        if pair is None:
-            raise WitnessError(f"no predecessor reproduces f at join node {idx}")
-        stack.append((c1, pair[0]))
-        stack.append((c2, pair[1]))
-
-    witness = frozenset(members)
-    odd = gamma_odd_mask(g.var_masks, sum(1 << v for v in witness),
-                         (1 << g.n_chk) - 1)
-    if len(witness) != a_min or odd.bit_count() != b:
+    a_min, _, members = root_entry
+    odd = gamma_odd_mask(g.var_masks, members, (1 << g.n_chk) - 1)
+    if members.bit_count() != a_min or odd.bit_count() != b:
         raise WitnessError("extracted witness failed validation")
-    return witness
-
-
-def _pick(child: DPTable, cands, f: int, idx: int):
-    for key in cands:
-        ent = child.entries.get(key)
-        if ent is not None and ent[0] == f:
-            return key
-    raise WitnessError(f"no predecessor reproduces f below node {idx}")
-
-
-def _find_pair(g: TannerGraph, node, left: DPTable, right: DPTable, key, f):
-    i, q, d = key
-    gam = gamma_odd_mask(g.var_masks, q, node.bag_c)
-    qsize = q.bit_count()
-    right_keys = sorted(k for k in right.entries if k[1] == q)
-    for k1 in sorted(k for k in left.entries if k[1] == q):
-        i1, _, d1 = k1
-        f1 = left.entries[k1][0]
-        for k2 in right_keys:
-            i2, _, d2 = k2
-            if d1 + d2 != d or i1 ^ i2 ^ gam != i:
-                continue
-            if f1 + right.entries[k2][0] - qsize == f:
-                return k1, k2
-    return None
+    return frozenset(bit_ids(members))

@@ -55,6 +55,20 @@ def test_analyze_missing_file_exit_1(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_unwritable_output_exit_1(hamming_alist, tmp_path, capsys):
+    bad = str(tmp_path / "missing" / "x.out")
+    jobs = [
+        ["analyze", "--alist", hamming_alist, "--out", bad],
+        ["generate", "--sc", "3,4,10,2", "--deg", "3", "--out", bad],
+        ["generate", "--sc", "3,4,10,2", "--deg", "3",
+         "--out", str(tmp_path / "sc.alist"), "--emit-td", bad],
+        ["decomp", "heuristic", "--alist", hamming_alist, "--out", bad],
+    ]
+    for job in jobs:
+        assert main(job) == 1
+        assert f"cannot write {bad}:" in capsys.readouterr().err
+
+
 def test_analyze_bad_threads_env(hamming_alist, monkeypatch, capsys):
     monkeypatch.setenv("TRAPGRAPH_THREADS", "many")
     assert main(["analyze", "--alist", hamming_alist]) == 1

@@ -40,102 +40,105 @@ def test_introduce_variable_base_case():
     # empty child, v0 adjacent to bag check c0
     g = TannerGraph.from_matrix([[1, 1]])
     child = DPTable(bag_v=0, bag_c=0b1)
-    t = introduce_variable(child, 0, 0b1, g, 0)
-    assert t.entries == {(0b1, 0b1, 0): (1, 1)}
+    t = introduce_variable(child, 0, 0b1, g)
+    assert t.entries == {(0b1, 0b1, 0): (1, 1, 0b1)}
 
 
 def test_introduce_variable_keeps_and_extends():
     g = TannerGraph.from_matrix([[1, 1]])
     child = DPTable(bag_v=0b10, bag_c=0b1,
-                    entries={(0b1, 0b10, 0): (1, 1)})
-    t = introduce_variable(child, 0, 0b11, g, 0)
+                    entries={(0b1, 0b10, 0): (1, 1, 0b10)})
+    t = introduce_variable(child, 0, 0b11, g)
     # kept entry, extension with xor of shared check, and the base entry
     assert t.entries == {
-        (0b1, 0b10, 0): (1, 1),
-        (0b0, 0b11, 0): (2, 1),
-        (0b1, 0b01, 0): (1, 1),
+        (0b1, 0b10, 0): (1, 1, 0b10),
+        (0b0, 0b11, 0): (2, 1, 0b11),
+        (0b1, 0b01, 0): (1, 1, 0b01),
     }
 
 
 def test_introduce_variable_skips_forgotten_codeword_state():
     g = TannerGraph.from_matrix([[1, 1]])
-    child = DPTable(bag_v=0, bag_c=0b1, entries={(0, 0, 0): (4, 7)})
-    t = introduce_variable(child, 0, 0b1, g, 0)
+    child = DPTable(bag_v=0, bag_c=0b1, entries={(0, 0, 0): (4, 7, 0b11110)})
+    t = introduce_variable(child, 0, 0b1, g)
     # (0,0,0) survives but is not extended; only {v} realizes the base key
-    assert t.entries == {(0, 0, 0): (4, 7), (0b1, 0b1, 0): (1, 1)}
+    assert t.entries == {(0, 0, 0): (4, 7, 0b11110),
+                         (0b1, 0b1, 0): (1, 1, 0b1)}
 
 
 def test_introduce_variable_bag_mismatch():
     g = TannerGraph.from_matrix([[1, 1]])
     with pytest.raises(ValueError, match="mismatch"):
-        introduce_variable(DPTable(0b1, 0), 0, 0b1, g, 0)
+        introduce_variable(DPTable(0b1, 0), 0, 0b1, g)
 
 
 def test_forget_variable_merges_counts():
+    # on a tie the counts add and the first minimizer reached is kept
     child = DPTable(bag_v=0b1, bag_c=0b1, entries={
-        (0b1, 0b1, 0): (3, 2),
-        (0b1, 0b0, 0): (3, 5),
+        (0b1, 0b1, 0): (3, 2, 0b111),
+        (0b1, 0b0, 0): (3, 5, 0b1110),
     })
-    t = forget_variable(child, 0, 0, 0)
-    assert t.entries == {(0b1, 0, 0): (3, 7)}
+    t = forget_variable(child, 0, 0)
+    assert t.entries == {(0b1, 0, 0): (3, 7, 0b111)}
 
 
 def test_forget_variable_strict_minimum():
     child = DPTable(bag_v=0b1, bag_c=0b1, entries={
-        (0b1, 0b1, 0): (2, 1),
-        (0b1, 0b0, 0): (5, 9),
+        (0b1, 0b0, 0): (5, 9, 0b111110),
+        (0b1, 0b1, 0): (2, 1, 0b11),
     })
-    t = forget_variable(child, 0, 0, 0)
-    assert t.entries == {(0b1, 0, 0): (2, 1)}
+    t = forget_variable(child, 0, 0)
+    assert t.entries == {(0b1, 0, 0): (2, 1, 0b11)}
 
 
 def test_introduce_check_parity_cases():
     g = TannerGraph.from_matrix([[1, 1, 0]])
     child = DPTable(bag_v=0b111, bag_c=0, entries={
-        (0, 0b001, 0): (1, 1),   # c0 adjacent to v0: odd
-        (0, 0b011, 0): (2, 1),   # adjacent to both: even
-        (0, 0b000, 1): (3, 4),   # empty Q: always even
+        (0, 0b001, 0): (1, 1, 0b001),       # c0 adjacent to v0: odd
+        (0, 0b011, 0): (2, 1, 0b011),       # adjacent to both: even
+        (0, 0b000, 1): (3, 4, 0b111000),    # empty Q: always even
     })
-    t = introduce_check(child, 0, 0b1, g, 1)
+    t = introduce_check(child, 0, 0b1, g)
     assert t.entries == {
-        (0b1, 0b001, 0): (1, 1),
-        (0, 0b011, 0): (2, 1),
-        (0, 0b000, 1): (3, 4),
+        (0b1, 0b001, 0): (1, 1, 0b001),
+        (0, 0b011, 0): (2, 1, 0b011),
+        (0, 0b000, 1): (3, 4, 0b111000),
     }
 
 
 def test_forget_check_drops_when_budget_exhausted():
-    child = DPTable(bag_v=0b1, bag_c=0b1, entries={(0b1, 0b1, 0): (1, 1)})
+    child = DPTable(bag_v=0b1, bag_c=0b1, entries={(0b1, 0b1, 0): (1, 1, 0b1)})
     t = forget_check(child, 0, 0, 0)
     assert t.entries == {}
 
 
 def test_forget_check_increments_d_and_merges():
-    child = DPTable(bag_v=0b1, bag_c=0b1, entries={(0b1, 0b1, 0): (1, 1)})
+    child = DPTable(bag_v=0b1, bag_c=0b1, entries={(0b1, 0b1, 0): (1, 1, 0b1)})
     t = forget_check(child, 0, 0, 1)
-    assert t.entries == {(0, 0b1, 1): (1, 1)}
+    assert t.entries == {(0, 0b1, 1): (1, 1, 0b1)}
     child2 = DPTable(bag_v=0b1, bag_c=0b1, entries={
-        (0b1, 0b1, 0): (4, 2),
-        (0b0, 0b1, 1): (4, 3),
+        (0b1, 0b1, 0): (4, 2, 0b1111),
+        (0b0, 0b1, 1): (4, 3, 0b11101),
     })
     t2 = forget_check(child2, 0, 0, 1)
-    assert t2.entries == {(0, 0b1, 1): (4, 5)}
+    assert t2.entries == {(0, 0b1, 1): (4, 5, 0b1111)}
 
 
 def test_join_shared_members_counted_once():
     g = TannerGraph.from_matrix([[1]])
-    left = DPTable(bag_v=0b1, bag_c=0b1, entries={(0b1, 0b1, 0): (1, 1)})
-    right = DPTable(bag_v=0b1, bag_c=0b1, entries={(0b1, 0b1, 0): (1, 1)})
+    left = DPTable(bag_v=0b1, bag_c=0b1, entries={(0b1, 0b1, 0): (1, 1, 0b1)})
+    right = DPTable(bag_v=0b1, bag_c=0b1,
+                    entries={(0b1, 0b1, 0): (1, 1, 0b1)})
     t = join(left, right, 0b1, 0b1, g, 0)
-    assert t.entries == {(0b1, 0b1, 0): (1, 1)}
+    assert t.entries == {(0b1, 0b1, 0): (1, 1, 0b1)}
 
 
 def test_join_single_side_codeword_survives():
     g = TannerGraph.from_matrix([[1]])
-    left = DPTable(bag_v=0, bag_c=0, entries={(0, 0, 0): (4, 7)})
+    left = DPTable(bag_v=0, bag_c=0, entries={(0, 0, 0): (4, 7, 0b11110)})
     right = DPTable(bag_v=0, bag_c=0)
     t = join(left, right, 0, 0, g, 0)
-    assert t.entries == {(0, 0, 0): (4, 7)}
+    assert t.entries == {(0, 0, 0): (4, 7, 0b11110)}
 
 
 def test_join_requires_matching_bags():
@@ -146,7 +149,8 @@ def test_join_requires_matching_bags():
 
 def test_join_with_empty_table_is_identity_on_codeword_states():
     g = TannerGraph.from_matrix([[1, 1]])
-    left = DPTable(0, 0, entries={(0, 0, 0): (2, 1), (0, 0, 1): (1, 2)})
+    left = DPTable(0, 0, entries={(0, 0, 0): (2, 1, 0b11),
+                                  (0, 0, 1): (1, 2, 0b1)})
     t = join(left, DPTable(0, 0), 0, 0, g, 2)
     assert t.entries == left.entries
 
@@ -242,14 +246,15 @@ def test_root_table_answers_every_smaller_b():
         root = run_dp(g, ntd, 3).root_table
         for b in range(4):
             res = run_dp(g, ntd, b)
-            assert root.get((0, 0, b)) == \
+            entry = root.get((0, 0, b))
+            assert (entry[:2] if entry else None) == \
                 ((res.a_min, res.count) if res.found else None)
 
 
 def test_table_json_dump():
     t = DPTable(bag_v=0b101, bag_c=0b1,
-                entries={(0b1, 0b100, 1): (2, 10**30)})
+                entries={(0b1, 0b100, 1): (2, 10**30, 0b10100)})
     doc = t.to_json()
     assert doc["bag_v"] == [0, 2]
     assert doc["entries"] == [
-        {"I": [0], "Q": [2], "d": 1, "f": 2, "g": str(10**30)}]
+        {"I": [0], "Q": [2], "d": 1, "f": 2, "g": str(10**30), "w": [2, 4]}]

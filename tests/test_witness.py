@@ -11,7 +11,7 @@ from helpers import HAMMING_74, is_codeword_support, random_graph, random_td
 
 
 def solve_with_witness(g, ntd, b):
-    res = run_dp(g, ntd, b, retain_tables=True)
+    res = run_dp(g, ntd, b)
     if not res.found:
         return res, None
     return res, extract_witness(g, ntd, b, res.tables)
@@ -59,19 +59,52 @@ def test_witness_deterministic():
         assert first == second
 
 
-def test_requires_retained_tables():
-    g = TannerGraph.from_matrix([[1, 1]])
+def test_one_pass_witness_is_a_minimizer_for_every_b():
+    rng = random.Random(93)
+    for _ in range(60):
+        g = random_graph(rng, max_var=9, max_chk=7)
+        ntd = make_nice(g, random_td(g, rng))
+        res = run_dp(g, ntd, 3)
+        for b in range(4):
+            entry = res.root_table.get((0, 0, b))
+            if entry is None:
+                continue
+            a_min = entry[0]
+            minimizers = {frozenset(r.members)
+                          for r in brute_force_enumerate(g, a_min, b)
+                          if r.a == a_min}
+            assert extract_witness(g, ntd, b, res.tables) in minimizers
+
+
+def test_retained_run_gives_the_same_witness():
+    rng = random.Random(94)
+    for _ in range(40):
+        g = random_graph(rng, max_var=10, max_chk=8)
+        ntd = make_nice(g, random_td(g, rng))
+        freed = run_dp(g, ntd, 2)
+        kept = run_dp(g, ntd, 2, retain_tables=True)
+        for b in range(3):
+            if freed.root_table.get((0, 0, b)) is None:
+                continue
+            assert extract_witness(g, ntd, b, freed.tables) == \
+                extract_witness(g, ntd, b, kept.tables)
+
+
+def test_only_root_table_kept_without_retention():
+    g = TannerGraph.from_matrix(HAMMING_74)
     ntd = make_nice(g, heuristic_decomposition(g))
-    res = run_dp(g, ntd, 0)
-    with pytest.raises(WitnessError, match="retained"):
-        extract_witness(g, ntd, 0, res.tables)
+    res = run_dp(g, ntd, 1)
+    assert res.tables[ntd.root] is res.root_table
+    assert [i for i, t in enumerate(res.tables) if t is not None] == [ntd.root]
+    kept = run_dp(g, ntd, 1, retain_tables=True)
+    assert all(t is not None for t in kept.tables)
 
 
 def test_no_witness_when_root_state_absent():
     # single-variable code: no codeword support exists
     g = TannerGraph.from_matrix([[1]])
     ntd = make_nice(g, heuristic_decomposition(g))
-    res = run_dp(g, ntd, 0, retain_tables=True)
+    res = run_dp(g, ntd, 0)
     assert not res.found
     with pytest.raises(WitnessError, match="no .*trapping set"):
         extract_witness(g, ntd, 0, res.tables)
