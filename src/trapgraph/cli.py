@@ -71,6 +71,13 @@ def _write_output(text: str, out: str | None) -> None:
 
 def cmd_analyze(args) -> int:
     _read_threads_env()
+    try:
+        b_values = [int(x) for x in args.b.split(",")]
+    except ValueError:
+        raise SystemExit(f"--b expects a comma-separated integer list, got {args.b!r}")
+    if any(b < 0 for b in b_values):
+        raise SystemExit("--b values must be >= 0")
+
     g = _load_graph(args.alist)
 
     if args.td:
@@ -100,13 +107,6 @@ def cmd_analyze(args) -> int:
         for v in exc.violations:
             print(f"invalid decomposition: {v}", file=sys.stderr)
         return 2
-
-    try:
-        b_values = [int(x) for x in args.b.split(",")]
-    except ValueError:
-        raise SystemExit(f"--b expects a comma-separated integer list, got {args.b!r}")
-    if any(b < 0 for b in b_values):
-        raise SystemExit("--b values must be >= 0")
 
     # one pass at the largest b answers every smaller b from its root table
     t0 = time.perf_counter()

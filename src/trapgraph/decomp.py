@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 from collections import Counter, deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from trapgraph.tanner import ScLdpcParams, TannerGraph, bit_ids
 
@@ -212,26 +213,36 @@ def serialize_td(td: TreeDecomposition) -> str:
     return "\n".join(out) + "\n"
 
 
-@dataclass(frozen=True)
-class NiceNode:
+class NiceNode(NamedTuple):
     kind: str
     elem: int | None          # variable or check id in its own namespace
     bag_v: int                # bitmask over variable ids
     bag_c: int                # bitmask over check ids
     children: tuple[int, ...]
+    # bag-local slot of elem, in this bag for an introduce and in the
+    # child's bag for a forget; None for leaves and joins
+    slot: int | None
 
     @property
     def bag_size(self) -> int:
         return self.bag_v.bit_count() + self.bag_c.bit_count()
 
 
-@dataclass(frozen=True)
-class NiceTreeDecomposition:
-    """Rooted nice decomposition in post-order array form; the root is last."""
+class NiceTreeDecomposition(NamedTuple):
+    """Rooted nice decomposition in post-order array form; the root is last.
+
+    Every bag element holds a slot number in its namespace, fixed from the
+    forget that removes it (toward the root) down to the introduce that adds
+    it; the two children of a join share the join's slots.
+    ``var_slots`` and ``chk_slots`` are the largest variable and check
+    counts of any bag, and every slot lies below them.
+    """
 
     n_var: int
     n_chk: int
     nodes: tuple[NiceNode, ...]
+    var_slots: int
+    chk_slots: int
 
     @property
     def root(self) -> int:
@@ -257,43 +268,79 @@ class NiceTreeDecomposition:
 class _NiceBuilder:
     def __init__(self, n_var: int):
         self.n_var = n_var
-        self.nodes: list[NiceNode] = []
+        # (kind, elem, bag_v, bag_c, children) per node, in post-order
+        self.nodes: list[tuple] = []
 
     def emit(self, kind, elem, bag_v, bag_c, children=()) -> int:
-        self.nodes.append(NiceNode(kind, elem, bag_v, bag_c, tuple(children)))
+        self.nodes.append((kind, elem, bag_v, bag_c, tuple(children)))
         return len(self.nodes) - 1
 
-    def masks(self, bag: frozenset[int]) -> tuple[int, int]:
-        bv = bc = 0
-        for x in bag:
-            if x < self.n_var:
-                bv |= 1 << x
-            else:
-                bc |= 1 << (x - self.n_var)
-        return bv, bc
-
     def chain(self, idx: int, cur: frozenset[int], target: frozenset[int]) -> int:
-        """Bridge two bags with forgets (ascending id) then introduces."""
+        """Bridge two bags with forgets (ascending id) then introduces.
+
+        Node ``idx`` holds bag ``cur``; each emitted bag differs from its
+        predecessor's by one bit.
+        """
         n = self.n_var
+        _, _, bv, bc, _ = self.nodes[idx]
         for x in sorted(cur - target):
-            cur = cur - {x}
-            bv, bc = self.masks(cur)
             if x < n:
+                bv ^= 1 << x
                 idx = self.emit(FORGET_VAR, x, bv, bc, (idx,))
             else:
+                bc ^= 1 << (x - n)
                 idx = self.emit(FORGET_CHK, x - n, bv, bc, (idx,))
         for x in sorted(target - cur):
-            cur = cur | {x}
-            bv, bc = self.masks(cur)
             if x < n:
+                bv ^= 1 << x
                 idx = self.emit(INTRO_VAR, x, bv, bc, (idx,))
             else:
+                bc ^= 1 << (x - n)
                 idx = self.emit(INTRO_CHK, x - n, bv, bc, (idx,))
         return idx
 
     def leaf_chain(self, target: frozenset[int]) -> int:
         idx = self.emit(LEAF, None, 0, 0)
         return self.chain(idx, frozenset(), target)
+
+    def finish(self, n_chk: int) -> NiceTreeDecomposition:
+        """Assign slots top-down from the root and freeze the nodes.
+
+        Read downward, a forget gives its element the lowest slot free in
+        its parent's bag, an introduce frees its element's slot, and a join
+        hands its slots to both children.
+        """
+        nodes = self.nodes
+        slot: list[int | None] = [None] * len(nodes)
+        counts = [0, 0]                  # slot counts so far: var, chk
+        # pending subtrees: (node, per namespace elem -> slot, used-slot masks)
+        stack = [(len(nodes) - 1, ({}, {}), [0, 0])]
+        while stack:
+            x, where, used = stack.pop()
+            while True:
+                kind, elem, _, _, kids = nodes[x]
+                if kind == LEAF:
+                    break
+                if kind == JOIN:
+                    stack.append((kids[1], (dict(where[0]), dict(where[1])),
+                                  used.copy()))
+                else:
+                    ns = int(kind in (INTRO_CHK, FORGET_CHK))
+                    if kind in (FORGET_VAR, FORGET_CHK):
+                        u = used[ns]
+                        s = (~u & (u + 1)).bit_length() - 1
+                        used[ns] = u | 1 << s
+                        where[ns][elem] = s
+                        counts[ns] = max(counts[ns], s + 1)
+                    else:
+                        s = where[ns].pop(elem)
+                        used[ns] ^= 1 << s
+                    slot[x] = s
+                x = kids[0]
+        return NiceTreeDecomposition(
+            self.n_var, n_chk,
+            tuple(NiceNode(*node, s) for node, s in zip(nodes, slot)),
+            *counts)
 
 
 def make_nice(g: TannerGraph, td: TreeDecomposition) -> NiceTreeDecomposition:
@@ -303,8 +350,9 @@ def make_nice(g: TannerGraph, td: TreeDecomposition) -> NiceTreeDecomposition:
     smallest-index bag of tree-degree at most one (for a path: an endpoint,
     which yields a join-free nice form).  Multi-child bags become binary join
     cascades; adjacent differing bags are bridged by forget-then-introduce
-    chains in ascending id order.  Raises ``InvalidDecompositionError`` when
-    ``validate`` finds violations.
+    chains in ascending id order.  Every introduce and forget node carries
+    its element's bag-local slot (see ``NiceTreeDecomposition``).  Raises
+    ``InvalidDecompositionError`` when ``validate`` finds violations.
     """
     report = validate(g, td)
     if not report.ok:
@@ -351,13 +399,13 @@ def make_nice(g: TannerGraph, td: TreeDecomposition) -> NiceTreeDecomposition:
             continue
         tops = [b.chain(top[k], td.bags[k], bag) for k in kids]
         idx = tops[0]
-        bv, bc = b.masks(bag)
+        _, _, bv, bc, _ = b.nodes[idx]
         for other in tops[1:]:
             idx = b.emit(JOIN, None, bv, bc, (idx, other))
         top[x] = idx
 
     b.chain(top[root], td.bags[root], frozenset())
-    ntd = NiceTreeDecomposition(g.n_var, g.n_chk, tuple(b.nodes))
+    ntd = b.finish(g.n_chk)
     if ntd.width() != width(td):
         raise ValueError(f"nice form has width {ntd.width()}, "
                          f"input has width {width(td)}")

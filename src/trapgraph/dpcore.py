@@ -1,18 +1,26 @@
 """Sparse dynamic program over a rooted nice tree decomposition.
 
-Per nice node a table maps keys (I, Q, d) to (f, g, w): I is the bitmask
-of odd checks inside the bag, Q the bitmask of partial-trapping-set members
-inside the bag, d the number of already-forgotten odd checks; f is the
-minimum partial-set size, g the exact count of minimizers and w the variable
-bitmask of one minimizer, so the root entry carries a witness.  Absent keys
-mean (+inf, 0).  Counts are Python ints, so arbitrary precision.
+Per nice node a table maps a state (I, Q, d) to (f, g, w): I is the set of
+odd checks inside the bag, Q the set of partial-trapping-set members inside
+the bag, d the number of already-forgotten odd checks; f is the minimum
+partial-set size, g the exact count of minimizers and w the variable bitmask
+of one minimizer, so the root entry carries a witness.  Absent states mean
+(+inf, 0).  Counts are Python ints, so arbitrary precision.
+
+Table keys are bag-local: ``make_nice`` gives every bag element a small
+slot number (``NiceNode.slot``), and a key packs I over the check slots, Q
+over the variable slots above them and d above both, into one int below
+2^(kc+kv)*(b+1), where kc and kv are the decomposition's check and variable
+slot counts.  The cost of a key operation therefore does not grow with the
+code length; only the carried minimizer w is a global-id bitmask.
+``DPTable.get`` and ``DPTable.to_json`` translate through the table's slot
+layout, so callers see global-id masks.
 
 The b=0 run is simply the d-pinned-to-0 slice of the general recurrence.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 
 from trapgraph.decomp import (
@@ -26,147 +34,219 @@ from trapgraph.decomp import (
 )
 from trapgraph.tanner import TannerGraph, bit_ids, gamma_odd_mask
 
-Key = tuple[int, int, int]          # (I mask, Q mask, d)
+Key = tuple[int, int, int]          # (I mask, Q mask, d) over global ids
 Entry = tuple[int, int, int]        # (f, g, w)
 
 
 class DPTable:
-    """Sparse table of one nice node: realizable (I, Q, d) -> (f, g, w)."""
+    """Sparse table of one nice node: realizable packed key -> (f, g, w).
 
-    __slots__ = ("bag_v", "bag_c", "entries")
+    ``var_at[s]`` and ``chk_at[s]`` are the variable and check at slot s, or
+    -1 for a free slot.  A key is ``I | Q << kc | d << (kc + kv)`` with I
+    and Q over slots, kc = len(chk_at) and kv = len(var_at).  ``get`` and
+    ``to_json`` take and give global-id masks instead.
+    """
 
-    def __init__(self, bag_v: int, bag_c: int,
-                 entries: dict[Key, Entry] | None = None):
-        self.bag_v = bag_v
-        self.bag_c = bag_c
+    __slots__ = ("var_at", "chk_at", "entries")
+
+    def __init__(self, var_at: tuple[int, ...], chk_at: tuple[int, ...],
+                 entries: dict[int, Entry] | None = None):
+        self.var_at = var_at
+        self.chk_at = chk_at
         self.entries = entries if entries is not None else {}
 
+    def encode(self, key: Key) -> int | None:
+        """Packed form of a global-id (I, Q, d), or None outside the bag."""
+        i, q, d = key
+        kc = len(self.chk_at)
+        packed = d << (kc + len(self.var_at))
+        for s, c in enumerate(self.chk_at):
+            if c >= 0 and i >> c & 1:
+                i ^= 1 << c
+                packed |= 1 << s
+        for s, v in enumerate(self.var_at, kc):
+            if v >= 0 and q >> v & 1:
+                q ^= 1 << v
+                packed |= 1 << s
+        return None if i or q or d < 0 else packed
+
+    def decode(self, packed: int) -> Key:
+        """Global-id (I, Q, d) of a packed key."""
+        kc = len(self.chk_at)
+        i = q = 0
+        for s, c in enumerate(self.chk_at):
+            if packed >> s & 1:
+                i |= 1 << c
+        for s, v in enumerate(self.var_at, kc):
+            if packed >> s & 1:
+                q |= 1 << v
+        return i, q, packed >> (kc + len(self.var_at))
+
     def get(self, key: Key) -> Entry | None:
-        """(f, g, w) for a key, or None for the implicit (+inf, 0) state."""
-        return self.entries.get(key)
+        """(f, g, w) for a global-id key, or None for (+inf, 0)."""
+        packed = self.encode(key)
+        return None if packed is None else self.entries.get(packed)
 
     def to_json(self) -> dict:
+        states = sorted((self.decode(k), ent) for k, ent in self.entries.items())
         return {
-            "bag_v": list(bit_ids(self.bag_v)),
-            "bag_c": list(bit_ids(self.bag_c)),
+            "bag_v": sorted(v for v in self.var_at if v >= 0),
+            "bag_c": sorted(c for c in self.chk_at if c >= 0),
             "entries": [
                 {"I": list(bit_ids(i)), "Q": list(bit_ids(q)), "d": d,
                  "f": f, "g": str(g), "w": list(bit_ids(w))}
-                for (i, q, d), (f, g, w) in sorted(self.entries.items())
+                for (i, q, d), (f, g, w) in states
             ],
         }
 
 
-def _merge(entries: dict[Key, Entry], key: Key, f: int, g: int,
-           w: int) -> None:
-    # strict f-minimum; counts add only on ties, where the first minimizer
-    # reached is kept, so the carried witness follows the fixed post-order
-    old = entries.get(key)
-    if old is None or f < old[0]:
-        entries[key] = (f, g, w)
-    elif f == old[0]:
-        entries[key] = (f, old[1] + g, old[2])
+def _set_slot(layout: tuple[int, ...], slot: int, x: int) -> tuple[int, ...]:
+    return layout[:slot] + (x,) + layout[slot + 1:]
 
 
-def leaf_table() -> DPTable:
+def _slot_mask(layout: tuple[int, ...], adj: tuple[int, ...],
+               offset: int = 0) -> int:
+    """Bit ``offset + s`` for every slot s whose element is in ``adj``."""
+    mask = 0
+    for s, x in enumerate(layout, offset):
+        if x in adj:
+            mask |= 1 << s
+    return mask
+
+
+# The merging kernels inline one rule: keep the strict f-minimum, add counts
+# on ties and keep the first minimizer reached there, so the carried witness
+# follows the fixed post-order.
+
+def leaf_table(var_slots: int, chk_slots: int) -> DPTable:
     """Empty table: every state is implicitly (+inf, 0)."""
-    return DPTable(0, 0)
+    return DPTable((-1,) * var_slots, (-1,) * chk_slots)
 
 
-def introduce_variable(child: DPTable, v: int, new_bag_v: int,
+def introduce_variable(child: DPTable, v: int, slot: int,
                        g: TannerGraph) -> DPTable:
-    vb = 1 << v
-    if child.bag_v & vb or new_bag_v != child.bag_v | vb:
+    var_at, chk_at = child.var_at, child.chk_at
+    if var_at[slot] != -1 or v in var_at:
         raise ValueError(f"introduce-variable bag mismatch for v{v}")
-    iv = g.var_masks[v] & child.bag_c
+    flip = 1 << (len(chk_at) + slot) | _slot_mask(chk_at, g.var_adj[v])
+    vb = 1 << v
     entries = dict(child.entries)
     # extensions add v to the partial set; a fully-forgotten codeword state
-    # (0,0,0) is not extended, per the base case below
-    for (i, q, d), (f, cnt, w) in child.entries.items():
-        if (i, q, d) != (0, 0, 0):
-            entries[(i ^ iv, q | vb, d)] = (f + 1, cnt, w | vb)
-    entries[(iv, vb, 0)] = (1, 1, vb)
-    return DPTable(new_bag_v, child.bag_c, entries)
+    # (key 0) is not extended, per the base case below
+    entries.update({k ^ flip: (f + 1, cnt, w | vb)
+                    for k, (f, cnt, w) in child.entries.items() if k})
+    entries[flip] = (1, 1, vb)
+    return DPTable(_set_slot(var_at, slot, v), chk_at, entries)
 
 
-def forget_variable(child: DPTable, v: int, new_bag_v: int) -> DPTable:
-    vb = 1 << v
-    if not child.bag_v & vb or new_bag_v != child.bag_v ^ vb:
+def forget_variable(child: DPTable, v: int, slot: int) -> DPTable:
+    if child.var_at[slot] != v:
         raise ValueError(f"forget-variable bag mismatch for v{v}")
-    entries: dict[Key, Entry] = {}
-    for (i, q, d), (f, cnt, w) in child.entries.items():
-        _merge(entries, (i, q & ~vb, d), f, cnt, w)
-    return DPTable(new_bag_v, child.bag_c, entries)
+    keep = ~(1 << (len(child.chk_at) + slot))
+    entries: dict[int, Entry] = {}
+    get = entries.get
+    for k, ent in child.entries.items():
+        k &= keep
+        old = get(k)
+        if old is None or ent[0] < old[0]:
+            entries[k] = ent
+        elif ent[0] == old[0]:
+            entries[k] = (old[0], old[1] + ent[1], old[2])
+    return DPTable(_set_slot(child.var_at, slot, -1), child.chk_at, entries)
 
 
-def introduce_check(child: DPTable, c: int, new_bag_c: int,
+def introduce_check(child: DPTable, c: int, slot: int,
                     g: TannerGraph) -> DPTable:
-    cb = 1 << c
-    if child.bag_c & cb or new_bag_c != child.bag_c | cb:
+    var_at, chk_at = child.var_at, child.chk_at
+    if chk_at[slot] != -1 or c in chk_at:
         raise ValueError(f"introduce-check bag mismatch for c{c}")
-    cmask = g.chk_masks[c]
-    entries: dict[Key, Entry] = {}
-    for (i, q, d), ent in child.entries.items():
-        if (cmask & q).bit_count() & 1:
-            entries[(i | cb, q, d)] = ent
-        else:
-            entries[(i, q, d)] = ent
-    return DPTable(child.bag_v, new_bag_c, entries)
+    cmask = _slot_mask(var_at, g.chk_adj[c], len(chk_at))
+    cb = 1 << slot
+    entries = {(k | cb if (k & cmask).bit_count() & 1 else k): ent
+               for k, ent in child.entries.items()}
+    return DPTable(var_at, _set_slot(chk_at, slot, c), entries)
 
 
-def forget_check(child: DPTable, c: int, new_bag_c: int, b: int) -> DPTable:
-    cb = 1 << c
-    if not child.bag_c & cb or new_bag_c != child.bag_c ^ cb:
+def forget_check(child: DPTable, c: int, slot: int, b: int) -> DPTable:
+    chk_at = child.chk_at
+    if chk_at[slot] != c:
         raise ValueError(f"forget-check bag mismatch for c{c}")
-    entries: dict[Key, Entry] = {}
-    for (i, q, d), (f, cnt, w) in child.entries.items():
-        if i & cb:
-            if d + 1 > b:
+    cb = 1 << slot
+    shift = len(chk_at) + len(child.var_at)
+    step = (1 << shift) - cb          # clears the check's bit, adds 1 to d
+    full = b << shift                 # keys at or above it have d == b
+    entries: dict[int, Entry] = {}
+    get = entries.get
+    for k, ent in child.entries.items():
+        if k & cb:
+            if k >= full:
                 continue
-            _merge(entries, (i ^ cb, q, d + 1), f, cnt, w)
-        else:
-            _merge(entries, (i, q, d), f, cnt, w)
-    return DPTable(child.bag_v, new_bag_c, entries)
+            k += step
+        old = get(k)
+        if old is None or ent[0] < old[0]:
+            entries[k] = ent
+        elif ent[0] == old[0]:
+            entries[k] = (old[0], old[1] + ent[1], old[2])
+    return DPTable(child.var_at, _set_slot(chk_at, slot, -1), entries)
 
 
-def join(left: DPTable, right: DPTable, bag_v: int, bag_c: int,
-         g: TannerGraph, b: int) -> DPTable:
-    if (left.bag_v, left.bag_c) != (bag_v, bag_c) or \
-       (right.bag_v, right.bag_c) != (bag_v, bag_c):
+def join(left: DPTable, right: DPTable, g: TannerGraph, b: int) -> DPTable:
+    var_at, chk_at = left.var_at, left.chk_at
+    if (right.var_at, right.chk_at) != (var_at, chk_at):
         raise ValueError("join children disagree on the bag")
-    var_masks = g.var_masks
-    entries: dict[Key, Entry] = {}
+    kc = len(chk_at)
+    shift = kc + len(var_at)
+    i_bits = (1 << kc) - 1
+    q_bits = ((1 << shift) - 1) ^ i_bits
+    over = (b + 1) << shift           # keys at or above it have d > b
+    # per variable slot, the check slots its variable is adjacent to
+    var_chk = [_slot_mask(chk_at, g.var_adj[v]) if v >= 0 else 0
+               for v in var_at]
 
-    right_by_q: dict[int, list[tuple[int, ...]]] = defaultdict(list)
-    for (i2, q2, d2), (f2, g2, w2) in right.entries.items():
-        right_by_q[q2].append((i2, d2, f2, g2, w2))
+    entries: dict[int, Entry] = {}
+    get = entries.get
+    # right entries by Q, as (I bits, d field in place, f, g, w)
+    right_by_q: dict[int, list[tuple[int, ...]]] = {}
+    for k2, (f2, g2, w2) in right.entries.items():
+        right_by_q.setdefault(k2 & q_bits, []).append(
+            (k2 & i_bits, k2 >> shift << shift, f2, g2, w2))
 
-    gamma_cache: dict[int, int] = {}
-    for (i1, q, d1), (f1, g1, w1) in left.entries.items():
+    gamma_cache: dict[int, tuple[int, int]] = {}
+    for k1, (f1, g1, w1) in left.entries.items():
+        q = k1 & q_bits
         partners = right_by_q.get(q)
         if not partners:
             continue
-        gam = gamma_cache.get(q)
-        if gam is None:
-            gam = gamma_cache[q] = gamma_odd_mask(var_masks, q, bag_c)
-        qsize = q.bit_count()
-        base = i1 ^ gam
+        cached = gamma_cache.get(q)
+        if cached is None:
+            cached = gamma_cache[q] = (
+                gamma_odd_mask(var_chk, q >> kc, i_bits), q.bit_count())
+        gam, qsize = cached
+        base = k1 ^ gam
+        f1 -= qsize
         for i2, d2, f2, g2, w2 in partners:
-            d = d1 + d2
-            if d > b:
+            k = (base ^ i2) + d2
+            if k >= over:
                 continue
-            _merge(entries, (base ^ i2, q, d), f1 + f2 - qsize, g1 * g2,
-                   w1 | w2)
+            f = f1 + f2
+            old = get(k)
+            if old is None or f < old[0]:
+                entries[k] = (f, g1 * g2, w1 | w2)
+            elif f == old[0]:
+                entries[k] = (f, old[1] + g1 * g2, old[2])
 
     # a partial set living entirely in one subtree survives verbatim,
     # but only when it is disjoint from the bag's variables
-    for (i, q, d), ent in left.entries.items():
-        if q == 0:
-            _merge(entries, (i, q, d), *ent)
-    for (i, q, d), ent in right.entries.items():
-        if q == 0:
-            _merge(entries, (i, q, d), *ent)
-    return DPTable(bag_v, bag_c, entries)
+    for side in (left.entries, right.entries):
+        for k, ent in side.items():
+            if k & q_bits:
+                continue
+            old = get(k)
+            if old is None or ent[0] < old[0]:
+                entries[k] = ent
+            elif ent[0] == old[0]:
+                entries[k] = (old[0], old[1] + ent[1], old[2])
+    return DPTable(var_at, chk_at, entries)
 
 
 @dataclass
@@ -206,20 +286,20 @@ def run_dp(g: TannerGraph, ntd: NiceTreeDecomposition, b: int,
     for idx, node in enumerate(ntd.nodes):
         kind = node.kind
         if kind == LEAF:
-            table = leaf_table()
+            table = leaf_table(ntd.var_slots, ntd.chk_slots)
         elif kind == JOIN:
             c1, c2 = node.children
-            table = join(tables[c1], tables[c2], node.bag_v, node.bag_c, g, b)
+            table = join(tables[c1], tables[c2], g, b)
         else:
             child = tables[node.children[0]]
             if kind == INTRO_VAR:
-                table = introduce_variable(child, node.elem, node.bag_v, g)
+                table = introduce_variable(child, node.elem, node.slot, g)
             elif kind == FORGET_VAR:
-                table = forget_variable(child, node.elem, node.bag_v)
+                table = forget_variable(child, node.elem, node.slot)
             elif kind == INTRO_CHK:
-                table = introduce_check(child, node.elem, node.bag_c, g)
+                table = introduce_check(child, node.elem, node.slot, g)
             elif kind == FORGET_CHK:
-                table = forget_check(child, node.elem, node.bag_c, b)
+                table = forget_check(child, node.elem, node.slot, b)
             else:
                 raise ValueError(f"unknown node kind {kind!r}")
         tables[idx] = table
@@ -228,7 +308,7 @@ def run_dp(g: TannerGraph, ntd: NiceTreeDecomposition, b: int,
                 tables[ch] = None
 
     root_table = tables[ntd.root]
-    root_entry = root_table.entries.get((0, 0, b))
+    root_entry = root_table.get((0, 0, b))
     if root_entry is None:
         return DPResult(None, None, root_table, tables)
     return DPResult(root_entry[0], root_entry[1], root_table, tables)

@@ -25,7 +25,7 @@ def extract_witness(g: TannerGraph, ntd: NiceTreeDecomposition, b: int,
     WitnessError when the root state is absent.  The result is validated
     against the graph before returning.
     """
-    root_entry = tables[ntd.root].entries.get((0, 0, b))
+    root_entry = tables[ntd.root].get((0, 0, b))
     if root_entry is None:
         raise WitnessError(f"no (a,{b})-trapping set exists")
     a_min, _, members = root_entry

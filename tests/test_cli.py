@@ -6,10 +6,13 @@ from pathlib import Path
 
 import pytest
 
+from trapgraph import decomp
 from trapgraph.cli import main
 from trapgraph.decomp import parse_td, validate, width
 from trapgraph.tanner import TannerGraph, serialize_alist
 from helpers import HAMMING_74
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -47,6 +50,17 @@ def test_analyze_validate_oracle_agrees(hamming_alist, capsys):
 def test_analyze_rejects_bad_b(hamming_alist, capsys):
     assert main(["analyze", "--alist", hamming_alist, "--b", "x"]) == 1
     assert main(["analyze", "--alist", hamming_alist, "--b", "-1"]) == 1
+
+
+def test_bad_b_rejected_before_decomposition(hamming_alist, monkeypatch,
+                                             capsys):
+    def fail(g):
+        raise AssertionError("decomposition built before --b was checked")
+
+    monkeypatch.setattr(decomp, "heuristic_decomposition", fail)
+    for bad in ("x", "-1", "0,,1"):
+        assert main(["analyze", "--alist", hamming_alist, "--b", bad]) == 1
+        assert "--b" in capsys.readouterr().err
 
 
 def test_analyze_missing_file_exit_1(tmp_path, capsys):
@@ -203,3 +217,20 @@ def test_invalid_td_exits_2_with_each_violation(hamming_alist, tmp_path,
     assert main(["decomp", "nice", "--alist", hamming_alist,
                  "--td", str(bad)]) == 2
     assert capsys.readouterr().err.splitlines() == violations
+
+
+@pytest.mark.parametrize("route,golden", [
+    (["--sc-params", "3,4,40,2"], "analyze_sc40_seed1_sc_params.json"),
+    ([], "analyze_sc40_seed1_heuristic.json"),
+], ids=["sc-params", "heuristic"])
+def test_analyze_report_matches_golden(tmp_path, monkeypatch, capsys, route,
+                                       golden):
+    # pins answers, node kinds and the carried witnesses (the tie order of
+    # the DP) on both routes, byte for byte
+    monkeypatch.chdir(tmp_path)
+    assert main(["generate", "--sc", "3,4,40,2", "--deg", "3", "--seed", "1",
+                 "--out", "sc40.alist"]) == 0
+    assert main(["analyze", "--alist", "sc40.alist", *route, "--b", "0,1,2",
+                 "--witness", "--no-timing", "--out", "report.json"]) == 0
+    assert (tmp_path / "report.json").read_bytes() == \
+        (DATA / golden).read_bytes()

@@ -3,6 +3,10 @@ import random
 import pytest
 
 from trapgraph.decomp import (
+    FORGET_CHK,
+    FORGET_VAR,
+    INTRO_CHK,
+    INTRO_VAR,
     JOIN,
     LEAF,
     InvalidDecompositionError,
@@ -16,7 +20,12 @@ from trapgraph.decomp import (
     validate,
     width,
 )
-from trapgraph.tanner import ScLdpcParams, TannerGraph, generate_sc_ldpc
+from trapgraph.tanner import (
+    ScLdpcParams,
+    TannerGraph,
+    bit_ids,
+    generate_sc_ldpc,
+)
 from helpers import random_graph, random_td, single_bag_td
 
 
@@ -163,6 +172,55 @@ def test_make_nice_rejects_invalid():
     with pytest.raises(InvalidDecompositionError, match="invalid") as exc:
         make_nice(g, bad)
     assert exc.value.violations == validate(g, bad).violations
+
+
+def check_slot_layout(ntd):
+    """Rebuild every bag's slot layout bottom-up and check its invariants.
+
+    A join's two children must carry the same layout; an introduce takes a
+    free slot; a forget releases the slot its element held; every slot lies
+    below the namespace's slot count, and a forget's slot below its child's
+    count in that namespace (the lowest-free rule read downward).
+    """
+    counts = (ntd.var_slots, ntd.chk_slots)
+    assert counts == (max(n.bag_v.bit_count() for n in ntd.nodes),
+                      max(n.bag_c.bit_count() for n in ntd.nodes))
+    layouts = []
+    for node in ntd.nodes:
+        if node.kind == LEAF:
+            layout = ({}, {})
+        elif node.kind == JOIN:
+            left, right = (layouts[c] for c in node.children)
+            assert left == right
+            layout = left
+        else:
+            layout = tuple(dict(m) for m in layouts[node.children[0]])
+            ns = int(node.kind in (INTRO_CHK, FORGET_CHK))
+            where = layout[ns]
+            if node.kind in (INTRO_VAR, INTRO_CHK):
+                assert node.slot not in where.values()
+                where[node.elem] = node.slot
+            else:
+                assert node.kind in (FORGET_VAR, FORGET_CHK)
+                assert node.slot < len(where)
+                assert where.pop(node.elem) == node.slot
+        for where, bag, count in zip(layout, (node.bag_v, node.bag_c),
+                                     counts):
+            assert set(where) == set(bit_ids(bag))
+            assert all(s < count for s in where.values())
+        layouts.append(layout)
+    assert layouts[ntd.root] == ({}, {})
+
+
+def test_slot_layout_random():
+    rng = random.Random(23)
+    for _ in range(200):
+        g = random_graph(rng, max_var=12, max_chk=9)
+        check_slot_layout(make_nice(g, random_td(g, rng)))
+    params = ScLdpcParams(3, 4, 10, 2, var_degree=3, seed=7)
+    g = generate_sc_ldpc(params)
+    for td in (sc_path_decomposition(g, params), heuristic_decomposition(g)):
+        check_slot_layout(make_nice(g, td))
 
 
 def join_subtree_unions(ntd):
