@@ -40,6 +40,16 @@ def _load_graph(path: str) -> tanner.TannerGraph:
         raise SystemExit(f"{path}: {exc}")
 
 
+def _load_td(path: str) -> decomp.TreeDecomposition:
+    try:
+        with open(path, "rb") as fh:
+            return decomp.parse_td(fh.read())
+    except OSError as exc:
+        raise SystemExit(f"cannot read {path}: {exc}")
+    except decomp.TdFormatError as exc:
+        raise SystemExit(f"{path}: {exc}")
+
+
 def _parse_sc_flag(raw: str) -> tuple[int, int, int, int]:
     parts = raw.split(",")
     if len(parts) != 4:
@@ -81,13 +91,7 @@ def cmd_analyze(args) -> int:
     g = _load_graph(args.alist)
 
     if args.td:
-        try:
-            with open(args.td) as fh:
-                td = decomp.parse_td(fh.read())
-        except OSError as exc:
-            raise SystemExit(f"cannot read {args.td}: {exc}")
-        except decomp.TdFormatError as exc:
-            raise SystemExit(f"{args.td}: {exc}")
+        td = _load_td(args.td)
         source = f"td:{args.td}"
     elif args.sc_params:
         r, c, L, w = _parse_sc_flag(args.sc_params)
@@ -204,14 +208,7 @@ def cmd_decomp(args) -> int:
         _write_output(decomp.serialize_td(td), args.out)
         return 0
 
-    try:
-        with open(args.td) as fh:
-            td = decomp.parse_td(fh.read())
-    except OSError as exc:
-        raise SystemExit(f"cannot read {args.td}: {exc}")
-    except decomp.TdFormatError as exc:
-        raise SystemExit(f"{args.td}: {exc}")
-
+    td = _load_td(args.td)
     if args.action == "validate":
         report = decomp.validate(g, td)
         if report.ok:

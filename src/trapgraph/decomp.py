@@ -143,7 +143,11 @@ def validate(g: TannerGraph, td: TreeDecomposition) -> ValidationReport:
 def parse_td(text: str | bytes) -> TreeDecomposition:
     """Parse the PACE-2017 .td exchange format (1-indexed, combined namespace)."""
     if isinstance(text, bytes):
-        text = text.decode("ascii")
+        try:
+            text = text.decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise TdFormatError(f"non-ASCII byte 0x{text[exc.start]:02x}",
+                                text.count(b"\n", 0, exc.start) + 1) from None
     header = None
     bags: dict[int, frozenset[int]] = {}
     edges: list[tuple[int, int]] = []

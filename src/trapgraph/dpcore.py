@@ -8,13 +8,19 @@ of one minimizer, so the root entry carries a witness.  Absent states mean
 (+inf, 0).  Counts are Python ints, so arbitrary precision.
 
 Table keys are bag-local: ``make_nice`` gives every bag element a small
-slot number (``NiceNode.slot``), and a key packs I over the check slots, Q
+slot number (``NiceNode.slot``), and a key packs J over the check slots, Q
 over the variable slots above them and d above both, into one int below
 2^(kc+kv)*(b+1), where kc and kv are the decomposition's check and variable
-slot counts.  The cost of a key operation therefore does not grow with the
-code length; only the carried minimizer w is a global-id bitmask.
-``DPTable.get`` and ``DPTable.to_json`` translate through the table's slot
-layout, so callers see global-id masks.
+slot counts.  J is not I: it holds the bag checks made odd by the
+already-forgotten members alone, so I = J xor (Gamma_odd(Q) within the bag).
+Per table that is a bijection on states.  A check enters the bag with J bit
+0, since none of its neighbours is forgotten yet, so introducing it touches
+no entry; forgetting a variable moves its parity from Q into J, and a join
+adds its children's J parities without correcting for the shared Q.  The
+cost of a key operation does not grow with the code length; only the
+carried minimizer w is a global-id bitmask.  ``DPTable.get`` and
+``DPTable.to_json`` translate through the table's slot layout and graph,
+so callers see global-id (I, Q, d).
 
 The b=0 run is simply the d-pinned-to-0 slice of the general recurrence.
 """
@@ -32,28 +38,42 @@ from trapgraph.decomp import (
     LEAF,
     NiceTreeDecomposition,
 )
-from trapgraph.tanner import TannerGraph, bit_ids, gamma_odd_mask
+from trapgraph.tanner import TannerGraph, bit_ids
 
 Key = tuple[int, int, int]          # (I mask, Q mask, d) over global ids
 Entry = tuple[int, int, int]        # (f, g, w)
 
 
 class DPTable:
-    """Sparse table of one nice node: realizable packed key -> (f, g, w).
+    """Sparse table of one nice node of graph ``g``: packed key -> (f, g, w).
 
     ``var_at[s]`` and ``chk_at[s]`` are the variable and check at slot s, or
-    -1 for a free slot.  A key is ``I | Q << kc | d << (kc + kv)`` with I
-    and Q over slots, kc = len(chk_at) and kv = len(var_at).  ``get`` and
-    ``to_json`` take and give global-id masks instead.
+    -1 for a free slot.  A key is ``J | Q << kc | d << (kc + kv)`` with J
+    and Q over slots, kc = len(chk_at) and kv = len(var_at); J holds the
+    bag checks made odd by the forgotten members alone.  ``get`` and
+    ``to_json`` take and give global-id (I, Q, d) instead, with
+    I = J xor (Gamma_odd(Q) within the bag).
     """
 
-    __slots__ = ("var_at", "chk_at", "entries")
+    __slots__ = ("g", "var_at", "chk_at", "entries")
 
-    def __init__(self, var_at: tuple[int, ...], chk_at: tuple[int, ...],
+    def __init__(self, g: TannerGraph, var_at: tuple[int, ...],
+                 chk_at: tuple[int, ...],
                  entries: dict[int, Entry] | None = None):
+        self.g = g
         self.var_at = var_at
         self.chk_at = chk_at
         self.entries = entries if entries is not None else {}
+
+    def _q_parity(self, packed: int) -> int:
+        """Check-slot bits of the bag checks with an odd number of Q members."""
+        kc = len(self.chk_at)
+        bits = 0
+        for s, c in enumerate(self.chk_at):
+            if c >= 0 and (packed & _slot_mask(
+                    self.var_at, self.g.chk_adj[c], kc)).bit_count() & 1:
+                bits |= 1 << s
+        return bits
 
     def encode(self, key: Key) -> int | None:
         """Packed form of a global-id (I, Q, d), or None outside the bag."""
@@ -68,11 +88,12 @@ class DPTable:
             if v >= 0 and q >> v & 1:
                 q ^= 1 << v
                 packed |= 1 << s
-        return None if i or q or d < 0 else packed
+        return None if i or q or d < 0 else packed ^ self._q_parity(packed)
 
     def decode(self, packed: int) -> Key:
         """Global-id (I, Q, d) of a packed key."""
         kc = len(self.chk_at)
+        packed ^= self._q_parity(packed)
         i = q = 0
         for s, c in enumerate(self.chk_at):
             if packed >> s & 1:
@@ -118,9 +139,9 @@ def _slot_mask(layout: tuple[int, ...], adj: tuple[int, ...],
 # on ties and keep the first minimizer reached there, so the carried witness
 # follows the fixed post-order.
 
-def leaf_table(var_slots: int, chk_slots: int) -> DPTable:
+def leaf_table(var_slots: int, chk_slots: int, g: TannerGraph) -> DPTable:
     """Empty table: every state is implicitly (+inf, 0)."""
-    return DPTable((-1,) * var_slots, (-1,) * chk_slots)
+    return DPTable(g, (-1,) * var_slots, (-1,) * chk_slots)
 
 
 def introduce_variable(child: DPTable, v: int, slot: int,
@@ -128,66 +149,77 @@ def introduce_variable(child: DPTable, v: int, slot: int,
     var_at, chk_at = child.var_at, child.chk_at
     if var_at[slot] != -1 or v in var_at:
         raise ValueError(f"introduce-variable bag mismatch for v{v}")
-    flip = 1 << (len(chk_at) + slot) | _slot_mask(chk_at, g.var_adj[v])
+    qb = 1 << (len(chk_at) + slot)
     vb = 1 << v
     entries = dict(child.entries)
     # extensions add v to the partial set; a fully-forgotten codeword state
     # (key 0) is not extended, per the base case below
-    entries.update({k ^ flip: (f + 1, cnt, w | vb)
+    entries.update({k | qb: (f + 1, cnt, w | vb)
                     for k, (f, cnt, w) in child.entries.items() if k})
-    entries[flip] = (1, 1, vb)
-    return DPTable(_set_slot(var_at, slot, v), chk_at, entries)
+    entries[qb] = (1, 1, vb)
+    return DPTable(g, _set_slot(var_at, slot, v), chk_at, entries)
 
 
-def forget_variable(child: DPTable, v: int, slot: int) -> DPTable:
-    if child.var_at[slot] != v:
+def forget_variable(child: DPTable, v: int, slot: int,
+                    g: TannerGraph) -> DPTable:
+    var_at, chk_at = child.var_at, child.chk_at
+    if var_at[slot] != v:
         raise ValueError(f"forget-variable bag mismatch for v{v}")
-    keep = ~(1 << (len(child.chk_at) + slot))
+    qb = 1 << (len(chk_at) + slot)
+    # a forgotten member moves its parity into J
+    flip = qb | _slot_mask(chk_at, g.var_adj[v])
     entries: dict[int, Entry] = {}
     get = entries.get
     for k, ent in child.entries.items():
-        k &= keep
+        if k & qb:
+            k ^= flip
         old = get(k)
         if old is None or ent[0] < old[0]:
             entries[k] = ent
         elif ent[0] == old[0]:
             entries[k] = (old[0], old[1] + ent[1], old[2])
-    return DPTable(_set_slot(child.var_at, slot, -1), child.chk_at, entries)
+    return DPTable(g, _set_slot(var_at, slot, -1), chk_at, entries)
 
 
 def introduce_check(child: DPTable, c: int, slot: int,
                     g: TannerGraph) -> DPTable:
+    # No neighbour of c is forgotten below its introduce (edge coverage), so
+    # its J bit is 0 in every key and the entries carry over as they are.
     var_at, chk_at = child.var_at, child.chk_at
     if chk_at[slot] != -1 or c in chk_at:
         raise ValueError(f"introduce-check bag mismatch for c{c}")
-    cmask = _slot_mask(var_at, g.chk_adj[c], len(chk_at))
-    cb = 1 << slot
-    entries = {(k | cb if (k & cmask).bit_count() & 1 else k): ent
-               for k, ent in child.entries.items()}
-    return DPTable(var_at, _set_slot(chk_at, slot, c), entries)
+    return DPTable(g, var_at, _set_slot(chk_at, slot, c), child.entries)
 
 
-def forget_check(child: DPTable, c: int, slot: int, b: int) -> DPTable:
-    chk_at = child.chk_at
+def forget_check(child: DPTable, c: int, slot: int, b: int,
+                 g: TannerGraph) -> DPTable:
+    var_at, chk_at = child.var_at, child.chk_at
     if chk_at[slot] != c:
         raise ValueError(f"forget-check bag mismatch for c{c}")
     cb = 1 << slot
-    shift = len(chk_at) + len(child.var_at)
-    step = (1 << shift) - cb          # clears the check's bit, adds 1 to d
+    keep = ~cb
+    shift = len(chk_at) + len(var_at)
+    step = 1 << shift
     full = b << shift                 # keys at or above it have d == b
+    # c is odd iff its J bit and its bag members' Q bits have odd parity;
+    # without bag members that is the J bit alone
+    parity = cb | _slot_mask(var_at, g.chk_adj[c], len(chk_at))
+    plain = parity == cb
     entries: dict[int, Entry] = {}
     get = entries.get
     for k, ent in child.entries.items():
-        if k & cb:
+        if k & cb if plain else (k & parity).bit_count() & 1:
             if k >= full:
                 continue
-            k += step
+            k = (k & keep) + step
+        else:
+            k &= keep
         old = get(k)
         if old is None or ent[0] < old[0]:
             entries[k] = ent
         elif ent[0] == old[0]:
             entries[k] = (old[0], old[1] + ent[1], old[2])
-    return DPTable(child.var_at, _set_slot(chk_at, slot, -1), entries)
+    return DPTable(g, var_at, _set_slot(chk_at, slot, -1), entries)
 
 
 def join(left: DPTable, right: DPTable, g: TannerGraph, b: int) -> DPTable:
@@ -196,36 +228,26 @@ def join(left: DPTable, right: DPTable, g: TannerGraph, b: int) -> DPTable:
         raise ValueError("join children disagree on the bag")
     kc = len(chk_at)
     shift = kc + len(var_at)
-    i_bits = (1 << kc) - 1
-    q_bits = ((1 << shift) - 1) ^ i_bits
+    j_bits = (1 << kc) - 1
+    q_bits = ((1 << shift) - 1) ^ j_bits
     over = (b + 1) << shift           # keys at or above it have d > b
-    # per variable slot, the check slots its variable is adjacent to
-    var_chk = [_slot_mask(chk_at, g.var_adj[v]) if v >= 0 else 0
-               for v in var_at]
 
     entries: dict[int, Entry] = {}
     get = entries.get
-    # right entries by Q, as (I bits, d field in place, f, g, w)
+    # right entries by Q, as (J bits, d field in place, f, g, w); the two
+    # subtrees forget disjoint members, so their J parities simply add
     right_by_q: dict[int, list[tuple[int, ...]]] = {}
     for k2, (f2, g2, w2) in right.entries.items():
         right_by_q.setdefault(k2 & q_bits, []).append(
-            (k2 & i_bits, k2 >> shift << shift, f2, g2, w2))
+            (k2 & j_bits, k2 >> shift << shift, f2, g2, w2))
 
-    gamma_cache: dict[int, tuple[int, int]] = {}
     for k1, (f1, g1, w1) in left.entries.items():
-        q = k1 & q_bits
-        partners = right_by_q.get(q)
+        partners = right_by_q.get(k1 & q_bits)
         if not partners:
             continue
-        cached = gamma_cache.get(q)
-        if cached is None:
-            cached = gamma_cache[q] = (
-                gamma_odd_mask(var_chk, q >> kc, i_bits), q.bit_count())
-        gam, qsize = cached
-        base = k1 ^ gam
-        f1 -= qsize
-        for i2, d2, f2, g2, w2 in partners:
-            k = (base ^ i2) + d2
+        f1 -= (k1 & q_bits).bit_count()
+        for j2, d2, f2, g2, w2 in partners:
+            k = (k1 ^ j2) + d2
             if k >= over:
                 continue
             f = f1 + f2
@@ -246,7 +268,7 @@ def join(left: DPTable, right: DPTable, g: TannerGraph, b: int) -> DPTable:
                 entries[k] = ent
             elif ent[0] == old[0]:
                 entries[k] = (old[0], old[1] + ent[1], old[2])
-    return DPTable(var_at, chk_at, entries)
+    return DPTable(g, var_at, chk_at, entries)
 
 
 @dataclass
@@ -286,7 +308,7 @@ def run_dp(g: TannerGraph, ntd: NiceTreeDecomposition, b: int,
     for idx, node in enumerate(ntd.nodes):
         kind = node.kind
         if kind == LEAF:
-            table = leaf_table(ntd.var_slots, ntd.chk_slots)
+            table = leaf_table(ntd.var_slots, ntd.chk_slots, g)
         elif kind == JOIN:
             c1, c2 = node.children
             table = join(tables[c1], tables[c2], g, b)
@@ -295,11 +317,11 @@ def run_dp(g: TannerGraph, ntd: NiceTreeDecomposition, b: int,
             if kind == INTRO_VAR:
                 table = introduce_variable(child, node.elem, node.slot, g)
             elif kind == FORGET_VAR:
-                table = forget_variable(child, node.elem, node.slot)
+                table = forget_variable(child, node.elem, node.slot, g)
             elif kind == INTRO_CHK:
                 table = introduce_check(child, node.elem, node.slot, g)
             elif kind == FORGET_CHK:
-                table = forget_check(child, node.elem, node.slot, b)
+                table = forget_check(child, node.elem, node.slot, b, g)
             else:
                 raise ValueError(f"unknown node kind {kind!r}")
         tables[idx] = table

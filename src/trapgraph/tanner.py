@@ -153,7 +153,7 @@ def gamma_odd(g: TannerGraph, s: Iterable[int],
 
 
 def gamma_odd_mask(var_masks, q_mask: int, restrict_mask: int) -> int:
-    """Bitmask variant of :func:`gamma_odd` used by the DP inner loops."""
+    """Bitmask variant of :func:`gamma_odd`."""
     x = 0
     while q_mask:
         low = q_mask & -q_mask
@@ -198,7 +198,11 @@ def parse_alist(text: str | bytes) -> TannerGraph:
     and row lists are cross-checked against each other.
     """
     if isinstance(text, bytes):
-        text = text.decode("ascii")
+        try:
+            text = text.decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise AlistError(f"non-ASCII byte 0x{text[exc.start]:02x}",
+                             text.count(b"\n", 0, exc.start) + 1) from None
     lines = text.splitlines()
 
     def ints(i: int, what: str) -> list[int]:

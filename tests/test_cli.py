@@ -69,6 +69,22 @@ def test_analyze_missing_file_exit_1(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("job", ["analyze --alist", "analyze --td",
+                                 "decomp validate --td"])
+def test_undecodable_input_exit_1(job, hamming_alist, tmp_path, capsys):
+    bad = tmp_path / "bad.bin"
+    if job.endswith("--alist"):
+        bad.write_bytes(b"7 3\n\xff\n")
+        argv = ["analyze", "--alist", str(bad)]
+    else:
+        bad.write_bytes(b"c caf\xe9\ns td 1 10 10\n")
+        argv = job.split()[:-1] + ["--alist", hamming_alist, "--td", str(bad)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"{bad}: line" in err and "non-ASCII" in err
+    assert "Traceback" not in err
+
+
 def test_unwritable_output_exit_1(hamming_alist, tmp_path, capsys):
     bad = str(tmp_path / "missing" / "x.out")
     jobs = [
