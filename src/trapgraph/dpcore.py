@@ -20,7 +20,8 @@ adds its children's J parities without correcting for the shared Q.  The
 cost of a key operation does not grow with the code length; only the
 carried minimizer w is a global-id bitmask.  ``DPTable.get`` and
 ``DPTable.to_json`` translate through the table's slot layout and graph,
-so callers see global-id (I, Q, d).
+so callers see global-id (I, Q, d).  Every table carries its graph:
+``leaf_table`` takes it and the other kernels read it from their child.
 
 The b=0 run is simply the d-pinned-to-0 slice of the general recurrence.
 """
@@ -53,9 +54,12 @@ class DPTable:
     bag checks made odd by the forgotten members alone.  ``get`` and
     ``to_json`` take and give global-id (I, Q, d) instead, with
     I = J xor (Gamma_odd(Q) within the bag).
+
+    ``entries`` may be the very dict of the child table (``introduce_check``
+    shares it), so a table's entries are read-only once it is built.
     """
 
-    __slots__ = ("g", "var_at", "chk_at", "entries")
+    __slots__ = ("g", "var_at", "chk_at", "entries", "_parity")
 
     def __init__(self, g: TannerGraph, var_at: tuple[int, ...],
                  chk_at: tuple[int, ...],
@@ -64,15 +68,21 @@ class DPTable:
         self.var_at = var_at
         self.chk_at = chk_at
         self.entries = entries if entries is not None else {}
+        self._parity: tuple[tuple[int, int], ...] | None = None
 
     def _q_parity(self, packed: int) -> int:
         """Check-slot bits of the bag checks with an odd number of Q members."""
-        kc = len(self.chk_at)
+        if self._parity is None:
+            # (check-slot bit, Q slots of its bag neighbours), built on the
+            # first translation so the kernels never pay for it
+            kc = len(self.chk_at)
+            self._parity = tuple(
+                (1 << s, _slot_mask(self.var_at, self.g.chk_adj[c], kc))
+                for s, c in enumerate(self.chk_at) if c >= 0)
         bits = 0
-        for s, c in enumerate(self.chk_at):
-            if c >= 0 and (packed & _slot_mask(
-                    self.var_at, self.g.chk_adj[c], kc)).bit_count() & 1:
-                bits |= 1 << s
+        for cb, qmask in self._parity:
+            if (packed & qmask).bit_count() & 1:
+                bits |= cb
         return bits
 
     def encode(self, key: Key) -> int | None:
@@ -144,8 +154,7 @@ def leaf_table(var_slots: int, chk_slots: int, g: TannerGraph) -> DPTable:
     return DPTable(g, (-1,) * var_slots, (-1,) * chk_slots)
 
 
-def introduce_variable(child: DPTable, v: int, slot: int,
-                       g: TannerGraph) -> DPTable:
+def introduce_variable(child: DPTable, v: int, slot: int) -> DPTable:
     var_at, chk_at = child.var_at, child.chk_at
     if var_at[slot] != -1 or v in var_at:
         raise ValueError(f"introduce-variable bag mismatch for v{v}")
@@ -157,17 +166,16 @@ def introduce_variable(child: DPTable, v: int, slot: int,
     entries.update({k | qb: (f + 1, cnt, w | vb)
                     for k, (f, cnt, w) in child.entries.items() if k})
     entries[qb] = (1, 1, vb)
-    return DPTable(g, _set_slot(var_at, slot, v), chk_at, entries)
+    return DPTable(child.g, _set_slot(var_at, slot, v), chk_at, entries)
 
 
-def forget_variable(child: DPTable, v: int, slot: int,
-                    g: TannerGraph) -> DPTable:
+def forget_variable(child: DPTable, v: int, slot: int) -> DPTable:
     var_at, chk_at = child.var_at, child.chk_at
     if var_at[slot] != v:
         raise ValueError(f"forget-variable bag mismatch for v{v}")
     qb = 1 << (len(chk_at) + slot)
     # a forgotten member moves its parity into J
-    flip = qb | _slot_mask(chk_at, g.var_adj[v])
+    flip = qb | _slot_mask(chk_at, child.g.var_adj[v])
     entries: dict[int, Entry] = {}
     get = entries.get
     for k, ent in child.entries.items():
@@ -178,21 +186,19 @@ def forget_variable(child: DPTable, v: int, slot: int,
             entries[k] = ent
         elif ent[0] == old[0]:
             entries[k] = (old[0], old[1] + ent[1], old[2])
-    return DPTable(g, _set_slot(var_at, slot, -1), chk_at, entries)
+    return DPTable(child.g, _set_slot(var_at, slot, -1), chk_at, entries)
 
 
-def introduce_check(child: DPTable, c: int, slot: int,
-                    g: TannerGraph) -> DPTable:
+def introduce_check(child: DPTable, c: int, slot: int) -> DPTable:
     # No neighbour of c is forgotten below its introduce (edge coverage), so
     # its J bit is 0 in every key and the entries carry over as they are.
     var_at, chk_at = child.var_at, child.chk_at
     if chk_at[slot] != -1 or c in chk_at:
         raise ValueError(f"introduce-check bag mismatch for c{c}")
-    return DPTable(g, var_at, _set_slot(chk_at, slot, c), child.entries)
+    return DPTable(child.g, var_at, _set_slot(chk_at, slot, c), child.entries)
 
 
-def forget_check(child: DPTable, c: int, slot: int, b: int,
-                 g: TannerGraph) -> DPTable:
+def forget_check(child: DPTable, c: int, slot: int, b: int) -> DPTable:
     var_at, chk_at = child.var_at, child.chk_at
     if chk_at[slot] != c:
         raise ValueError(f"forget-check bag mismatch for c{c}")
@@ -201,14 +207,12 @@ def forget_check(child: DPTable, c: int, slot: int, b: int,
     shift = len(chk_at) + len(var_at)
     step = 1 << shift
     full = b << shift                 # keys at or above it have d == b
-    # c is odd iff its J bit and its bag members' Q bits have odd parity;
-    # without bag members that is the J bit alone
-    parity = cb | _slot_mask(var_at, g.chk_adj[c], len(chk_at))
-    plain = parity == cb
+    # c is odd iff its J bit and its bag members' Q bits have odd parity
+    parity = cb | _slot_mask(var_at, child.g.chk_adj[c], len(chk_at))
     entries: dict[int, Entry] = {}
     get = entries.get
     for k, ent in child.entries.items():
-        if k & cb if plain else (k & parity).bit_count() & 1:
+        if (k & parity).bit_count() & 1:
             if k >= full:
                 continue
             k = (k & keep) + step
@@ -219,10 +223,10 @@ def forget_check(child: DPTable, c: int, slot: int, b: int,
             entries[k] = ent
         elif ent[0] == old[0]:
             entries[k] = (old[0], old[1] + ent[1], old[2])
-    return DPTable(g, var_at, _set_slot(chk_at, slot, -1), entries)
+    return DPTable(child.g, var_at, _set_slot(chk_at, slot, -1), entries)
 
 
-def join(left: DPTable, right: DPTable, g: TannerGraph, b: int) -> DPTable:
+def join(left: DPTable, right: DPTable, b: int) -> DPTable:
     var_at, chk_at = left.var_at, left.chk_at
     if (right.var_at, right.chk_at) != (var_at, chk_at):
         raise ValueError("join children disagree on the bag")
@@ -268,7 +272,7 @@ def join(left: DPTable, right: DPTable, g: TannerGraph, b: int) -> DPTable:
                 entries[k] = ent
             elif ent[0] == old[0]:
                 entries[k] = (old[0], old[1] + ent[1], old[2])
-    return DPTable(g, var_at, chk_at, entries)
+    return DPTable(left.g, var_at, chk_at, entries)
 
 
 @dataclass
@@ -311,17 +315,17 @@ def run_dp(g: TannerGraph, ntd: NiceTreeDecomposition, b: int,
             table = leaf_table(ntd.var_slots, ntd.chk_slots, g)
         elif kind == JOIN:
             c1, c2 = node.children
-            table = join(tables[c1], tables[c2], g, b)
+            table = join(tables[c1], tables[c2], b)
         else:
             child = tables[node.children[0]]
             if kind == INTRO_VAR:
-                table = introduce_variable(child, node.elem, node.slot, g)
+                table = introduce_variable(child, node.elem, node.slot)
             elif kind == FORGET_VAR:
-                table = forget_variable(child, node.elem, node.slot, g)
+                table = forget_variable(child, node.elem, node.slot)
             elif kind == INTRO_CHK:
-                table = introduce_check(child, node.elem, node.slot, g)
+                table = introduce_check(child, node.elem, node.slot)
             elif kind == FORGET_CHK:
-                table = forget_check(child, node.elem, node.slot, b, g)
+                table = forget_check(child, node.elem, node.slot, b)
             else:
                 raise ValueError(f"unknown node kind {kind!r}")
         tables[idx] = table

@@ -64,7 +64,7 @@ def test_introduce_variable_base_case():
     # empty child, v0 adjacent to bag check c0
     g = TannerGraph.from_matrix([[1, 1]])
     child = table(g, (-1,), (0,))
-    t = introduce_variable(child, 0, 0, g)
+    t = introduce_variable(child, 0, 0)
     # packed key: Q slot 0 sits above the one check slot, whose J bit is 0
     # since nothing is forgotten
     assert t.entries == {0b10: (1, 1, 0b1)}
@@ -75,7 +75,7 @@ def test_introduce_variable_base_case():
 def test_introduce_variable_keeps_and_extends():
     g = TannerGraph.from_matrix([[1, 1]])
     child = table(g, (-1, 1), (0,), {(0b1, 0b10, 0): (1, 1, 0b10)})
-    t = introduce_variable(child, 0, 0, g)
+    t = introduce_variable(child, 0, 0)
     # kept entry, extension with xor of shared check, and the base entry
     assert states(t) == {
         (0b1, 0b10, 0): (1, 1, 0b10),
@@ -87,7 +87,7 @@ def test_introduce_variable_keeps_and_extends():
 def test_introduce_variable_skips_forgotten_codeword_state():
     g = TannerGraph.from_matrix([[1, 1]])
     child = table(g, (-1,), (0,), {(0, 0, 0): (4, 7, 0b11110)})
-    t = introduce_variable(child, 0, 0, g)
+    t = introduce_variable(child, 0, 0)
     # (0,0,0) survives but is not extended; only {v} realizes the base key
     assert states(t) == {(0, 0, 0): (4, 7, 0b11110),
                          (0b1, 0b1, 0): (1, 1, 0b1)}
@@ -96,11 +96,11 @@ def test_introduce_variable_skips_forgotten_codeword_state():
 def test_introduce_variable_bag_mismatch():
     g = TannerGraph.from_matrix([[1, 1]])
     with pytest.raises(ValueError, match="mismatch"):
-        introduce_variable(table(g, (0, -1), ()), 0, 1, g)  # already in bag
+        introduce_variable(table(g, (0, -1), ()), 0, 1)  # already in bag
     with pytest.raises(ValueError, match="mismatch"):
-        introduce_variable(table(g, (1,), ()), 0, 0, g)     # slot taken
+        introduce_variable(table(g, (1,), ()), 0, 0)  # slot taken
     with pytest.raises(ValueError, match="mismatch"):
-        forget_variable(table(g, (1,), ()), 0, 0, g)        # not at slot
+        forget_variable(table(g, (1,), ()), 0, 0)  # not at slot
 
 
 def test_forget_variable_merges_counts():
@@ -110,7 +110,7 @@ def test_forget_variable_merges_counts():
         (0b1, 0b1, 0): (3, 2, 0b111),
         (0b1, 0b0, 0): (3, 5, 0b1110),
     })
-    t = forget_variable(child, 0, 0, g)
+    t = forget_variable(child, 0, 0)
     assert states(t) == {(0b1, 0, 0): (3, 7, 0b111)}
     assert t.var_at == (-1,)
 
@@ -121,7 +121,7 @@ def test_forget_variable_strict_minimum():
         (0b1, 0b0, 0): (5, 9, 0b111110),
         (0b1, 0b1, 0): (2, 1, 0b11),
     })
-    t = forget_variable(child, 0, 0, g)
+    t = forget_variable(child, 0, 0)
     assert states(t) == {(0b1, 0, 0): (2, 1, 0b11)}
 
 
@@ -132,7 +132,9 @@ def test_introduce_check_parity_cases():
         (0, 0b011, 0): (2, 1, 0b011),       # adjacent to both: even
         (0, 0b000, 1): (3, 4, 0b111000),    # empty Q: always even
     })
-    t = introduce_check(child, 0, 0, g)
+    t = introduce_check(child, 0, 0)
+    # no entry is touched: the new check's J bit is 0 in every key
+    assert t.entries is child.entries
     assert states(t) == {
         (0b1, 0b001, 0): (1, 1, 0b001),
         (0, 0b011, 0): (2, 1, 0b011),
@@ -143,20 +145,20 @@ def test_introduce_check_parity_cases():
 def test_forget_check_drops_when_budget_exhausted():
     g = TannerGraph.from_matrix([[1]])
     child = table(g, (0,), (0,), {(0b1, 0b1, 0): (1, 1, 0b1)})
-    t = forget_check(child, 0, 0, 0, g)
+    t = forget_check(child, 0, 0, 0)
     assert t.entries == {}
 
 
 def test_forget_check_increments_d_and_merges():
     g = TannerGraph.from_matrix([[1]])
     child = table(g, (0,), (0,), {(0b1, 0b1, 0): (1, 1, 0b1)})
-    t = forget_check(child, 0, 0, 1, g)
+    t = forget_check(child, 0, 0, 1)
     assert states(t) == {(0, 0b1, 1): (1, 1, 0b1)}
     child2 = table(g, (0,), (0,), {
         (0b1, 0b1, 0): (4, 2, 0b1111),
         (0b0, 0b1, 1): (4, 3, 0b11101),
     })
-    t2 = forget_check(child2, 0, 0, 1, g)
+    t2 = forget_check(child2, 0, 0, 1)
     assert states(t2) == {(0, 0b1, 1): (4, 5, 0b1111)}
 
 
@@ -164,27 +166,27 @@ def test_join_shared_members_counted_once():
     g = TannerGraph.from_matrix([[1]])
     left = table(g, (0,), (0,), {(0b1, 0b1, 0): (1, 1, 0b1)})
     right = table(g, (0,), (0,), {(0b1, 0b1, 0): (1, 1, 0b1)})
-    t = join(left, right, g, 0)
+    t = join(left, right, 0)
     assert states(t) == {(0b1, 0b1, 0): (1, 1, 0b1)}
 
 
 def test_join_single_side_codeword_survives():
     g = TannerGraph.from_matrix([[1]])
     left = table(g, (), (), {(0, 0, 0): (4, 7, 0b11110)})
-    t = join(left, table(g, (), ()), g, 0)
+    t = join(left, table(g, (), ()), 0)
     assert states(t) == {(0, 0, 0): (4, 7, 0b11110)}
 
 
 def test_join_requires_matching_bags():
     g = TannerGraph.from_matrix([[1]])
     with pytest.raises(ValueError, match="bag"):
-        join(table(g, (0,), ()), table(g, (-1,), ()), g, 0)
+        join(table(g, (0,), ()), table(g, (-1,), ()), 0)
 
 
 def test_join_with_empty_table_is_identity_on_codeword_states():
     g = TannerGraph.from_matrix([[1, 1]])
     left = table(g, (), (), {(0, 0, 0): (2, 1, 0b11), (0, 0, 1): (1, 2, 0b1)})
-    t = join(left, table(g, (), ()), g, 2)
+    t = join(left, table(g, (), ()), 2)
     assert t.entries == left.entries
 
 
