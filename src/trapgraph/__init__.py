@@ -4,7 +4,6 @@ from trapgraph.tanner import (
     AlistError,
     ScLdpcParams,
     TannerGraph,
-    edge_count_parity,
     gamma_odd,
     generate_sc_ldpc,
     parse_alist,
@@ -23,7 +22,7 @@ from trapgraph.decomp import (
     validate,
     width,
 )
-from trapgraph.dpcore import DPResult, DPTable, min_distance, run_dp
+from trapgraph.dpcore import DPResult, DPTable, run_dp
 from trapgraph.oracle import (
     TrappingSetRecord,
     WorkLimitExceeded,
@@ -46,13 +45,11 @@ __all__ = [
     "WorkLimitExceeded",
     "brute_force_enumerate",
     "brute_force_spectrum",
-    "edge_count_parity",
     "extract_witness",
     "gamma_odd",
     "generate_sc_ldpc",
     "heuristic_decomposition",
     "make_nice",
-    "min_distance",
     "parse_alist",
     "parse_td",
     "run_dp",

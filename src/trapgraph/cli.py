@@ -190,6 +190,12 @@ def cmd_generate(args) -> int:
 
 
 def cmd_brute(args) -> int:
+    if args.a_max < 0:
+        raise SystemExit("--a-max must be >= 0")
+    if args.b < 0:
+        raise SystemExit("--b must be >= 0")
+    if args.limit < 1:
+        raise SystemExit("--limit must be >= 1")
     g = _load_graph(args.alist)
     try:
         records = oracle.brute_force_enumerate(g, args.a_max, args.b,

@@ -23,11 +23,21 @@ carried minimizer w is a global-id bitmask.  ``DPTable.get`` and
 so callers see global-id (I, Q, d).  Every table carries its graph:
 ``leaf_table`` takes it and the other kernels read it from their child.
 
+``run_dp`` processes a chain of forget nodes, and a chain of introduce
+nodes, in one pass over the chain's child table (``forget_run``,
+``introduce_run``) where at least two variables leave or enter the bag
+together; only the chain's last node gets a table.  On a tie in f the
+kernels keep the integer-smaller w, so every entry carries the
+integer-smallest minimizer of its state and fused and per-node passes give
+the same tables.  ``retain_tables=True`` runs every node on its own kernel,
+so every node's table is kept.
+
 The b=0 run is simply the d-pinned-to-0 slice of the general recurrence.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from trapgraph.decomp import (
@@ -37,6 +47,7 @@ from trapgraph.decomp import (
     FORGET_VAR,
     JOIN,
     LEAF,
+    NiceNode,
     NiceTreeDecomposition,
 )
 from trapgraph.tanner import TannerGraph, bit_ids
@@ -146,8 +157,11 @@ def _slot_mask(layout: tuple[int, ...], adj: tuple[int, ...],
 
 
 # The merging kernels inline one rule: keep the strict f-minimum, add counts
-# on ties and keep the first minimizer reached there, so the carried witness
-# follows the fixed post-order.
+# on ties and keep the integer-smaller minimizer.  Every transition keeps the
+# integer order of w within a merge group (an introduce adds a bit no member
+# has, a join adds the right side's bits outside Q), so every entry carries
+# the integer-smallest minimizer of its state, whatever order the entries
+# merge in: fused runs and per-node chains give the same tables.
 
 def leaf_table(var_slots: int, chk_slots: int, g: TannerGraph) -> DPTable:
     """Empty table: every state is implicitly (+inf, 0)."""
@@ -185,7 +199,8 @@ def forget_variable(child: DPTable, v: int, slot: int) -> DPTable:
         if old is None or ent[0] < old[0]:
             entries[k] = ent
         elif ent[0] == old[0]:
-            entries[k] = (old[0], old[1] + ent[1], old[2])
+            w, w_old = ent[2], old[2]
+            entries[k] = (old[0], old[1] + ent[1], w if w < w_old else w_old)
     return DPTable(child.g, _set_slot(var_at, slot, -1), chk_at, entries)
 
 
@@ -222,8 +237,111 @@ def forget_check(child: DPTable, c: int, slot: int, b: int) -> DPTable:
         if old is None or ent[0] < old[0]:
             entries[k] = ent
         elif ent[0] == old[0]:
-            entries[k] = (old[0], old[1] + ent[1], old[2])
+            w, w_old = ent[2], old[2]
+            entries[k] = (old[0], old[1] + ent[1], w if w < w_old else w_old)
     return DPTable(child.g, var_at, _set_slot(chk_at, slot, -1), entries)
+
+
+# the kinds a run starting at a variable node of this kind may hold
+_FAMILY = {FORGET_VAR: (FORGET_VAR, FORGET_CHK),
+           INTRO_VAR: (INTRO_VAR, INTRO_CHK)}
+
+
+def forget_run(child: DPTable, run: Sequence[NiceNode], b: int) -> DPTable:
+    """One pass for a chain of forget nodes, each the child of the next.
+
+    Forgets commute: forgetting a variable changes no check's I, and
+    forgetting a check reads only its I.  So every variable's parity moves
+    into J first, even where the run interleaves variables and checks, and
+    then each forgotten check that is odd raises d or drops the entry.
+    """
+    var_at, chk_at = child.var_at, child.chk_at
+    kc = len(chk_at)
+    shift = kc + len(var_at)
+    # flip[s]: the Q bits s cleared and their parities moved into J, for
+    # every subset s of the run's forgotten Q bits fq
+    flip = {0: 0}
+    fq = 0
+    checks = []
+    for node in run:
+        x, slot = node.elem, node.slot
+        if node.kind == FORGET_VAR:
+            if var_at[slot] != x:
+                raise ValueError(f"forget-variable bag mismatch for v{x}")
+            var_at = _set_slot(var_at, slot, -1)
+            qb = 1 << (kc + slot)
+            move = qb | _slot_mask(child.chk_at, child.g.var_adj[x])
+            flip.update([(s | qb, m ^ move) for s, m in flip.items()])
+            fq |= qb
+        else:
+            if chk_at[slot] != x:
+                raise ValueError(f"forget-check bag mismatch for c{x}")
+            chk_at = _set_slot(chk_at, slot, -1)
+            checks.append((x, 1 << slot))
+    # a check is odd iff its J bit and its remaining members' Q bits are
+    parities = [cb | _slot_mask(var_at, child.g.chk_adj[c], kc)
+                for c, cb in checks]
+    keep = ~sum(cb for _, cb in checks)
+    pm = 0
+    for parity in parities:
+        pm |= parity
+    step = 1 << shift
+    over = (b + 1) << shift           # keys at or above it have d > b
+    inc_of: dict[int, int] = {}       # bits under pm -> d increment
+
+    entries: dict[int, Entry] = {}
+    get = entries.get
+    for k, ent in child.entries.items():
+        k ^= flip[k & fq]
+        t = k & pm
+        inc = inc_of.get(t)
+        if inc is None:
+            inc = inc_of[t] = step * sum((t & parity).bit_count() & 1
+                                         for parity in parities)
+        k += inc
+        if k >= over:
+            continue
+        k &= keep
+        old = get(k)
+        if old is None or ent[0] < old[0]:
+            entries[k] = ent
+        elif ent[0] == old[0]:
+            w, w_old = ent[2], old[2]
+            entries[k] = (old[0], old[1] + ent[1], w if w < w_old else w_old)
+    return DPTable(child.g, var_at, chk_at, entries)
+
+
+def introduce_run(child: DPTable, run: Sequence[NiceNode]) -> DPTable:
+    """One pass for a chain of introduce nodes, each the child of the next.
+
+    Every nonzero key gets each nonempty subset S of the new variables, and
+    each such S gets its base entry (|S|, 1, S); key 0 is not extended.  No
+    two of these keys collide.  The run's checks change only the layout.
+    """
+    var_at, chk_at = child.var_at, child.chk_at
+    kc = len(chk_at)
+    subsets = []                      # (Q bits, |S|, w bits) of nonempty S
+    for node in run:
+        x, slot = node.elem, node.slot
+        if node.kind == INTRO_VAR:
+            if var_at[slot] != -1 or x in var_at:
+                raise ValueError(f"introduce-variable bag mismatch for v{x}")
+            var_at = _set_slot(var_at, slot, x)
+            qb, vb = 1 << (kc + slot), 1 << x
+            subsets += [(q | qb, n + 1, w | vb) for q, n, w in subsets]
+            subsets.append((qb, 1, vb))
+        else:
+            if chk_at[slot] != -1 or x in chk_at:
+                raise ValueError(f"introduce-check bag mismatch for c{x}")
+            chk_at = _set_slot(chk_at, slot, x)
+    entries = dict(child.entries)
+    for k, (f, cnt, w) in child.entries.items():
+        for q, n, ws in subsets:
+            entries[k | q] = (f + n, cnt, w | ws)
+    # extending key 0 wrote exactly the base keys; overwrite them
+    for q, n, ws in subsets:
+        entries[q] = (n, 1, ws)
+    return DPTable(child.g, var_at, chk_at, entries)
 
 
 def join(left: DPTable, right: DPTable, b: int) -> DPTable:
@@ -259,7 +377,8 @@ def join(left: DPTable, right: DPTable, b: int) -> DPTable:
             if old is None or f < old[0]:
                 entries[k] = (f, g1 * g2, w1 | w2)
             elif f == old[0]:
-                entries[k] = (f, old[1] + g1 * g2, old[2])
+                w, w_old = w1 | w2, old[2]
+                entries[k] = (f, old[1] + g1 * g2, w if w < w_old else w_old)
 
     # a partial set living entirely in one subtree survives verbatim,
     # but only when it is disjoint from the bag's variables
@@ -271,7 +390,9 @@ def join(left: DPTable, right: DPTable, b: int) -> DPTable:
             if old is None or ent[0] < old[0]:
                 entries[k] = ent
             elif ent[0] == old[0]:
-                entries[k] = (old[0], old[1] + ent[1], old[2])
+                w, w_old = ent[2], old[2]
+                entries[k] = (old[0], old[1] + ent[1],
+                              w if w < w_old else w_old)
     return DPTable(left.g, var_at, chk_at, entries)
 
 
@@ -301,15 +422,24 @@ def run_dp(g: TannerGraph, ntd: NiceTreeDecomposition, b: int,
 
     Child tables are freed as soon as they are consumed unless
     ``retain_tables`` is set, which only serves to inspect them: the witness
-    is carried in the root table either way.
+    is carried in the root table either way.  Without it, a chain of forget
+    or introduce nodes that starts with two variable nodes of one kind runs
+    as one fused pass and leaves only its last node's table; with it, every
+    node runs its own kernel and keeps its table.
     """
     if b < 0:
         raise ValueError("b must be >= 0")
     if ntd.n_var != g.n_var or ntd.n_chk != g.n_chk:
         raise ValueError("decomposition does not match the graph")
 
-    tables: list[DPTable | None] = [None] * len(ntd.nodes)
-    for idx, node in enumerate(ntd.nodes):
+    nodes = ntd.nodes
+    last = len(nodes) - 1
+    fuse = not retain_tables
+    tables: list[DPTable | None] = [None] * len(nodes)
+    end = -1                          # last node of the latest fused run
+    for idx, node in enumerate(nodes):
+        if idx <= end:
+            continue
         kind = node.kind
         if kind == LEAF:
             table = leaf_table(ntd.var_slots, ntd.chk_slots, g)
@@ -318,18 +448,34 @@ def run_dp(g: TannerGraph, ntd: NiceTreeDecomposition, b: int,
             table = join(tables[c1], tables[c2], b)
         else:
             child = tables[node.children[0]]
-            if kind == INTRO_VAR:
-                table = introduce_variable(child, node.elem, node.slot)
-            elif kind == FORGET_VAR:
-                table = forget_variable(child, node.elem, node.slot)
+            if kind == FORGET_CHK:
+                table = forget_check(child, node.elem, node.slot, b)
             elif kind == INTRO_CHK:
                 table = introduce_check(child, node.elem, node.slot)
-            elif kind == FORGET_CHK:
-                table = forget_check(child, node.elem, node.slot, b)
-            else:
+            elif kind not in _FAMILY:
                 raise ValueError(f"unknown node kind {kind!r}")
+            elif fuse and idx < last and nodes[idx + 1].kind == kind \
+                    and nodes[idx + 1].children[0] == idx:
+                # two or more variables leave or enter the bag together:
+                # one pass over the child for the whole run
+                family = _FAMILY[kind]
+                end = idx + 1
+                while end < last and nodes[end + 1].kind in family \
+                        and nodes[end + 1].children[0] == end:
+                    end += 1
+                run = nodes[idx:end + 1]
+                if kind == INTRO_VAR:
+                    tables[end] = introduce_run(child, run)
+                else:
+                    tables[end] = forget_run(child, run, b)
+                tables[node.children[0]] = None
+                continue
+            elif kind == INTRO_VAR:
+                table = introduce_variable(child, node.elem, node.slot)
+            else:
+                table = forget_variable(child, node.elem, node.slot)
         tables[idx] = table
-        if not retain_tables:
+        if fuse:
             for ch in node.children:
                 tables[ch] = None
 
@@ -339,10 +485,3 @@ def run_dp(g: TannerGraph, ntd: NiceTreeDecomposition, b: int,
         return DPResult(None, None, root_table, tables)
     return DPResult(root_entry[0], root_entry[1], root_table, tables)
 
-
-def min_distance(g: TannerGraph, ntd: NiceTreeDecomposition) -> DPResult:
-    """Minimum Hamming distance and number of minimum-weight codewords.
-
-    The b=0 run; ``a_min`` is None for the zero code.
-    """
-    return run_dp(g, ntd, 0)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 
 class AlistError(ValueError):
@@ -160,27 +160,6 @@ def gamma_odd_mask(var_masks, q_mask: int, restrict_mask: int) -> int:
         x ^= var_masks[low.bit_length() - 1]
         q_mask ^= low
     return x & restrict_mask
-
-
-class EdgeParity(NamedTuple):
-    count: int
-    odd: bool
-
-
-def edge_count_parity(g: TannerGraph, c: int, q: Iterable[int]) -> EdgeParity:
-    """Number of edges between check ``c`` and variable set ``q``, plus parity.
-
-    A count of zero is even.
-    """
-    if not 0 <= c < g.n_chk:
-        raise ValueError(f"check id {c} out of range")
-    qm = 0
-    for v in q:
-        if not 0 <= v < g.n_var:
-            raise ValueError(f"variable id {v} out of range")
-        qm |= 1 << v
-    count = (g.chk_masks[c] & qm).bit_count()
-    return EdgeParity(count, bool(count & 1))
 
 
 def bit_ids(mask: int):

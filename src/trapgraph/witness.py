@@ -2,8 +2,10 @@
 
 Every table entry carries the bitmask of one minimizer next to its (f, g)
 pair, so the root state ``(0, 0, b)`` already names a witness; nothing is
-retained or backtracked.  The carried minimizer is the first one the fixed
-post-order reaches, so extraction is deterministic.
+retained or backtracked.  On a tie the DP keeps the integer-smaller
+variable bitmask, so the witness is the minimizer with the smallest
+``sum(1 << v)``, whatever the decomposition and whether or not the run
+fused chains of nodes.
 """
 
 from __future__ import annotations

@@ -150,6 +150,17 @@ def test_brute_work_limit_exit_3(hamming_alist, capsys):
     assert rc == 3
 
 
+@pytest.mark.parametrize("flag,value", [("--b", "-1"), ("--a-max", "-1"),
+                                        ("--limit", "0"), ("--limit", "-5")])
+def test_brute_rejects_out_of_range_arguments(flag, value, tmp_path, capsys):
+    # rejected before the alist is read: the file does not exist
+    argv = {"--alist": str(tmp_path / "nope.alist"), "--a-max": "3",
+            "--b": "0", flag: value}
+    assert main(["brute", *(x for kv in argv.items() for x in kv)]) == 1
+    err = capsys.readouterr().err
+    assert flag in err and "cannot read" not in err
+
+
 def test_decomp_validate_and_nice(hamming_alist, tmp_path, capsys):
     td_path = tmp_path / "h.td"
     assert main(["decomp", "heuristic", "--alist", hamming_alist,
@@ -241,7 +252,7 @@ def test_invalid_td_exits_2_with_each_violation(hamming_alist, tmp_path,
 ], ids=["sc-params", "heuristic"])
 def test_analyze_report_matches_golden(tmp_path, monkeypatch, capsys, route,
                                        golden):
-    # pins answers, node kinds and the carried witnesses (the tie order of
+    # pins answers, node kinds and the carried witnesses (the tie rule of
     # the DP) on both routes, byte for byte
     monkeypatch.chdir(tmp_path)
     assert main(["generate", "--sc", "3,4,40,2", "--deg", "3", "--seed", "1",
@@ -250,3 +261,12 @@ def test_analyze_report_matches_golden(tmp_path, monkeypatch, capsys, route,
                  "--witness", "--no-timing", "--out", "report.json"]) == 0
     assert (tmp_path / "report.json").read_bytes() == \
         (DATA / golden).read_bytes()
+
+
+def test_golden_reports_have_equal_results():
+    # the witness is the integer-smallest minimizer, so the path and
+    # min-fill routes report the same results, witnesses included
+    docs = [json.loads((DATA / name).read_text()) for name in
+            ("analyze_sc40_seed1_sc_params.json",
+             "analyze_sc40_seed1_heuristic.json")]
+    assert docs[0]["results"] == docs[1]["results"]

@@ -2,8 +2,13 @@ import random
 
 import pytest
 
+from trapgraph import dpcore
 from trapgraph.decomp import (
     FORGET_CHK,
+    FORGET_VAR,
+    INTRO_CHK,
+    INTRO_VAR,
+    NiceNode,
     heuristic_decomposition,
     make_nice,
     sc_path_decomposition,
@@ -11,12 +16,13 @@ from trapgraph.decomp import (
 from trapgraph.dpcore import (
     DPTable,
     forget_check,
+    forget_run,
     forget_variable,
     introduce_check,
+    introduce_run,
     introduce_variable,
     join,
     leaf_table,
-    min_distance,
     run_dp,
 )
 from trapgraph.oracle import brute_force_spectrum
@@ -104,15 +110,15 @@ def test_introduce_variable_bag_mismatch():
 
 
 def test_forget_variable_merges_counts():
-    # on a tie the counts add and the first minimizer reached is kept
+    # on a tie the counts add and the integer-smaller minimizer is kept,
+    # whichever of the two is reached first
     g = TannerGraph.from_matrix([[1]])
-    child = table(g, (0,), (0,), {
-        (0b1, 0b1, 0): (3, 2, 0b111),
-        (0b1, 0b0, 0): (3, 5, 0b1110),
-    })
-    t = forget_variable(child, 0, 0)
-    assert states(t) == {(0b1, 0, 0): (3, 7, 0b111)}
-    assert t.var_at == (-1,)
+    smaller = ((0b1, 0b1, 0), (3, 2, 0b111))
+    larger = ((0b1, 0b0, 0), (3, 5, 0b1110))
+    for order in ([smaller, larger], [larger, smaller]):
+        t = forget_variable(table(g, (0,), (0,), order), 0, 0)
+        assert states(t) == {(0b1, 0, 0): (3, 7, 0b111)}
+        assert t.var_at == (-1,)
 
 
 def test_forget_variable_strict_minimum():
@@ -162,6 +168,95 @@ def test_forget_check_increments_d_and_merges():
     assert states(t2) == {(0, 0b1, 1): (4, 5, 0b1111)}
 
 
+def node(kind, elem, slot):
+    """A nice node as the run kernels read it: kind, element and slot."""
+    return NiceNode(kind, elem, 0, 0, (), slot)
+
+
+def chain(child, run, b=None):
+    """The run applied one node at a time by the per-node kernels."""
+    t = child
+    for n in run:
+        if n.kind == FORGET_VAR:
+            t = forget_variable(t, n.elem, n.slot)
+        elif n.kind == FORGET_CHK:
+            t = forget_check(t, n.elem, n.slot, b)
+        elif n.kind == INTRO_VAR:
+            t = introduce_variable(t, n.elem, n.slot)
+        else:
+            t = introduce_check(t, n.elem, n.slot)
+    return t
+
+
+def random_entries(rng, bits, b, n):
+    """n random packed keys below 2^bits * (b + 1) with (f, g, w) values;
+    few distinct f, so merges tie often."""
+    return {rng.randrange((b + 1) << bits):
+            (rng.randint(1, 3), rng.randint(1, 9), rng.getrandbits(8))
+            for _ in range(n)}
+
+
+# c0 meets v0, v1 and v2; c1 meets v0 and v2; c2 meets v1
+RUN_GRAPH = TannerGraph.from_check_adj(4, 3, [[0, 1, 2], [0, 2], [1]])
+
+
+@pytest.mark.parametrize("length", [1, 2, 3])
+def test_forget_run_equals_chain(length):
+    # v0, then c0 while v2 is still in the bag, then v2: variables and
+    # checks interleaved, cut to its first ``length`` nodes
+    run = [node(FORGET_VAR, 0, 1), node(FORGET_CHK, 0, 1),
+           node(FORGET_VAR, 2, 0)][:length]
+    rng = random.Random(length)
+    for b in range(3):
+        for _ in range(20):
+            child = DPTable(RUN_GRAPH, (2, 0, 1), (1, 0, 2))
+            child.entries.update(random_entries(rng, 6, b, 40))
+            child.entries[0] = (2, 3, 0b1000)
+            fused, ref = forget_run(child, run, b), chain(child, run, b)
+            assert fused.entries == ref.entries
+            assert (fused.var_at, fused.chk_at) == (ref.var_at, ref.chk_at)
+
+
+@pytest.mark.parametrize("length", [1, 2, 3])
+def test_introduce_run_equals_chain(length):
+    # v0, then c0, then v2 into a bag holding v3 and c1; the child holds
+    # key 0, which stays but is not extended
+    run = [node(INTRO_VAR, 0, 0), node(INTRO_CHK, 0, 0),
+           node(INTRO_VAR, 2, 2)][:length]
+    rng = random.Random(length)
+    for _ in range(20):
+        child = DPTable(RUN_GRAPH, (-1, 3, -1), (-1, 1))
+        # keys over c1's J bit, v3's Q bit and d <= 1
+        child.entries.update({k & 0b1010 | k & 0b100000: ent for k, ent in
+                              random_entries(rng, 6, 0, 6).items()})
+        child.entries[0] = (2, 3, 0b1000)
+        fused, ref = introduce_run(child, run), chain(child, run)
+        assert fused.entries == ref.entries
+        assert fused.entries[0] == (2, 3, 0b1000)
+        assert (fused.var_at, fused.chk_at) == (ref.var_at, ref.chk_at)
+
+
+def test_run_kernels_bag_mismatch():
+    child = DPTable(RUN_GRAPH, (2, 0, -1), (1, -1, -1))
+    bad_forgets = [
+        [node(FORGET_VAR, 0, 1), node(FORGET_VAR, 0, 1)],  # already gone
+        [node(FORGET_VAR, 2, 1)],                          # not at slot
+        [node(FORGET_VAR, 2, 0), node(FORGET_CHK, 0, 0)],  # not in bag
+    ]
+    for run in bad_forgets:
+        with pytest.raises(ValueError, match="mismatch"):
+            forget_run(child, run, 1)
+    bad_intros = [
+        [node(INTRO_VAR, 1, 2), node(INTRO_VAR, 3, 2)],    # slot taken
+        [node(INTRO_VAR, 2, 2)],                           # already in bag
+        [node(INTRO_VAR, 1, 2), node(INTRO_CHK, 1, 1)],    # check in bag
+        [node(INTRO_CHK, 0, 0)],                           # slot taken
+    ]
+    for run in bad_intros:
+        with pytest.raises(ValueError, match="mismatch"):
+            introduce_run(child, run)
+
+
 def test_join_shared_members_counted_once():
     g = TannerGraph.from_matrix([[1]])
     left = table(g, (0,), (0,), {(0b1, 0b1, 0): (1, 1, 0b1)})
@@ -175,6 +270,24 @@ def test_join_single_side_codeword_survives():
     left = table(g, (), (), {(0, 0, 0): (4, 7, 0b11110)})
     t = join(left, table(g, (), ()), 0)
     assert states(t) == {(0, 0, 0): (4, 7, 0b11110)}
+
+
+def test_join_tie_keeps_smaller_minimizer():
+    # c0 meets v0 only; each side holds v0 plus one forgotten member
+    g = TannerGraph.from_matrix([[1, 0, 0, 0, 0]])
+    left = [((0b1, 0b1, 0), (2, 1, 0b00011)), ((0, 0b1, 0), (2, 1, 0b00101))]
+    right = [((0b1, 0b1, 0), (2, 1, 0b01001)), ((0, 0b1, 0), (2, 1, 0b10001))]
+    for order in (left, left[::-1]):
+        t = join(table(g, (0,), (0,), order), table(g, (0,), (0,), right), 0)
+        # two pairs meet in each state: {v0,v1}+{v0,v3} and {v0,v2}+{v0,v4}
+        # at I = {c0}, {v0,v1}+{v0,v4} and {v0,v2}+{v0,v3} at I = {}
+        assert states(t) == {(0b1, 0b1, 0): (3, 2, 0b01011),
+                             (0, 0b1, 0): (3, 2, 0b01101)}
+    # a set living in one subtree: the right side's smaller one wins
+    empty_left = table(g, (-1,), (-1,), {(0, 0, 0): (2, 1, 0b11000)})
+    empty_right = table(g, (-1,), (-1,), {(0, 0, 0): (2, 4, 0b00110)})
+    t = join(empty_left, empty_right, 0)
+    assert states(t) == {(0, 0, 0): (2, 5, 0b00110)}
 
 
 def test_join_requires_matching_bags():
@@ -198,7 +311,7 @@ def test_repetition_code():
 
 def test_chain_code_min_distance():
     g = TannerGraph.from_matrix([[1, 1, 0], [0, 1, 1]])
-    res = min_distance(g, nice_for(g))
+    res = run_dp(g, nice_for(g), 0)
     assert (res.a_min, res.count) == (3, 1)
 
 
@@ -206,13 +319,13 @@ def test_hamming_74():
     g = TannerGraph.from_matrix(HAMMING_74)
     expected = min_weight_and_count(HAMMING_74)
     assert expected == (3, 7)
-    res = min_distance(g, nice_for(g))
+    res = run_dp(g, nice_for(g), 0)
     assert (res.a_min, res.count) == expected
 
 
 def test_zero_code_has_no_result():
     g = TannerGraph.from_matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    res = min_distance(g, nice_for(g))
+    res = run_dp(g, nice_for(g), 0)
     assert not res.found
     assert res.a_min is None and res.count is None
 
@@ -309,16 +422,63 @@ def test_every_sc_path_entry_realized_by_its_minimizer():
 
 def test_sc_routes_agree_beyond_brute_force():
     # n = 2560: far beyond brute force, so two unrelated decompositions
-    # (the paper's path window and min-fill) check each other
+    # (the paper's path window and min-fill) check each other; the carried
+    # witness is the integer-smallest minimizer, so it agrees too
     params = ScLdpcParams(3, 4, 640, 2, var_degree=3, seed=1)
     g = generate_sc_ldpc(params)
     answers = []
     for td in (sc_path_decomposition(g, params), heuristic_decomposition(g)):
         root = run_dp(g, make_nice(g, td), 2).root_table
-        answers.append([root.get((0, 0, b)) and root.get((0, 0, b))[:2]
-                        for b in range(3)])
+        answers.append([root.get((0, 0, b)) for b in range(3)])
     assert answers[0] == answers[1]
     assert all(answers[0])
+
+
+def assert_fused_equals_per_node(g, ntd, b):
+    """The freed run (fused kernels) and the retained run (per-node
+    kernels) give the same root table, minimizers included."""
+    fused = run_dp(g, ntd, b).root_table
+    per_node = run_dp(g, ntd, b, retain_tables=True).root_table
+    assert fused.entries == per_node.entries
+    assert (fused.var_at, fused.chk_at) == (per_node.var_at, per_node.chk_at)
+
+
+def count_runs(monkeypatch):
+    """The runs that run_dp hands to the run kernels, in call order."""
+    runs = []
+
+    def recording(kernel):
+        def call(child, run, *rest):
+            runs.append(run)
+            return kernel(child, run, *rest)
+        return call
+
+    for name in ("forget_run", "introduce_run"):
+        monkeypatch.setattr(dpcore, name, recording(getattr(dpcore, name)))
+    return runs
+
+
+def test_fused_runs_match_per_node_kernels(monkeypatch):
+    runs = count_runs(monkeypatch)
+    rng = random.Random(83)
+    for _ in range(60):
+        g = random_graph(rng, max_var=10, max_chk=8)
+        for td in (random_td(g, rng), single_bag_td(g),
+                   heuristic_decomposition(g)):
+            assert_fused_equals_per_node(g, make_nice(g, td),
+                                         rng.randint(0, 3))
+    assert len(runs) > 100
+    assert any(len(run) > 2 for run in runs)
+
+
+def test_fused_sc_path_matches_per_node_kernels(monkeypatch):
+    runs = count_runs(monkeypatch)
+    params = ScLdpcParams(3, 4, 40, 2, var_degree=3, seed=1)
+    g = generate_sc_ldpc(params)
+    assert_fused_equals_per_node(
+        g, make_nice(g, sc_path_decomposition(g, params)), 2)
+    # one forget run and one introduce run per window step
+    assert len(runs) == 2 * 40
 
 
 def test_root_table_answers_every_smaller_b():

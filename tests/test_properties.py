@@ -1,7 +1,9 @@
 """Differential properties of the DP engine, searched with hypothesis.
 
 Every decomposition of a graph must give the same (a_min, count) for each
-b <= 2, equal to brute force, with a valid witness.  Random elimination
+b <= 2, equal to brute force, with a valid witness, and the run that fuses
+chains of forget and introduce nodes must give the same root table as the
+retained run, which applies one node at a time.  Random elimination
 decompositions are join-heavy, so they exercise the slots a join hands to
 both children.  The search is derandomized and bounded, so the module runs
 the same examples in the same short time on every run.
@@ -40,6 +42,8 @@ def test_decompositions_agree_with_brute_force(g, seed):
     for td in tds:
         ntd = make_nice(g, td)
         res = run_dp(g, ntd, B_MAX)
+        kept = run_dp(g, ntd, B_MAX, retain_tables=True)
+        assert res.root_table.entries == kept.root_table.entries
         for b in range(B_MAX + 1):
             entry = res.root_table.get((0, 0, b))
             assert (entry[:2] if entry else None) == expected[b]

@@ -7,7 +7,13 @@ from trapgraph.dpcore import run_dp
 from trapgraph.oracle import brute_force_enumerate
 from trapgraph.tanner import TannerGraph, gamma_odd
 from trapgraph.witness import WitnessError, extract_witness
-from helpers import HAMMING_74, is_codeword_support, random_graph, random_td
+from helpers import (
+    HAMMING_74,
+    is_codeword_support,
+    random_graph,
+    random_td,
+    single_bag_td,
+)
 
 
 def solve_with_witness(g, ntd, b):
@@ -74,6 +80,29 @@ def test_one_pass_witness_is_a_minimizer_for_every_b():
                           for r in brute_force_enumerate(g, a_min, b)
                           if r.a == a_min}
             assert extract_witness(g, ntd, b, res.tables) in minimizers
+
+
+def test_witness_is_smallest_minimizer():
+    # the carried minimizer is the integer-smallest one, whatever the
+    # decomposition and whether or not runs of nodes are fused
+    rng = random.Random(95)
+    for _ in range(40):
+        g = random_graph(rng, max_var=9, max_chk=7)
+        for td in (random_td(g, rng), single_bag_td(g),
+                   heuristic_decomposition(g)):
+            ntd = make_nice(g, td)
+            for retain in (False, True):
+                res = run_dp(g, ntd, 2, retain_tables=retain)
+                for b in range(3):
+                    entry = res.root_table.get((0, 0, b))
+                    if entry is None:
+                        continue
+                    # no set smaller than a_min has b odd checks
+                    minimizers = brute_force_enumerate(g, entry[0], b)
+                    smallest = min(sum(1 << v for v in r.members)
+                                   for r in minimizers)
+                    w = extract_witness(g, ntd, b, res.tables)
+                    assert sum(1 << v for v in w) == smallest
 
 
 def test_retained_run_gives_the_same_witness():
