@@ -87,6 +87,8 @@ def cmd_analyze(args) -> int:
         raise SystemExit(f"--b expects a comma-separated integer list, got {args.b!r}")
     if any(b < 0 for b in b_values):
         raise SystemExit("--b values must be >= 0")
+    if args.validate_oracle is not None and args.validate_oracle < 0:
+        raise SystemExit("--validate-oracle must be >= 0")
 
     g = _load_graph(args.alist)
 

@@ -2,8 +2,9 @@
 
 Plain decompositions carry bags in the combined node namespace (variables
 0..n-1, checks n..n+m-1).  The nice form splits every bag into a variable
-part and a check part, each stored as a bitmask in its own namespace, and
-lays the rooted tree out as a post-order array (children precede parents).
+part and a check part, each stored as a slot layout in its own namespace
+(the element at each bag-local slot, or -1), and lays the rooted tree out
+as a post-order array (children precede parents).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from trapgraph.tanner import ScLdpcParams, TannerGraph, bit_ids
+from trapgraph.tanner import ScLdpcParams, TannerGraph
 
 LEAF = "leaf"
 INTRO_VAR = "intro_var"
@@ -218,18 +219,35 @@ def serialize_td(td: TreeDecomposition) -> str:
 
 
 class NiceNode(NamedTuple):
+    """One nice node; its bag is stored only as two slot layouts.
+
+    ``var_at[s]`` and ``chk_at[s]`` are the variable and check at slot s,
+    or -1 where the slot is free, as in ``dpcore.DPTable``.
+    """
+
     kind: str
     elem: int | None          # variable or check id in its own namespace
-    bag_v: int                # bitmask over variable ids
-    bag_c: int                # bitmask over check ids
+    var_at: tuple[int, ...]
+    chk_at: tuple[int, ...]
     children: tuple[int, ...]
     # bag-local slot of elem, in this bag for an introduce and in the
     # child's bag for a forget; None for leaves and joins
     slot: int | None
 
+    # global-id bitmasks of O(n) bits, derived on every read: for readers
+    # off the hot path (re-validation, tests), never the DP
+    @property
+    def bag_v(self) -> int:
+        return sum(1 << v for v in self.var_at if v >= 0)
+
+    @property
+    def bag_c(self) -> int:
+        return sum(1 << c for c in self.chk_at if c >= 0)
+
     @property
     def bag_size(self) -> int:
-        return self.bag_v.bit_count() + self.bag_c.bit_count()
+        return (len(self.var_at) - self.var_at.count(-1)
+                + len(self.chk_at) - self.chk_at.count(-1))
 
 
 class NiceTreeDecomposition(NamedTuple):
@@ -237,9 +255,9 @@ class NiceTreeDecomposition(NamedTuple):
 
     Every bag element holds a slot number in its namespace, fixed from the
     forget that removes it (toward the root) down to the introduce that adds
-    it; the two children of a join share the join's slots.
+    it; the two children of a join share the join's layouts.
     ``var_slots`` and ``chk_slots`` are the largest variable and check
-    counts of any bag, and every slot lies below them.
+    counts of any bag, and the lengths of every node's layouts.
     """
 
     n_var: int
@@ -253,15 +271,16 @@ class NiceTreeDecomposition(NamedTuple):
         return len(self.nodes) - 1
 
     def width(self) -> int:
-        return max(n.bag_size for n in self.nodes) - 1
+        free = min(n.var_at.count(-1) + n.chk_at.count(-1) for n in self.nodes)
+        return self.var_slots + self.chk_slots - free - 1
 
     def as_tree_decomposition(self) -> TreeDecomposition:
         """Combined-namespace view, e.g. for re-validation."""
         bags = []
         edges = []
         for i, node in enumerate(self.nodes):
-            bag = set(bit_ids(node.bag_v))
-            bag |= {self.n_var + c for c in bit_ids(node.bag_c)}
+            bag = {v for v in node.var_at if v >= 0}
+            bag |= {self.n_var + c for c in node.chk_at if c >= 0}
             bags.append(frozenset(bag))
             for ch in node.children:
                 edges.append((ch, i))
@@ -272,79 +291,61 @@ class NiceTreeDecomposition(NamedTuple):
 class _NiceBuilder:
     def __init__(self, n_var: int):
         self.n_var = n_var
-        # (kind, elem, bag_v, bag_c, children) per node, in post-order
+        # (kind, elem, children) per node, in post-order
         self.nodes: list[tuple] = []
 
-    def emit(self, kind, elem, bag_v, bag_c, children=()) -> int:
-        self.nodes.append((kind, elem, bag_v, bag_c, tuple(children)))
+    def emit(self, kind, elem, children=()) -> int:
+        self.nodes.append((kind, elem, children))
         return len(self.nodes) - 1
 
     def chain(self, idx: int, cur: frozenset[int], target: frozenset[int]) -> int:
         """Bridge two bags with forgets (ascending id) then introduces.
 
         Node ``idx`` holds bag ``cur``; each emitted bag differs from its
-        predecessor's by one bit.
+        predecessor's by one element.
         """
         n = self.n_var
-        _, _, bv, bc, _ = self.nodes[idx]
-        for x in sorted(cur - target):
-            if x < n:
-                bv ^= 1 << x
-                idx = self.emit(FORGET_VAR, x, bv, bc, (idx,))
-            else:
-                bc ^= 1 << (x - n)
-                idx = self.emit(FORGET_CHK, x - n, bv, bc, (idx,))
-        for x in sorted(target - cur):
-            if x < n:
-                bv ^= 1 << x
-                idx = self.emit(INTRO_VAR, x, bv, bc, (idx,))
-            else:
-                bc ^= 1 << (x - n)
-                idx = self.emit(INTRO_CHK, x - n, bv, bc, (idx,))
+        for kinds, xs in (((FORGET_VAR, FORGET_CHK), cur - target),
+                          ((INTRO_VAR, INTRO_CHK), target - cur)):
+            for x in sorted(xs):
+                chk = x >= n
+                idx = self.emit(kinds[chk], x - n if chk else x, (idx,))
         return idx
 
-    def leaf_chain(self, target: frozenset[int]) -> int:
-        idx = self.emit(LEAF, None, 0, 0)
-        return self.chain(idx, frozenset(), target)
+    def finish(self, n_chk: int, var_slots: int,
+               chk_slots: int) -> NiceTreeDecomposition:
+        """Lay out every bag top-down from the empty root and freeze the nodes.
 
-    def finish(self, n_chk: int) -> NiceTreeDecomposition:
-        """Assign slots top-down from the root and freeze the nodes.
-
-        Read downward, a forget gives its element the lowest slot free in
-        its parent's bag, an introduce frees its element's slot, and a join
-        hands its slots to both children.
+        Read downward, a forget puts its element in the lowest free slot of
+        its own layout, an introduce frees its element's slot, and a join
+        hands its layouts to both children.  A layout an operation leaves
+        alone is passed on as the same tuple.
         """
         nodes = self.nodes
-        slot: list[int | None] = [None] * len(nodes)
-        counts = [0, 0]                  # slot counts so far: var, chk
-        # pending subtrees: (node, per namespace elem -> slot, used-slot masks)
-        stack = [(len(nodes) - 1, ({}, {}), [0, 0])]
+        out: list[NiceNode | None] = [None] * len(nodes)
+        stack = [(len(nodes) - 1, (-1,) * var_slots, (-1,) * chk_slots)]
         while stack:
-            x, where, used = stack.pop()
+            x, var_at, chk_at = stack.pop()
             while True:
-                kind, elem, _, _, kids = nodes[x]
+                kind, elem, kids = nodes[x]
+                slot, down_v, down_c = None, var_at, chk_at
+                # the slot holds `here` in this bag and `down` in the child's
+                here, down = ((elem, -1) if kind in (INTRO_VAR, INTRO_CHK)
+                              else (-1, elem))
+                if kind in (INTRO_VAR, FORGET_VAR):
+                    slot = var_at.index(here)
+                    down_v = var_at[:slot] + (down,) + var_at[slot + 1:]
+                elif kind in (INTRO_CHK, FORGET_CHK):
+                    slot = chk_at.index(here)
+                    down_c = chk_at[:slot] + (down,) + chk_at[slot + 1:]
+                out[x] = NiceNode(kind, elem, var_at, chk_at, kids, slot)
                 if kind == LEAF:
                     break
                 if kind == JOIN:
-                    stack.append((kids[1], (dict(where[0]), dict(where[1])),
-                                  used.copy()))
-                else:
-                    ns = int(kind in (INTRO_CHK, FORGET_CHK))
-                    if kind in (FORGET_VAR, FORGET_CHK):
-                        u = used[ns]
-                        s = (~u & (u + 1)).bit_length() - 1
-                        used[ns] = u | 1 << s
-                        where[ns][elem] = s
-                        counts[ns] = max(counts[ns], s + 1)
-                    else:
-                        s = where[ns].pop(elem)
-                        used[ns] ^= 1 << s
-                    slot[x] = s
-                x = kids[0]
-        return NiceTreeDecomposition(
-            self.n_var, n_chk,
-            tuple(NiceNode(*node, s) for node, s in zip(nodes, slot)),
-            *counts)
+                    stack.append((kids[1], var_at, chk_at))
+                x, var_at, chk_at = kids[0], down_v, down_c
+        return NiceTreeDecomposition(self.n_var, n_chk, tuple(out),
+                                     var_slots, chk_slots)
 
 
 def make_nice(g: TannerGraph, td: TreeDecomposition) -> NiceTreeDecomposition:
@@ -354,9 +355,10 @@ def make_nice(g: TannerGraph, td: TreeDecomposition) -> NiceTreeDecomposition:
     smallest-index bag of tree-degree at most one (for a path: an endpoint,
     which yields a join-free nice form).  Multi-child bags become binary join
     cascades; adjacent differing bags are bridged by forget-then-introduce
-    chains in ascending id order.  Every introduce and forget node carries
-    its element's bag-local slot (see ``NiceTreeDecomposition``).  Raises
-    ``InvalidDecompositionError`` when ``validate`` finds violations.
+    chains in ascending id order.  Every node carries its bag's slot layouts
+    and every introduce and forget its element's slot (see
+    ``NiceTreeDecomposition``).  Raises ``InvalidDecompositionError`` when
+    ``validate`` finds violations.
     """
     report = validate(g, td)
     if not report.ok:
@@ -375,23 +377,16 @@ def make_nice(g: TannerGraph, td: TreeDecomposition) -> NiceTreeDecomposition:
     else:
         root = min((i for i in range(num) if len(adj[i]) <= 1), default=0)
 
-    # orient the tree away from the root
-    parent = [-1] * num
-    order: list[int] = []
-    queue = deque([root])
+    # orient the tree away from the root, in breadth-first order
+    children: list[list[int]] = [[] for _ in range(num)]
+    order = [root]
     seen = {root}
-    while queue:
-        x = queue.popleft()
-        order.append(x)
+    for x in order:
         for y in adj[x]:
             if y not in seen:
                 seen.add(y)
-                parent[y] = x
-                queue.append(y)
-    children: list[list[int]] = [[] for _ in range(num)]
-    for x in order:
-        if parent[x] >= 0:
-            children[parent[x]].append(x)
+                children[x].append(y)
+                order.append(y)
 
     b = _NiceBuilder(g.n_var)
     top: dict[int, int] = {}
@@ -399,17 +394,20 @@ def make_nice(g: TannerGraph, td: TreeDecomposition) -> NiceTreeDecomposition:
         bag = td.bags[x]
         kids = children[x]
         if not kids:
-            top[x] = b.leaf_chain(bag)
+            top[x] = b.chain(b.emit(LEAF, None), frozenset(), bag)
             continue
         tops = [b.chain(top[k], td.bags[k], bag) for k in kids]
         idx = tops[0]
-        _, _, bv, bc, _ = b.nodes[idx]
         for other in tops[1:]:
-            idx = b.emit(JOIN, None, bv, bc, (idx, other))
+            idx = b.emit(JOIN, None, (idx, other))
         top[x] = idx
 
     b.chain(top[root], td.bags[root], frozenset())
-    ntd = b.finish(g.n_chk)
+    # every nice bag is a subset of an input bag, so the input bags give
+    # the slot counts
+    n_vars = [sum(x < g.n_var for x in bag) for bag in td.bags]
+    ntd = b.finish(g.n_chk, max(n_vars),
+                   max(len(bag) - k for bag, k in zip(td.bags, n_vars)))
     if ntd.width() != width(td):
         raise ValueError(f"nice form has width {ntd.width()}, "
                          f"input has width {width(td)}")

@@ -142,6 +142,10 @@ class DPTable:
         }
 
 
+# Kernels derive each output layout here from the child table and the node's
+# (elem, slot), not from NiceNode.var_at/chk_at: their bag-mismatch errors
+# then check every introduce and forget, where stored layouts that disagree
+# with the operations would mislabel tables without any error.
 def _set_slot(layout: tuple[int, ...], slot: int, x: int) -> tuple[int, ...]:
     return layout[:slot] + (x,) + layout[slot + 1:]
 

@@ -88,10 +88,6 @@ class TannerGraph:
             masks[c] = m
         return tuple(masks)
 
-    @property
-    def n_edges(self) -> int:
-        return sum(len(r) for r in self.chk_adj)
-
 
 @dataclass(frozen=True)
 class ScLdpcParams:

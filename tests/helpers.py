@@ -37,12 +37,16 @@ def random_graph(rng: random.Random, max_var=14, max_chk=10) -> TannerGraph:
     return TannerGraph.from_check_adj(n, m, adj)
 
 
-def random_td(g: TannerGraph, rng: random.Random) -> TreeDecomposition:
+def random_td(g: TannerGraph, rng: random.Random,
+              min_degree: bool = False) -> TreeDecomposition:
     """Valid decomposition from a random elimination ordering.
 
     Each eliminated node forms a bag with its current neighborhood, which is
     then turned into a clique; a bag's parent is the bag of its
     earliest-eliminated neighbor, and parentless bags are chained together.
+    With ``min_degree`` every step eliminates a node of least current
+    degree, ties broken at random: a route apart from the library's min-fill
+    whose width stays low on codes beyond brute force.
     """
     total = g.n_var + g.n_chk
     if total == 0:
@@ -54,25 +58,26 @@ def random_td(g: TannerGraph, rng: random.Random) -> TreeDecomposition:
             adj[g.n_var + c].add(v)
     order = list(range(total))
     rng.shuffle(order)
-    pos = {x: i for i, x in enumerate(order)}
     bag_of = {}
     bags: list[frozenset[int]] = []
-    pending: list[tuple[int, int]] = []
+    pending: list[tuple[int, set[int]]] = []
     parentless: list[int] = []
-    for x in order:
+    for i in range(total):
+        if min_degree:
+            j = min(range(i, total), key=lambda j: len(adj[order[j]]))
+            order[i], order[j] = order[j], order[i]
+        x = order[i]
         nbrs = set(adj[x])
-        idx = len(bags)
-        bag_of[x] = idx
+        bag_of[x] = i
         bags.append(frozenset({x} | nbrs))
         for a in nbrs:
             adj[a].discard(x)
             adj[a] |= nbrs - {a}
         if nbrs:
-            u = min(nbrs, key=pos.__getitem__)
-            pending.append((idx, u))      # u's bag does not exist yet
+            pending.append((i, nbrs))     # their bags do not exist yet
         else:
-            parentless.append(idx)
-    edges = [(i, bag_of[u]) for i, u in pending]
+            parentless.append(i)
+    edges = [(i, min(bag_of[u] for u in nbrs)) for i, nbrs in pending]
     edges.extend(zip(parentless, parentless[1:]))
     return TreeDecomposition(total, tuple(bags), tuple(edges))
 
@@ -208,8 +213,9 @@ def run_dp_b0(g: TannerGraph, ntd: NiceTreeDecomposition):
             by_q: dict[int, list] = {}
             for (r2, q2), (f2, g2) in right.items():
                 by_q.setdefault(q2, []).append((r2, f2, g2))
+            bag_c = node.bag_c            # derived from the layout per read
             for (r1, q), (f1, g1) in left.items():
-                gam = gamma_odd_mask(var_masks, q, node.bag_c)
+                gam = gamma_odd_mask(var_masks, q, bag_c)
                 for r2, f2, g2 in by_q.get(q, ()):
                     merge(tab, (r1 ^ r2 ^ gam, q),
                           f1 + f2 - q.bit_count(), g1 * g2)

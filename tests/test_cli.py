@@ -63,6 +63,16 @@ def test_bad_b_rejected_before_decomposition(hamming_alist, monkeypatch,
         assert "--b" in capsys.readouterr().err
 
 
+def test_negative_validate_oracle_rejected_before_reading(tmp_path, capsys):
+    # the file does not exist, so exit 1 without "cannot read" means the
+    # bound was checked first; a negative bound used to skip every check
+    rc = main(["analyze", "--alist", str(tmp_path / "nope.alist"),
+               "--validate-oracle", "-1"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "--validate-oracle" in err and "cannot read" not in err
+
+
 def test_analyze_missing_file_exit_1(tmp_path, capsys):
     rc = main(["analyze", "--alist", str(tmp_path / "nope.alist")])
     assert rc == 1

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -180,7 +181,9 @@ def check_slot_layout(ntd):
     A join's two children must carry the same layout; an introduce takes a
     free slot; a forget releases the slot its element held; every slot lies
     below the namespace's slot count, and a forget's slot below its child's
-    count in that namespace (the lowest-free rule read downward).
+    count in that namespace (the lowest-free rule read downward).  The
+    rebuilt layouts must equal the ``var_at`` and ``chk_at`` every node
+    stores.
     """
     counts = (ntd.var_slots, ntd.chk_slots)
     assert counts == (max(n.bag_v.bit_count() for n in ntd.nodes),
@@ -204,10 +207,20 @@ def check_slot_layout(ntd):
                 assert node.kind in (FORGET_VAR, FORGET_CHK)
                 assert node.slot < len(where)
                 assert where.pop(node.elem) == node.slot
-        for where, bag, count in zip(layout, (node.bag_v, node.bag_c),
-                                     counts):
+        stored = (node.var_at, node.chk_at)
+        for where, at, bag, count in zip(layout, stored,
+                                         (node.bag_v, node.bag_c), counts):
             assert set(where) == set(bit_ids(bag))
             assert all(s < count for s in where.values())
+            expected = [-1] * count
+            for x, s in where.items():
+                expected[s] = x
+            assert at == tuple(expected)
+        if node.kind not in (LEAF, JOIN):
+            # the namespace the node leaves alone keeps its child's tuple
+            child = ntd.nodes[node.children[0]]
+            untouched = 1 - int(node.kind in (INTRO_CHK, FORGET_CHK))
+            assert stored[untouched] is (child.var_at, child.chk_at)[untouched]
         layouts.append(layout)
     assert layouts[ntd.root] == ({}, {})
 
@@ -221,6 +234,29 @@ def test_slot_layout_random():
     g = generate_sc_ldpc(params)
     for td in (sc_path_decomposition(g, params), heuristic_decomposition(g)):
         check_slot_layout(make_nice(g, td))
+
+
+def nice_node_bytes(ntd):
+    """Mean bytes per nice node: the node and each of its non-str fields."""
+    total = 0
+    for node in ntd.nodes:
+        total += sys.getsizeof(node) + sum(
+            sys.getsizeof(f) for f in node if not isinstance(f, str))
+    return total / len(ntd.nodes)
+
+
+@pytest.mark.parametrize("route", ["path", "min-fill"])
+def test_nice_node_bytes_do_not_grow_with_length(route):
+    # a node stores O(width) data, so 16x the code length leaves its size
+    # flat; global-id bag masks would grow it with n
+    sizes = []
+    for length in (40, 640):
+        params = ScLdpcParams(3, 4, length, 2, var_degree=3, seed=1)
+        g = generate_sc_ldpc(params)
+        td = sc_path_decomposition(g, params) if route == "path" \
+            else heuristic_decomposition(g)
+        sizes.append(nice_node_bytes(make_nice(g, td)))
+    assert sizes[1] <= 1.1 * sizes[0], sizes
 
 
 def join_subtree_unions(ntd):

@@ -170,7 +170,7 @@ def test_forget_check_increments_d_and_merges():
 
 def node(kind, elem, slot):
     """A nice node as the run kernels read it: kind, element and slot."""
-    return NiceNode(kind, elem, 0, 0, (), slot)
+    return NiceNode(kind, elem, (), (), (), slot)
 
 
 def chain(child, run, b=None):
@@ -396,9 +396,10 @@ def assert_entries_realized_by_minimizers(g, ntd, b):
         if node.kind == FORGET_CHK:
             forgotten_c[idx] |= 1 << node.elem
         t = res.tables[idx]
+        bag_v, bag_c = node.bag_v, node.bag_c     # derived per read
         for k, (f, cnt, w) in t.entries.items():
-            odd = gamma_odd_mask(g.var_masks, w, node.bag_c | forgotten_c[idx])
-            assert t.decode(k) == (odd & node.bag_c, w & node.bag_v,
+            odd = gamma_odd_mask(g.var_masks, w, bag_c | forgotten_c[idx])
+            assert t.decode(k) == (odd & bag_c, w & bag_v,
                                    (odd & forgotten_c[idx]).bit_count())
             assert f == w.bit_count() and cnt >= 1
 
@@ -418,6 +419,25 @@ def test_every_sc_path_entry_realized_by_its_minimizer():
     g = generate_sc_ldpc(params)
     ntd = make_nice(g, sc_path_decomposition(g, params))
     assert_entries_realized_by_minimizers(g, ntd, 2)
+
+
+def assert_tables_carry_node_layouts(g, ntd):
+    """Each retained table's slot layout is the one its node stores."""
+    res = run_dp(g, ntd, 1, retain_tables=True)
+    for node, t in zip(ntd.nodes, res.tables):
+        assert (t.var_at, t.chk_at) == (node.var_at, node.chk_at)
+
+
+def test_retained_table_layouts_match_nodes():
+    rng = random.Random(84)
+    for _ in range(60):
+        g = random_graph(rng, max_var=10, max_chk=8)
+        for td in (random_td(g, rng), heuristic_decomposition(g)):
+            assert_tables_carry_node_layouts(g, make_nice(g, td))
+    params = ScLdpcParams(3, 4, 40, 2, var_degree=3, seed=1)
+    g = generate_sc_ldpc(params)
+    for td in (sc_path_decomposition(g, params), heuristic_decomposition(g)):
+        assert_tables_carry_node_layouts(g, make_nice(g, td))
 
 
 def test_sc_routes_agree_beyond_brute_force():

@@ -3,7 +3,10 @@
 Every decomposition of a graph must give the same (a_min, count) for each
 b <= 2, equal to brute force, with a valid witness, and the run that fuses
 chains of forget and introduce nodes must give the same root table as the
-retained run, which applies one node at a time.  Random elimination
+retained run, which applies one node at a time; at b = 0 the independent
+d-free DP ``run_dp_b0`` must agree too.  Past brute force, on codes of 24
+to 36 variables, b = 0 is checked against the GF(2) null-space weights on
+min-fill and random min-degree decompositions.  Random elimination
 decompositions are join-heavy, so they exercise the slots a join hands to
 both children.  The search is derandomized and bounded, so the module runs
 the same examples in the same short time on every run.
@@ -18,7 +21,7 @@ from trapgraph.dpcore import run_dp
 from trapgraph.oracle import brute_force_spectrum
 from trapgraph.tanner import TannerGraph, gamma_odd
 from trapgraph.witness import extract_witness
-from helpers import random_td, single_bag_td
+from helpers import min_weight_and_count, random_td, run_dp_b0, single_bag_td
 
 B_MAX = 2
 
@@ -47,8 +50,43 @@ def test_decompositions_agree_with_brute_force(g, seed):
         for b in range(B_MAX + 1):
             entry = res.root_table.get((0, 0, b))
             assert (entry[:2] if entry else None) == expected[b]
+            if b == 0:
+                assert run_dp_b0(g, ntd) == expected[0]
             if entry is None:
                 continue
             w = extract_witness(g, ntd, b, res.tables)
             assert len(w) == entry[0]
             assert len(gamma_odd(g, w)) == b
+
+
+@st.composite
+def column_weight_3_codes(draw):
+    """Codes past brute force: n = 24..36 variables, each on 3 of 3n/4 checks.
+
+    The checks come from a drawn seed rather than drawn one by one, since
+    hypothesis's simplest draws put every variable on the same checks, whose
+    null space is too large to enumerate.
+    """
+    n_var = draw(st.integers(24, 36))
+    n_chk = 3 * n_var // 4
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    rows = [[] for _ in range(n_chk)]
+    for v in range(n_var):
+        for c in rng.sample(range(n_chk), 3):
+            rows[c].append(v)
+    return TannerGraph.from_check_adj(n_var, n_chk, rows)
+
+
+@settings(max_examples=12, derandomize=True, database=None, deadline=None)
+@given(g=column_weight_3_codes(), seed=st.integers(0, 2**32 - 1))
+def test_b0_agrees_with_nullspace_beyond_brute_force(g, seed):
+    # the GF(2) null-space weights are a second exact reference for b = 0,
+    # and the d-free b = 0 DP a second engine on the same nice forms
+    h = [[int(v in row) for v in range(g.n_var)] for row in g.chk_adj]
+    expected = min_weight_and_count(h)
+    for td in (heuristic_decomposition(g),
+               random_td(g, random.Random(seed), min_degree=True)):
+        ntd = make_nice(g, td)
+        res = run_dp(g, ntd, 0)
+        assert ((res.a_min, res.count) if res.found else None) == expected
+        assert run_dp_b0(g, ntd) == expected
