@@ -23,14 +23,16 @@ carried minimizer w is a global-id bitmask.  ``DPTable.get`` and
 so callers see global-id (I, Q, d).  Every table carries its graph:
 ``leaf_table`` takes it and the other kernels read it from their child.
 
-``run_dp`` processes a chain of forget nodes, and a chain of introduce
-nodes, in one pass over the chain's child table (``forget_run``,
-``introduce_run``) where at least two variables leave or enter the bag
-together; only the chain's last node gets a table.  On a tie in f the
-kernels keep the integer-smaller w, so every entry carries the
-integer-smallest minimizer of its state and fused and per-node passes give
-the same tables.  ``retain_tables=True`` runs every node on its own kernel,
-so every node's table is kept.
+There is one kernel per node kind.  The variable kernels
+(``introduce_variable``, ``forget_variable``) take a chain of nodes of their
+kind, each the child of the next, and process it in one pass over the
+chain's child table; ``run_dp`` hands them every maximal such chain, so only
+the chain's last node gets a table.  The check kernels (``introduce_check``,
+``forget_check``) take one node.  On a tie in f the kernels keep the
+integer-smaller w, so every entry carries the integer-smallest minimizer of
+its state and a chain gives the same table in one pass as node by node.
+``retain_tables=True`` hands the variable kernels one node at a time, so
+every node's table is kept.
 
 The b=0 run is simply the d-pinned-to-0 slice of the general recurrence.
 """
@@ -165,47 +167,77 @@ def _slot_mask(layout: tuple[int, ...], adj: tuple[int, ...],
 # integer order of w within a merge group (an introduce adds a bit no member
 # has, a join adds the right side's bits outside Q), so every entry carries
 # the integer-smallest minimizer of its state, whatever order the entries
-# merge in: fused runs and per-node chains give the same tables.
+# merge in: a chain gives the same table in one pass as node by node.
 
 def leaf_table(var_slots: int, chk_slots: int, g: TannerGraph) -> DPTable:
     """Empty table: every state is implicitly (+inf, 0)."""
     return DPTable(g, (-1,) * var_slots, (-1,) * chk_slots)
 
 
-def introduce_variable(child: DPTable, v: int, slot: int) -> DPTable:
-    var_at, chk_at = child.var_at, child.chk_at
-    if var_at[slot] != -1 or v in var_at:
-        raise ValueError(f"introduce-variable bag mismatch for v{v}")
-    qb = 1 << (len(chk_at) + slot)
-    vb = 1 << v
+def introduce_variable(child: DPTable, run: Sequence[NiceNode]) -> DPTable:
+    """One pass for a chain of introduce-variable nodes, each the child of
+    the next.
+
+    Every nonzero key gets each nonempty subset S of the new variables, and
+    each such S gets its base entry (|S|, 1, S); a fully-forgotten codeword
+    state (key 0) is not extended.  No two of these keys collide.
+    """
+    var_at, kc = child.var_at, len(child.chk_at)
+    subsets = []                      # (Q bits, |S|, w bits) of nonempty S
+    for node in run:
+        v, slot = node.elem, node.slot
+        if node.kind != INTRO_VAR:
+            raise ValueError(f"introduce_variable takes {INTRO_VAR} nodes, "
+                             f"not {node.kind}")
+        if var_at[slot] != -1 or v in var_at:
+            raise ValueError(f"introduce-variable bag mismatch for v{v}")
+        var_at = _set_slot(var_at, slot, v)
+        qb, vb = 1 << (kc + slot), 1 << v
+        subsets += [(q | qb, n + 1, w | vb) for q, n, w in subsets]
+        subsets.append((qb, 1, vb))
     entries = dict(child.entries)
-    # extensions add v to the partial set; a fully-forgotten codeword state
-    # (key 0) is not extended, per the base case below
-    entries.update({k | qb: (f + 1, cnt, w | vb)
-                    for k, (f, cnt, w) in child.entries.items() if k})
-    entries[qb] = (1, 1, vb)
-    return DPTable(child.g, _set_slot(var_at, slot, v), chk_at, entries)
+    for k, (f, cnt, w) in child.entries.items():
+        for q, n, ws in subsets:
+            entries[k | q] = (f + n, cnt, w | ws)
+    # extending key 0 wrote exactly the base keys; overwrite them
+    for q, n, ws in subsets:
+        entries[q] = (n, 1, ws)
+    return DPTable(child.g, var_at, child.chk_at, entries)
 
 
-def forget_variable(child: DPTable, v: int, slot: int) -> DPTable:
+def forget_variable(child: DPTable, run: Sequence[NiceNode]) -> DPTable:
+    """One pass for a chain of forget-variable nodes, each the child of the
+    next: every forgotten member moves its parity into J.
+    """
     var_at, chk_at = child.var_at, child.chk_at
-    if var_at[slot] != v:
-        raise ValueError(f"forget-variable bag mismatch for v{v}")
-    qb = 1 << (len(chk_at) + slot)
-    # a forgotten member moves its parity into J
-    flip = qb | _slot_mask(chk_at, child.g.var_adj[v])
+    kc = len(chk_at)
+    # flip[s]: the Q bits s cleared and their parities moved into J, for
+    # every subset s of the run's forgotten Q bits fq
+    flip = {0: 0}
+    fq = 0
+    for node in run:
+        v, slot = node.elem, node.slot
+        if node.kind != FORGET_VAR:
+            raise ValueError(f"forget_variable takes {FORGET_VAR} nodes, "
+                             f"not {node.kind}")
+        if var_at[slot] != v:
+            raise ValueError(f"forget-variable bag mismatch for v{v}")
+        var_at = _set_slot(var_at, slot, -1)
+        qb = 1 << (kc + slot)
+        move = qb | _slot_mask(chk_at, child.g.var_adj[v])
+        flip.update([(s | qb, m ^ move) for s, m in flip.items()])
+        fq |= qb
     entries: dict[int, Entry] = {}
     get = entries.get
     for k, ent in child.entries.items():
-        if k & qb:
-            k ^= flip
+        k ^= flip[k & fq]
         old = get(k)
         if old is None or ent[0] < old[0]:
             entries[k] = ent
         elif ent[0] == old[0]:
             w, w_old = ent[2], old[2]
             entries[k] = (old[0], old[1] + ent[1], w if w < w_old else w_old)
-    return DPTable(child.g, _set_slot(var_at, slot, -1), chk_at, entries)
+    return DPTable(child.g, var_at, chk_at, entries)
 
 
 def introduce_check(child: DPTable, c: int, slot: int) -> DPTable:
@@ -244,108 +276,6 @@ def forget_check(child: DPTable, c: int, slot: int, b: int) -> DPTable:
             w, w_old = ent[2], old[2]
             entries[k] = (old[0], old[1] + ent[1], w if w < w_old else w_old)
     return DPTable(child.g, var_at, _set_slot(chk_at, slot, -1), entries)
-
-
-# the kinds a run starting at a variable node of this kind may hold
-_FAMILY = {FORGET_VAR: (FORGET_VAR, FORGET_CHK),
-           INTRO_VAR: (INTRO_VAR, INTRO_CHK)}
-
-
-def forget_run(child: DPTable, run: Sequence[NiceNode], b: int) -> DPTable:
-    """One pass for a chain of forget nodes, each the child of the next.
-
-    Forgets commute: forgetting a variable changes no check's I, and
-    forgetting a check reads only its I.  So every variable's parity moves
-    into J first, even where the run interleaves variables and checks, and
-    then each forgotten check that is odd raises d or drops the entry.
-    """
-    var_at, chk_at = child.var_at, child.chk_at
-    kc = len(chk_at)
-    shift = kc + len(var_at)
-    # flip[s]: the Q bits s cleared and their parities moved into J, for
-    # every subset s of the run's forgotten Q bits fq
-    flip = {0: 0}
-    fq = 0
-    checks = []
-    for node in run:
-        x, slot = node.elem, node.slot
-        if node.kind == FORGET_VAR:
-            if var_at[slot] != x:
-                raise ValueError(f"forget-variable bag mismatch for v{x}")
-            var_at = _set_slot(var_at, slot, -1)
-            qb = 1 << (kc + slot)
-            move = qb | _slot_mask(child.chk_at, child.g.var_adj[x])
-            flip.update([(s | qb, m ^ move) for s, m in flip.items()])
-            fq |= qb
-        else:
-            if chk_at[slot] != x:
-                raise ValueError(f"forget-check bag mismatch for c{x}")
-            chk_at = _set_slot(chk_at, slot, -1)
-            checks.append((x, 1 << slot))
-    # a check is odd iff its J bit and its remaining members' Q bits are
-    parities = [cb | _slot_mask(var_at, child.g.chk_adj[c], kc)
-                for c, cb in checks]
-    keep = ~sum(cb for _, cb in checks)
-    pm = 0
-    for parity in parities:
-        pm |= parity
-    step = 1 << shift
-    over = (b + 1) << shift           # keys at or above it have d > b
-    inc_of: dict[int, int] = {}       # bits under pm -> d increment
-
-    entries: dict[int, Entry] = {}
-    get = entries.get
-    for k, ent in child.entries.items():
-        k ^= flip[k & fq]
-        t = k & pm
-        inc = inc_of.get(t)
-        if inc is None:
-            inc = inc_of[t] = step * sum((t & parity).bit_count() & 1
-                                         for parity in parities)
-        k += inc
-        if k >= over:
-            continue
-        k &= keep
-        old = get(k)
-        if old is None or ent[0] < old[0]:
-            entries[k] = ent
-        elif ent[0] == old[0]:
-            w, w_old = ent[2], old[2]
-            entries[k] = (old[0], old[1] + ent[1], w if w < w_old else w_old)
-    return DPTable(child.g, var_at, chk_at, entries)
-
-
-def introduce_run(child: DPTable, run: Sequence[NiceNode]) -> DPTable:
-    """One pass for a chain of introduce nodes, each the child of the next.
-
-    Every nonzero key gets each nonempty subset S of the new variables, and
-    each such S gets its base entry (|S|, 1, S); key 0 is not extended.  No
-    two of these keys collide.  The run's checks change only the layout.
-    """
-    var_at, chk_at = child.var_at, child.chk_at
-    kc = len(chk_at)
-    subsets = []                      # (Q bits, |S|, w bits) of nonempty S
-    for node in run:
-        x, slot = node.elem, node.slot
-        if node.kind == INTRO_VAR:
-            if var_at[slot] != -1 or x in var_at:
-                raise ValueError(f"introduce-variable bag mismatch for v{x}")
-            var_at = _set_slot(var_at, slot, x)
-            qb, vb = 1 << (kc + slot), 1 << x
-            subsets += [(q | qb, n + 1, w | vb) for q, n, w in subsets]
-            subsets.append((qb, 1, vb))
-        else:
-            if chk_at[slot] != -1 or x in chk_at:
-                raise ValueError(f"introduce-check bag mismatch for c{x}")
-            chk_at = _set_slot(chk_at, slot, x)
-    entries = dict(child.entries)
-    for k, (f, cnt, w) in child.entries.items():
-        for q, n, ws in subsets:
-            entries[k | q] = (f + n, cnt, w | ws)
-    # extending key 0 wrote exactly the base keys; overwrite them
-    for q, n, ws in subsets:
-        entries[q] = (n, 1, ws)
-    return DPTable(child.g, var_at, chk_at, entries)
 
 
 def join(left: DPTable, right: DPTable, b: int) -> DPTable:
@@ -426,10 +356,11 @@ def run_dp(g: TannerGraph, ntd: NiceTreeDecomposition, b: int,
 
     Child tables are freed as soon as they are consumed unless
     ``retain_tables`` is set, which only serves to inspect them: the witness
-    is carried in the root table either way.  Without it, a chain of forget
-    or introduce nodes that starts with two variable nodes of one kind runs
-    as one fused pass and leaves only its last node's table; with it, every
-    node runs its own kernel and keeps its table.
+    is carried in the root table either way.  Without it, every maximal
+    chain of introduce-variable nodes, and of forget-variable nodes, each
+    the child of the next, runs as one pass and leaves only its last node's
+    table; with it, each such chain is one node long and every table is
+    kept.  Check nodes always run one at a time.
     """
     if b < 0:
         raise ValueError("b must be >= 0")
@@ -440,45 +371,33 @@ def run_dp(g: TannerGraph, ntd: NiceTreeDecomposition, b: int,
     last = len(nodes) - 1
     fuse = not retain_tables
     tables: list[DPTable | None] = [None] * len(nodes)
-    end = -1                          # last node of the latest fused run
+    end = -1                          # the node the latest table belongs to
     for idx, node in enumerate(nodes):
         if idx <= end:
             continue
+        end = idx
         kind = node.kind
         if kind == LEAF:
             table = leaf_table(ntd.var_slots, ntd.chk_slots, g)
         elif kind == JOIN:
             c1, c2 = node.children
             table = join(tables[c1], tables[c2], b)
+        elif kind == INTRO_CHK:
+            table = introduce_check(tables[node.children[0]], node.elem,
+                                    node.slot)
+        elif kind == FORGET_CHK:
+            table = forget_check(tables[node.children[0]], node.elem,
+                                 node.slot, b)
+        elif kind == INTRO_VAR or kind == FORGET_VAR:
+            while fuse and end < last and nodes[end + 1].kind == kind \
+                    and nodes[end + 1].children[0] == end:
+                end += 1
+            kernel = introduce_variable if kind == INTRO_VAR \
+                else forget_variable
+            table = kernel(tables[node.children[0]], nodes[idx:end + 1])
         else:
-            child = tables[node.children[0]]
-            if kind == FORGET_CHK:
-                table = forget_check(child, node.elem, node.slot, b)
-            elif kind == INTRO_CHK:
-                table = introduce_check(child, node.elem, node.slot)
-            elif kind not in _FAMILY:
-                raise ValueError(f"unknown node kind {kind!r}")
-            elif fuse and idx < last and nodes[idx + 1].kind == kind \
-                    and nodes[idx + 1].children[0] == idx:
-                # two or more variables leave or enter the bag together:
-                # one pass over the child for the whole run
-                family = _FAMILY[kind]
-                end = idx + 1
-                while end < last and nodes[end + 1].kind in family \
-                        and nodes[end + 1].children[0] == end:
-                    end += 1
-                run = nodes[idx:end + 1]
-                if kind == INTRO_VAR:
-                    tables[end] = introduce_run(child, run)
-                else:
-                    tables[end] = forget_run(child, run, b)
-                tables[node.children[0]] = None
-                continue
-            elif kind == INTRO_VAR:
-                table = introduce_variable(child, node.elem, node.slot)
-            else:
-                table = forget_variable(child, node.elem, node.slot)
-        tables[idx] = table
+            raise ValueError(f"unknown node kind {kind!r}")
+        tables[end] = table
         if fuse:
             for ch in node.children:
                 tables[ch] = None
@@ -488,4 +407,3 @@ def run_dp(g: TannerGraph, ntd: NiceTreeDecomposition, b: int,
     if root_entry is None:
         return DPResult(None, None, root_table, tables)
     return DPResult(root_entry[0], root_entry[1], root_table, tables)
-

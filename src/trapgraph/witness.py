@@ -4,8 +4,8 @@ Every table entry carries the bitmask of one minimizer next to its (f, g)
 pair, so the root state ``(0, 0, b)`` already names a witness; nothing is
 retained or backtracked.  On a tie the DP keeps the integer-smaller
 variable bitmask, so the witness is the minimizer with the smallest
-``sum(1 << v)``, whatever the decomposition and whether or not the run
-fused chains of nodes.
+``sum(1 << v)``, whatever the decomposition and whether the run took
+each chain of variable nodes in one pass or node by node.
 """
 
 from __future__ import annotations

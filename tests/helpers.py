@@ -87,11 +87,15 @@ def single_bag_td(g: TannerGraph) -> TreeDecomposition:
     return TreeDecomposition(total, (frozenset(range(total)),), ())
 
 
+NULLSPACE_MAX_DIM = 20
+
+
 def gf2_nullspace_weights(h_rows: list[list[int]]) -> dict[int, int]:
     """Hamming-weight histogram of the nonzero null space of H over GF(2).
 
-    Gaussian elimination for a basis, then enumeration of all combinations;
-    feasible for n - rank up to ~20.
+    Gaussian elimination for a basis, then enumeration of all 2^(n - rank)
+    combinations; raises ValueError when n - rank exceeds
+    ``NULLSPACE_MAX_DIM``, before enumerating anything.
     """
     if not h_rows:
         raise ValueError("empty matrix")
@@ -116,6 +120,9 @@ def gf2_nullspace_weights(h_rows: list[list[int]]) -> dict[int, int]:
         rows = [r ^ prow if r & (1 << col) else r for r in rows]
         pivots.append((col, prow))
     free_cols = sorted(set(range(n)) - {c for c, _ in pivots})
+    if len(free_cols) > NULLSPACE_MAX_DIM:
+        raise ValueError(f"null space of dimension {len(free_cols)} exceeds "
+                         f"{NULLSPACE_MAX_DIM}")
     basis = []
     for fc in free_cols:
         vec = 1 << fc

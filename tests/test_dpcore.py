@@ -16,10 +16,8 @@ from trapgraph.decomp import (
 from trapgraph.dpcore import (
     DPTable,
     forget_check,
-    forget_run,
     forget_variable,
     introduce_check,
-    introduce_run,
     introduce_variable,
     join,
     leaf_table,
@@ -59,6 +57,21 @@ def states(t):
     return {t.decode(k): ent for k, ent in t.entries.items()}
 
 
+def node(kind, elem, slot):
+    """A nice node as the kernels read it: kind, element and slot."""
+    return NiceNode(kind, elem, (), (), (), slot)
+
+
+def intro_v(child, v, slot):
+    """introduce_variable on a one-node run."""
+    return introduce_variable(child, [node(INTRO_VAR, v, slot)])
+
+
+def forget_v(child, v, slot):
+    """forget_variable on a one-node run."""
+    return forget_variable(child, [node(FORGET_VAR, v, slot)])
+
+
 def test_leaf_table_is_empty():
     t = leaf_table(2, 1, TannerGraph.from_matrix([[1, 1]]))
     assert t.entries == {}
@@ -70,7 +83,7 @@ def test_introduce_variable_base_case():
     # empty child, v0 adjacent to bag check c0
     g = TannerGraph.from_matrix([[1, 1]])
     child = table(g, (-1,), (0,))
-    t = introduce_variable(child, 0, 0)
+    t = intro_v(child, 0, 0)
     # packed key: Q slot 0 sits above the one check slot, whose J bit is 0
     # since nothing is forgotten
     assert t.entries == {0b10: (1, 1, 0b1)}
@@ -81,7 +94,7 @@ def test_introduce_variable_base_case():
 def test_introduce_variable_keeps_and_extends():
     g = TannerGraph.from_matrix([[1, 1]])
     child = table(g, (-1, 1), (0,), {(0b1, 0b10, 0): (1, 1, 0b10)})
-    t = introduce_variable(child, 0, 0)
+    t = intro_v(child, 0, 0)
     # kept entry, extension with xor of shared check, and the base entry
     assert states(t) == {
         (0b1, 0b10, 0): (1, 1, 0b10),
@@ -93,7 +106,7 @@ def test_introduce_variable_keeps_and_extends():
 def test_introduce_variable_skips_forgotten_codeword_state():
     g = TannerGraph.from_matrix([[1, 1]])
     child = table(g, (-1,), (0,), {(0, 0, 0): (4, 7, 0b11110)})
-    t = introduce_variable(child, 0, 0)
+    t = intro_v(child, 0, 0)
     # (0,0,0) survives but is not extended; only {v} realizes the base key
     assert states(t) == {(0, 0, 0): (4, 7, 0b11110),
                          (0b1, 0b1, 0): (1, 1, 0b1)}
@@ -102,11 +115,11 @@ def test_introduce_variable_skips_forgotten_codeword_state():
 def test_introduce_variable_bag_mismatch():
     g = TannerGraph.from_matrix([[1, 1]])
     with pytest.raises(ValueError, match="mismatch"):
-        introduce_variable(table(g, (0, -1), ()), 0, 1)  # already in bag
+        intro_v(table(g, (0, -1), ()), 0, 1)  # already in bag
     with pytest.raises(ValueError, match="mismatch"):
-        introduce_variable(table(g, (1,), ()), 0, 0)  # slot taken
+        intro_v(table(g, (1,), ()), 0, 0)  # slot taken
     with pytest.raises(ValueError, match="mismatch"):
-        forget_variable(table(g, (1,), ()), 0, 0)  # not at slot
+        forget_v(table(g, (1,), ()), 0, 0)  # not at slot
 
 
 def test_forget_variable_merges_counts():
@@ -116,7 +129,7 @@ def test_forget_variable_merges_counts():
     smaller = ((0b1, 0b1, 0), (3, 2, 0b111))
     larger = ((0b1, 0b0, 0), (3, 5, 0b1110))
     for order in ([smaller, larger], [larger, smaller]):
-        t = forget_variable(table(g, (0,), (0,), order), 0, 0)
+        t = forget_v(table(g, (0,), (0,), order), 0, 0)
         assert states(t) == {(0b1, 0, 0): (3, 7, 0b111)}
         assert t.var_at == (-1,)
 
@@ -127,7 +140,7 @@ def test_forget_variable_strict_minimum():
         (0b1, 0b0, 0): (5, 9, 0b111110),
         (0b1, 0b1, 0): (2, 1, 0b11),
     })
-    t = forget_variable(child, 0, 0)
+    t = forget_v(child, 0, 0)
     assert states(t) == {(0b1, 0, 0): (2, 1, 0b11)}
 
 
@@ -168,23 +181,12 @@ def test_forget_check_increments_d_and_merges():
     assert states(t2) == {(0, 0b1, 1): (4, 5, 0b1111)}
 
 
-def node(kind, elem, slot):
-    """A nice node as the run kernels read it: kind, element and slot."""
-    return NiceNode(kind, elem, (), (), (), slot)
-
-
-def chain(child, run, b=None):
-    """The run applied one node at a time by the per-node kernels."""
+def chain(child, run):
+    """The variable run applied one node at a time, as one-node runs."""
     t = child
     for n in run:
-        if n.kind == FORGET_VAR:
-            t = forget_variable(t, n.elem, n.slot)
-        elif n.kind == FORGET_CHK:
-            t = forget_check(t, n.elem, n.slot, b)
-        elif n.kind == INTRO_VAR:
-            t = introduce_variable(t, n.elem, n.slot)
-        else:
-            t = introduce_check(t, n.elem, n.slot)
+        kernel = forget_variable if n.kind == FORGET_VAR else introduce_variable
+        t = kernel(t, [n])
     return t
 
 
@@ -202,35 +204,35 @@ RUN_GRAPH = TannerGraph.from_check_adj(4, 3, [[0, 1, 2], [0, 2], [1]])
 
 @pytest.mark.parametrize("length", [1, 2, 3])
 def test_forget_run_equals_chain(length):
-    # v0, then c0 while v2 is still in the bag, then v2: variables and
-    # checks interleaved, cut to its first ``length`` nodes
-    run = [node(FORGET_VAR, 0, 1), node(FORGET_CHK, 0, 1),
-           node(FORGET_VAR, 2, 0)][:length]
+    # v0, v2 and v1 leave a bag that keeps all three checks, cut to the
+    # first ``length`` of them
+    run = [node(FORGET_VAR, 0, 1), node(FORGET_VAR, 2, 0),
+           node(FORGET_VAR, 1, 2)][:length]
     rng = random.Random(length)
     for b in range(3):
         for _ in range(20):
             child = DPTable(RUN_GRAPH, (2, 0, 1), (1, 0, 2))
             child.entries.update(random_entries(rng, 6, b, 40))
             child.entries[0] = (2, 3, 0b1000)
-            fused, ref = forget_run(child, run, b), chain(child, run, b)
+            fused, ref = forget_variable(child, run), chain(child, run)
             assert fused.entries == ref.entries
             assert (fused.var_at, fused.chk_at) == (ref.var_at, ref.chk_at)
 
 
 @pytest.mark.parametrize("length", [1, 2, 3])
 def test_introduce_run_equals_chain(length):
-    # v0, then c0, then v2 into a bag holding v3 and c1; the child holds
+    # v0, then v2, then v1 into a bag holding v3 and c1; the child holds
     # key 0, which stays but is not extended
-    run = [node(INTRO_VAR, 0, 0), node(INTRO_CHK, 0, 0),
-           node(INTRO_VAR, 2, 2)][:length]
+    run = [node(INTRO_VAR, 0, 0), node(INTRO_VAR, 2, 2),
+           node(INTRO_VAR, 1, 3)][:length]
     rng = random.Random(length)
     for _ in range(20):
-        child = DPTable(RUN_GRAPH, (-1, 3, -1), (-1, 1))
+        child = DPTable(RUN_GRAPH, (-1, 3, -1, -1), (-1, 1))
         # keys over c1's J bit, v3's Q bit and d <= 1
-        child.entries.update({k & 0b1010 | k & 0b100000: ent for k, ent in
-                              random_entries(rng, 6, 0, 6).items()})
+        child.entries.update({k & 0b1010 | k & 0b1000000: ent for k, ent in
+                              random_entries(rng, 7, 0, 6).items()})
         child.entries[0] = (2, 3, 0b1000)
-        fused, ref = introduce_run(child, run), chain(child, run)
+        fused, ref = introduce_variable(child, run), chain(child, run)
         assert fused.entries == ref.entries
         assert fused.entries[0] == (2, 3, 0b1000)
         assert (fused.var_at, fused.chk_at) == (ref.var_at, ref.chk_at)
@@ -241,20 +243,49 @@ def test_run_kernels_bag_mismatch():
     bad_forgets = [
         [node(FORGET_VAR, 0, 1), node(FORGET_VAR, 0, 1)],  # already gone
         [node(FORGET_VAR, 2, 1)],                          # not at slot
-        [node(FORGET_VAR, 2, 0), node(FORGET_CHK, 0, 0)],  # not in bag
+        [node(FORGET_VAR, 2, 0), node(FORGET_VAR, 0, 0)],  # slot emptied
     ]
     for run in bad_forgets:
         with pytest.raises(ValueError, match="mismatch"):
-            forget_run(child, run, 1)
+            forget_variable(child, run)
     bad_intros = [
         [node(INTRO_VAR, 1, 2), node(INTRO_VAR, 3, 2)],    # slot taken
         [node(INTRO_VAR, 2, 2)],                           # already in bag
-        [node(INTRO_VAR, 1, 2), node(INTRO_CHK, 1, 1)],    # check in bag
-        [node(INTRO_CHK, 0, 0)],                           # slot taken
+        [node(INTRO_VAR, 1, 2), node(INTRO_VAR, 1, 1)],    # introduced twice
     ]
     for run in bad_intros:
         with pytest.raises(ValueError, match="mismatch"):
-            introduce_run(child, run)
+            introduce_variable(child, run)
+
+
+def test_check_kernels_bag_mismatch():
+    child = DPTable(RUN_GRAPH, (2, 0, -1), (1, -1, -1))
+    with pytest.raises(ValueError, match="mismatch"):
+        introduce_check(child, 1, 1)                       # already in bag
+    with pytest.raises(ValueError, match="mismatch"):
+        introduce_check(child, 0, 0)                       # slot taken
+    with pytest.raises(ValueError, match="mismatch"):
+        forget_check(child, 0, 0, 1)                       # not at slot
+
+
+def test_variable_kernels_reject_check_nodes():
+    child = DPTable(RUN_GRAPH, (2, 0, -1), (1, -1, -1))
+    for kind in (FORGET_CHK, INTRO_CHK, INTRO_VAR):
+        with pytest.raises(ValueError, match=kind):
+            forget_variable(child, [node(FORGET_VAR, 2, 0), node(kind, 1, 0)])
+    for kind in (INTRO_CHK, FORGET_CHK, FORGET_VAR):
+        with pytest.raises(ValueError, match=kind):
+            introduce_variable(child, [node(INTRO_VAR, 1, 2),
+                                       node(kind, 0, 1)])
+
+
+def test_run_dp_rejects_unknown_node_kind():
+    g = TannerGraph.from_matrix([[1, 1]])
+    ntd = nice_for(g)
+    nodes = list(ntd.nodes)
+    nodes[-1] = nodes[-1]._replace(kind="bogus")
+    with pytest.raises(ValueError, match="unknown node kind 'bogus'"):
+        run_dp(g, ntd._replace(nodes=tuple(nodes)), 0)
 
 
 def test_join_shared_members_counted_once():
@@ -454,28 +485,32 @@ def test_sc_routes_agree_beyond_brute_force():
     assert all(answers[0])
 
 
-def assert_fused_equals_per_node(g, ntd, b):
-    """The freed run (fused kernels) and the retained run (per-node
-    kernels) give the same root table, minimizers included."""
-    fused = run_dp(g, ntd, b).root_table
-    per_node = run_dp(g, ntd, b, retain_tables=True).root_table
-    assert fused.entries == per_node.entries
-    assert (fused.var_at, fused.chk_at) == (per_node.var_at, per_node.chk_at)
-
-
 def count_runs(monkeypatch):
-    """The runs that run_dp hands to the run kernels, in call order."""
+    """The runs that run_dp hands to the variable kernels, in call order."""
     runs = []
 
     def recording(kernel):
-        def call(child, run, *rest):
+        def call(child, run):
             runs.append(run)
-            return kernel(child, run, *rest)
+            return kernel(child, run)
         return call
 
-    for name in ("forget_run", "introduce_run"):
+    for name in ("forget_variable", "introduce_variable"):
         monkeypatch.setattr(dpcore, name, recording(getattr(dpcore, name)))
     return runs
+
+
+def assert_fused_equals_per_node(g, ntd, b, runs):
+    """The freed run (maximal variable chains) and the retained run
+    (one-node chains) give the same root table, minimizers included.
+    ``runs`` keeps only the freed run's chains."""
+    n = len(runs)
+    per_node = run_dp(g, ntd, b, retain_tables=True).root_table
+    assert all(len(run) == 1 for run in runs[n:])
+    del runs[n:]
+    fused = run_dp(g, ntd, b).root_table
+    assert fused.entries == per_node.entries
+    assert (fused.var_at, fused.chk_at) == (per_node.var_at, per_node.chk_at)
 
 
 def test_fused_runs_match_per_node_kernels(monkeypatch):
@@ -486,7 +521,7 @@ def test_fused_runs_match_per_node_kernels(monkeypatch):
         for td in (random_td(g, rng), single_bag_td(g),
                    heuristic_decomposition(g)):
             assert_fused_equals_per_node(g, make_nice(g, td),
-                                         rng.randint(0, 3))
+                                         rng.randint(0, 3), runs)
     assert len(runs) > 100
     assert any(len(run) > 2 for run in runs)
 
@@ -496,7 +531,7 @@ def test_fused_sc_path_matches_per_node_kernels(monkeypatch):
     params = ScLdpcParams(3, 4, 40, 2, var_degree=3, seed=1)
     g = generate_sc_ldpc(params)
     assert_fused_equals_per_node(
-        g, make_nice(g, sc_path_decomposition(g, params)), 2)
+        g, make_nice(g, sc_path_decomposition(g, params)), 2, runs)
     # one forget run and one introduce run per window step
     assert len(runs) == 2 * 40
 

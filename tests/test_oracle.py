@@ -28,6 +28,13 @@ def test_hamming_74_has_seven_minimum_codewords():
     assert brute_force_spectrum(g, 0) == (3, 7)
 
 
+def test_nullspace_weights_refuse_a_large_null_space():
+    # one row over 24 columns leaves a null space of dimension 23: 2^23
+    # vectors, refused before any is enumerated
+    with pytest.raises(ValueError, match="dimension 23"):
+        gf2_nullspace_weights([[1] * 24])
+
+
 def test_records_revalidate():
     rng = random.Random(5)
     for _ in range(30):
