@@ -121,7 +121,7 @@ def cmd_analyze(args) -> int:
     results = []
     mismatch = False
     for b in b_values:
-        dp_ans = res.root_table.get((0, 0, b))
+        dp_ans = res.root_table.answer(b)
         entry = {
             "b": b,
             "a_min": None if dp_ans is None else dp_ans[0],
@@ -140,8 +140,9 @@ def cmd_analyze(args) -> int:
             except oracle.WorkLimitExceeded as exc:
                 print(f"oracle: {exc}", file=sys.stderr)
                 return 3
-            if expected != (dp_ans[:2] if dp_ans else None):
-                print(f"ORACLE MISMATCH at b={b}: dp={dp_ans} oracle={expected}",
+            got = dp_ans[:2] if dp_ans else None
+            if expected != got:
+                print(f"ORACLE MISMATCH at b={b}: dp={got} oracle={expected}",
                       file=sys.stderr)
                 mismatch = True
         results.append(entry)

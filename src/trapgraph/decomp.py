@@ -76,6 +76,8 @@ def _tree_ok(num_bags: int, edges) -> str | None:
     seen = set()
     adj = {i: [] for i in range(num_bags)}
     for i, j in edges:
+        if not (0 <= i < num_bags and 0 <= j < num_bags):
+            return f"tree edge {(i, j)} out of range"
         if i == j:
             return f"self-loop on bag {i}"
         key = (min(i, j), max(i, j))

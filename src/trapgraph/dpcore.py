@@ -18,10 +18,11 @@ Per table that is a bijection on states.  A check enters the bag with J bit
 no entry; forgetting a variable moves its parity from Q into J, and a join
 adds its children's J parities without correcting for the shared Q.  The
 cost of a key operation does not grow with the code length; only the
-carried minimizer w is a global-id bitmask.  ``DPTable.get`` and
-``DPTable.to_json`` translate through the table's slot layout and graph,
-so callers see global-id (I, Q, d).  Every table carries its graph:
-``leaf_table`` takes it and the other kernels read it from their child.
+carried minimizer w is a global-id bitmask.  ``DPTable.answer(d)`` reads
+the state (0, 0, d), whose packed key is the same under either reading
+since Q = 0 gives I = J; on the empty root bag it is the answer at b = d.
+No other key is translated.  Every table carries its graph: ``leaf_table``
+takes it and the other kernels read it from their child.
 
 There is one kernel per node kind.  The variable kernels
 (``introduce_variable``, ``forget_variable``) take a chain of nodes of their
@@ -52,9 +53,8 @@ from trapgraph.decomp import (
     NiceNode,
     NiceTreeDecomposition,
 )
-from trapgraph.tanner import TannerGraph, bit_ids
+from trapgraph.tanner import TannerGraph
 
-Key = tuple[int, int, int]          # (I mask, Q mask, d) over global ids
 Entry = tuple[int, int, int]        # (f, g, w)
 
 
@@ -64,15 +64,15 @@ class DPTable:
     ``var_at[s]`` and ``chk_at[s]`` are the variable and check at slot s, or
     -1 for a free slot.  A key is ``J | Q << kc | d << (kc + kv)`` with J
     and Q over slots, kc = len(chk_at) and kv = len(var_at); J holds the
-    bag checks made odd by the forgotten members alone.  ``get`` and
-    ``to_json`` take and give global-id (I, Q, d) instead, with
-    I = J xor (Gamma_odd(Q) within the bag).
+    bag checks made odd by the forgotten members alone, not the odd bag
+    checks I = J xor (Gamma_odd(Q) within the bag).  The key with J = Q = 0
+    means the same under either reading, and ``answer`` reads it.
 
     ``entries`` may be the very dict of the child table (``introduce_check``
     shares it), so a table's entries are read-only once it is built.
     """
 
-    __slots__ = ("g", "var_at", "chk_at", "entries", "_parity")
+    __slots__ = ("g", "var_at", "chk_at", "entries")
 
     def __init__(self, g: TannerGraph, var_at: tuple[int, ...],
                  chk_at: tuple[int, ...],
@@ -81,67 +81,17 @@ class DPTable:
         self.var_at = var_at
         self.chk_at = chk_at
         self.entries = entries if entries is not None else {}
-        self._parity: tuple[tuple[int, int], ...] | None = None
 
-    def _q_parity(self, packed: int) -> int:
-        """Check-slot bits of the bag checks with an odd number of Q members."""
-        if self._parity is None:
-            # (check-slot bit, Q slots of its bag neighbours), built on the
-            # first translation so the kernels never pay for it
-            kc = len(self.chk_at)
-            self._parity = tuple(
-                (1 << s, _slot_mask(self.var_at, self.g.chk_adj[c], kc))
-                for s, c in enumerate(self.chk_at) if c >= 0)
-        bits = 0
-        for cb, qmask in self._parity:
-            if (packed & qmask).bit_count() & 1:
-                bits |= cb
-        return bits
+    def answer(self, d: int) -> Entry | None:
+        """(f, g, w) of state (no odd bag check, no bag member, d), or None
+        when absent, as for every d < 0 (keys are never negative).
 
-    def encode(self, key: Key) -> int | None:
-        """Packed form of a global-id (I, Q, d), or None outside the bag."""
-        i, q, d = key
-        kc = len(self.chk_at)
-        packed = d << (kc + len(self.var_at))
-        for s, c in enumerate(self.chk_at):
-            if c >= 0 and i >> c & 1:
-                i ^= 1 << c
-                packed |= 1 << s
-        for s, v in enumerate(self.var_at, kc):
-            if v >= 0 and q >> v & 1:
-                q ^= 1 << v
-                packed |= 1 << s
-        return None if i or q or d < 0 else packed ^ self._q_parity(packed)
-
-    def decode(self, packed: int) -> Key:
-        """Global-id (I, Q, d) of a packed key."""
-        kc = len(self.chk_at)
-        packed ^= self._q_parity(packed)
-        i = q = 0
-        for s, c in enumerate(self.chk_at):
-            if packed >> s & 1:
-                i |= 1 << c
-        for s, v in enumerate(self.var_at, kc):
-            if packed >> s & 1:
-                q |= 1 << v
-        return i, q, packed >> (kc + len(self.var_at))
-
-    def get(self, key: Key) -> Entry | None:
-        """(f, g, w) for a global-id key, or None for (+inf, 0)."""
-        packed = self.encode(key)
-        return None if packed is None else self.entries.get(packed)
-
-    def to_json(self) -> dict:
-        states = sorted((self.decode(k), ent) for k, ent in self.entries.items())
-        return {
-            "bag_v": sorted(v for v in self.var_at if v >= 0),
-            "bag_c": sorted(c for c in self.chk_at if c >= 0),
-            "entries": [
-                {"I": list(bit_ids(i)), "Q": list(bit_ids(q)), "d": d,
-                 "f": f, "g": str(g), "w": list(bit_ids(w))}
-                for (i, q, d), (f, g, w) in states
-            ],
-        }
+        On the root, whose bag is empty, this is the answer at b = d.  On
+        any other table it is the best complete (f, d)-trapping set found
+        inside the node's subtree: no bag check is odd and every member is
+        forgotten, so all its checks are.
+        """
+        return self.entries.get(d << (len(self.chk_at) + len(self.var_at)))
 
 
 # Kernels derive each output layout here from the child table and the node's
@@ -403,7 +353,7 @@ def run_dp(g: TannerGraph, ntd: NiceTreeDecomposition, b: int,
                 tables[ch] = None
 
     root_table = tables[ntd.root]
-    root_entry = root_table.get((0, 0, b))
+    root_entry = root_table.answer(b)
     if root_entry is None:
         return DPResult(None, None, root_table, tables)
     return DPResult(root_entry[0], root_entry[1], root_table, tables)

@@ -63,6 +63,10 @@ class TannerGraph:
         rows = [list(r) for r in h]
         n_chk = len(rows)
         n_var = len(rows[0]) if rows else 0
+        for c, r in enumerate(rows):
+            if len(r) != n_var:
+                raise ValueError(f"row {c} has length {len(r)}, "
+                                 f"row 0 has {n_var}")
         adj = [[v for v, x in enumerate(r) if x % 2] for r in rows]
         return TannerGraph.from_check_adj(n_var, n_chk, adj)
 

@@ -1,11 +1,12 @@
 """Read one smallest trapping set out of the DP's root table.
 
 Every table entry carries the bitmask of one minimizer next to its (f, g)
-pair, so the root state ``(0, 0, b)`` already names a witness; nothing is
-retained or backtracked.  On a tie the DP keeps the integer-smaller
-variable bitmask, so the witness is the minimizer with the smallest
-``sum(1 << v)``, whatever the decomposition and whether the run took
-each chain of variable nodes in one pass or node by node.
+pair, so the root state ``(0, 0, b)``, read by ``DPTable.answer(b)``,
+already names a witness; nothing is retained or backtracked.  On a tie
+the DP keeps the integer-smaller variable bitmask, so the witness is the
+minimizer with the smallest ``sum(1 << v)``, whatever the decomposition
+and whether the run took each chain of variable nodes in one pass or
+node by node.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ def extract_witness(g: TannerGraph, ntd: NiceTreeDecomposition, b: int,
     WitnessError when the root state is absent.  The result is validated
     against the graph before returning.
     """
-    root_entry = tables[ntd.root].get((0, 0, b))
+    root_entry = tables[ntd.root].answer(b)
     if root_entry is None:
         raise WitnessError(f"no (a,{b})-trapping set exists")
     a_min, _, members = root_entry

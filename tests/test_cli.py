@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from trapgraph import decomp
+from trapgraph import decomp, oracle
 from trapgraph.cli import main
 from trapgraph.decomp import parse_td, validate, width
 from trapgraph.tanner import TannerGraph, serialize_alist
@@ -45,6 +45,18 @@ def test_analyze_validate_oracle_agrees(hamming_alist, capsys):
                "--validate-oracle", "10"])
     assert rc == 0
     assert "MISMATCH" not in capsys.readouterr().err
+
+
+def test_analyze_validate_oracle_mismatch_exit_2(hamming_alist, monkeypatch,
+                                                capsys):
+    # the Hamming code's (a_min, count) at b=0 is (3, 7); a forged oracle
+    # disagrees, and both sides print as (a_min, count)
+    monkeypatch.setattr(oracle, "brute_force_spectrum", lambda g, b: (3, 8))
+    rc = main(["analyze", "--alist", hamming_alist, "--b", "0",
+               "--validate-oracle", "10"])
+    assert rc == 2
+    assert "ORACLE MISMATCH at b=0: dp=(3, 7) oracle=(3, 8)" in \
+        capsys.readouterr().err
 
 
 def test_analyze_rejects_bad_b(hamming_alist, capsys):

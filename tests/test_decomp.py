@@ -80,6 +80,18 @@ def test_validate_reports_non_tree():
     assert any("tree" in v for v in validate(g, td).violations)
 
 
+def test_validate_reports_out_of_range_tree_edge():
+    g = TannerGraph.from_check_adj(1, 1, [[0]])
+    bags = (frozenset({0, 1}), frozenset({0, 1}))
+    for edge in ((0, 5), (0, -1)):
+        td = TreeDecomposition(2, bags, (edge,))
+        violation = f"tree structure: tree edge {edge} out of range"
+        assert validate(g, td).violations == (violation,)
+        with pytest.raises(InvalidDecompositionError) as exc:
+            make_nice(g, td)
+        assert exc.value.violations == (violation,)
+
+
 def test_td_round_trip_simple():
     td = parse_td("s td 1 1 1\nb 1 1\n")
     assert td.bags == (frozenset({0}),)

@@ -44,17 +44,46 @@ def nice_for(g):
     return make_nice(g, heuristic_decomposition(g))
 
 
+# The kernel tests read tables as global-id (I, Q, d) states.  The packed
+# key is ``J | Q << kc | d << (kc + kv)`` over the slots, with
+# I = J ^ Gamma_odd(Q) within the bag; the helpers below translate through
+# the graph's global var_masks, independently of the engine's slot masks.
+def ids(layout):
+    """Global-id bitmask of the elements in a slot layout."""
+    return sum(1 << x for x in layout if x >= 0)
+
+
+def pack(var_at, chk_at, j, q, d):
+    """Packed key of global-id J and Q masks and d; bits of elements
+    outside the layout are dropped."""
+    kc = len(chk_at)
+    key = d << (kc + len(var_at))
+    key |= sum(1 << s for s, c in enumerate(chk_at) if c >= 0 and j >> c & 1)
+    key |= sum(1 << s for s, v in enumerate(var_at, kc)
+               if v >= 0 and q >> v & 1)
+    return key
+
+
 def table(g, var_at, chk_at, states=()):
     """A DPTable with the given slot layout and global-id (I, Q, d) states."""
     t = DPTable(g, var_at, chk_at)
-    for key, ent in dict(states).items():
-        t.entries[t.encode(key)] = ent
+    for (i, q, d), ent in dict(states).items():
+        j = i ^ gamma_odd_mask(g.var_masks, q, ids(chk_at))
+        assert j & ~ids(chk_at) == 0 and q & ~ids(var_at) == 0
+        t.entries[pack(var_at, chk_at, j, q, d)] = ent
     return t
 
 
 def states(t):
     """The table's entries keyed by global-id (I, Q, d)."""
-    return {t.decode(k): ent for k, ent in t.entries.items()}
+    kc = len(t.chk_at)
+    out = {}
+    for k, ent in t.entries.items():
+        j = sum(1 << c for s, c in enumerate(t.chk_at) if k >> s & 1)
+        q = sum(1 << v for s, v in enumerate(t.var_at, kc) if k >> s & 1)
+        i = j ^ gamma_odd_mask(t.g.var_masks, q, ids(t.chk_at))
+        out[i, q, k >> (kc + len(t.var_at))] = ent
+    return out
 
 
 def node(kind, elem, slot):
@@ -76,7 +105,7 @@ def test_leaf_table_is_empty():
     t = leaf_table(2, 1, TannerGraph.from_matrix([[1, 1]]))
     assert t.entries == {}
     assert (t.var_at, t.chk_at) == ((-1, -1), (-1,))
-    assert t.get((0, 0, 0)) is None
+    assert t.answer(0) is None
 
 
 def test_introduce_variable_base_case():
@@ -400,7 +429,8 @@ def test_b0_tables_never_carry_positive_d():
     ntd = make_nice(g, random_td(g, rng))
     res = run_dp(g, ntd, 0, retain_tables=True)
     for table in res.tables:
-        assert all(e["d"] == 0 for e in table.to_json()["entries"])
+        shift = len(table.chk_at) + len(table.var_at)
+        assert all(k >> shift == 0 for k in table.entries)
 
 
 def test_decomposition_invariance():
@@ -418,7 +448,9 @@ def test_decomposition_invariance():
 
 
 def assert_entries_realized_by_minimizers(g, ntd, b):
-    """Every entry's state is the state of the minimizer it carries."""
+    """Every entry's packed key is the key of the minimizer it carries:
+    J the bag checks made odd by its forgotten members, Q its bag members
+    over the variable slots, d its odd forgotten checks."""
     res = run_dp(g, ntd, b, retain_tables=True)
     forgotten_c = [0] * len(ntd.nodes)      # checks forgotten in the subtree
     for idx, node in enumerate(ntd.nodes):
@@ -426,12 +458,11 @@ def assert_entries_realized_by_minimizers(g, ntd, b):
             forgotten_c[idx] |= forgotten_c[ch]
         if node.kind == FORGET_CHK:
             forgotten_c[idx] |= 1 << node.elem
-        t = res.tables[idx]
         bag_v, bag_c = node.bag_v, node.bag_c     # derived per read
-        for k, (f, cnt, w) in t.entries.items():
-            odd = gamma_odd_mask(g.var_masks, w, bag_c | forgotten_c[idx])
-            assert t.decode(k) == (odd & bag_c, w & bag_v,
-                                   (odd & forgotten_c[idx]).bit_count())
+        for k, (f, cnt, w) in res.tables[idx].entries.items():
+            j = gamma_odd_mask(g.var_masks, w & ~bag_v, bag_c)
+            d = gamma_odd_mask(g.var_masks, w, forgotten_c[idx]).bit_count()
+            assert k == pack(node.var_at, node.chk_at, j, w, d)
             assert f == w.bit_count() and cnt >= 1
 
 
@@ -480,7 +511,7 @@ def test_sc_routes_agree_beyond_brute_force():
     answers = []
     for td in (sc_path_decomposition(g, params), heuristic_decomposition(g)):
         root = run_dp(g, make_nice(g, td), 2).root_table
-        answers.append([root.get((0, 0, b)) for b in range(3)])
+        answers.append([root.answer(b) for b in range(3)])
     assert answers[0] == answers[1]
     assert all(answers[0])
 
@@ -544,27 +575,41 @@ def test_root_table_answers_every_smaller_b():
         root = run_dp(g, ntd, 3).root_table
         for b in range(4):
             res = run_dp(g, ntd, b)
-            entry = root.get((0, 0, b))
+            entry = root.answer(b)
             assert (entry[:2] if entry else None) == \
                 ((res.a_min, res.count) if res.found else None)
 
 
-def test_table_json_dump():
-    g = TannerGraph.from_matrix([[1, 1, 1]])
-    t = table(g, (0, 2), (0,), {(0b1, 0b100, 1): (2, 10**30, 0b10100)})
-    doc = t.to_json()
-    assert doc["bag_v"] == [0, 2]
-    assert doc["entries"] == [
-        {"I": [0], "Q": [2], "d": 1, "f": 2, "g": str(10**30), "w": [2, 4]}]
-
-
-def test_get_reads_global_keys_through_the_layout():
-    g = TannerGraph.from_check_adj(6, 8, [[]] * 7 + [[3]])
-    t = table(g, (5, -1, 3), (-1, 7), {(1 << 7, 1 << 3, 2): (2, 1, 0b11000)})
-    (packed,) = t.entries
+def test_answer_reads_only_the_empty_key_at_d():
+    # c7 meets v1 and v3; the bag holds v5, v3 and c7 in 3 + 2 slots
+    g = TannerGraph.from_check_adj(6, 8, [[]] * 7 + [[1, 3]])
+    t = table(g, (5, -1, 3), (-1, 7), {
+        (1 << 7, 1 << 3, 2): (2, 1, 0b11000),   # J = 0, Q = {v3}
+        (1 << 7, 0, 2): (1, 1, 0b10),           # J = {c7}, Q = 0
+        (0, 0, 1): (4, 2, 0b110001),            # J = Q = 0
+        (0, 1 << 5, 0): (1, 1, 0b100000),       # key 1 << kc
+        (1 << 7, 1 << 3, 0): (1, 1, 0b1000),    # key 2 << kv
+    })
     # c7 is odd through its bag neighbour v3 alone, so its J bit is 0
-    assert packed == 0b100 << 2 | 2 << 5
-    assert t.decode(packed) == (1 << 7, 1 << 3, 2)
-    assert t.get((1 << 7, 1 << 3, 2)) == (2, 1, 0b11000)
-    assert t.get((1 << 7, 1 << 4, 2)) is None      # v4 is not in the bag
-    assert t.get((1 << 7, 1 << 3, 1)) is None
+    assert 0b100 << 2 | 2 << 5 in t.entries
+    assert t.answer(1) == (4, 2, 0b110001)
+    assert t.answer(2) is None
+    assert t.answer(0) is None and t.answer(3) is None
+    assert t.answer(-1) is None
+
+
+def test_answer_is_the_empty_state_of_every_table():
+    rng = random.Random(85)
+    hits = 0
+    for _ in range(30):
+        g = random_graph(rng, max_var=10, max_chk=8)
+        for td in (random_td(g, rng), single_bag_td(g),
+                   heuristic_decomposition(g)):
+            ntd = make_nice(g, td)
+            for b in range(4):
+                for t in run_dp(g, ntd, b, retain_tables=True).tables:
+                    by_state = states(t)
+                    for d in range(-1, b + 2):
+                        assert t.answer(d) == by_state.get((0, 0, d))
+                        hits += t.answer(d) is not None
+    assert hits > 1000

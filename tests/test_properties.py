@@ -48,7 +48,7 @@ def test_decompositions_agree_with_brute_force(g, seed):
         kept = run_dp(g, ntd, B_MAX, retain_tables=True)
         assert res.root_table.entries == kept.root_table.entries
         for b in range(B_MAX + 1):
-            entry = res.root_table.get((0, 0, b))
+            entry = res.root_table.answer(b)
             assert (entry[:2] if entry else None) == expected[b]
             if b == 0:
                 assert run_dp_b0(g, ntd) == expected[0]

@@ -28,6 +28,13 @@ def test_graph_construction_and_transpose():
     assert edges_a == edges_b
 
 
+def test_from_matrix_rejects_ragged_rows():
+    with pytest.raises(ValueError, match="row 1 has length 1, row 0 has 3"):
+        TannerGraph.from_matrix([[1, 0, 1], [1]])
+    with pytest.raises(ValueError, match="row 1 has length 4, row 0 has 3"):
+        TannerGraph.from_matrix([[1, 0, 1], [1, 1, 0, 1]])
+
+
 def test_parallel_edges_rejected():
     with pytest.raises(ValueError, match="duplicate"):
         TannerGraph.from_check_adj(2, 1, [[0, 0]])

@@ -72,7 +72,7 @@ def test_one_pass_witness_is_a_minimizer_for_every_b():
         ntd = make_nice(g, random_td(g, rng))
         res = run_dp(g, ntd, 3)
         for b in range(4):
-            entry = res.root_table.get((0, 0, b))
+            entry = res.root_table.answer(b)
             if entry is None:
                 continue
             a_min = entry[0]
@@ -94,7 +94,7 @@ def test_witness_is_smallest_minimizer():
             for retain in (False, True):
                 res = run_dp(g, ntd, 2, retain_tables=retain)
                 for b in range(3):
-                    entry = res.root_table.get((0, 0, b))
+                    entry = res.root_table.answer(b)
                     if entry is None:
                         continue
                     # no set smaller than a_min has b odd checks
@@ -113,7 +113,7 @@ def test_retained_run_gives_the_same_witness():
         freed = run_dp(g, ntd, 2)
         kept = run_dp(g, ntd, 2, retain_tables=True)
         for b in range(3):
-            if freed.root_table.get((0, 0, b)) is None:
+            if freed.root_table.answer(b) is None:
                 continue
             assert extract_witness(g, ntd, b, freed.tables) == \
                 extract_witness(g, ntd, b, kept.tables)
