@@ -112,6 +112,9 @@ def validate(g: TannerGraph, td: TreeDecomposition) -> ValidationReport:
                 violations.append(f"bag {i}: node id {x} out of range")
 
     tree_err = _tree_ok(len(td.bags), td.edges)
+    if tree_err is None and td.root is not None \
+            and not 0 <= td.root < len(td.bags):
+        tree_err = f"root {td.root} out of range"
     if tree_err:
         violations.append(f"tree structure: {tree_err}")
         return ValidationReport(tuple(violations))

@@ -35,13 +35,29 @@ its state and a chain gives the same table in one pass as node by node.
 ``retain_tables=True`` hands the variable kernels one node at a time, so
 every node's table is kept.
 
+The freed run is an exact branch and bound in one pass.  Each table's
+``answer(d)`` is a complete (f, d)-trapping set of the whole graph (see
+``DPTable.answer``), so the smallest such f seen so far, U[d], is at least
+a_min(d).  Once every U[d] for d <= b is known, ``run_dp`` hands
+``cap = max(U)`` to ``introduce_variable`` and ``join``, the only kernels
+that raise f, and they skip every entry above it.  An introduce adds |S|,
+a join gives f1 + f2 - |Q| >= max(f1, f2) and a forget keeps f, so a
+state at or below the cap is built only from states at or below it, and
+those are exact: f, count and minimizer.  The root bag is empty, so the
+root table holds only the answers (0, 0, b') for b' <= b, each at most the
+cap: it is the uncapped table.  Entries above the cap may be missing or
+off in intermediate tables, which is why ``retain_tables=True`` is never
+capped.
+
 The b=0 run is simply the d-pinned-to-0 slice of the general recurrence.
 """
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import itemgetter
 
 from trapgraph.decomp import (
     INTRO_CHK,
@@ -124,13 +140,15 @@ def leaf_table(var_slots: int, chk_slots: int, g: TannerGraph) -> DPTable:
     return DPTable(g, (-1,) * var_slots, (-1,) * chk_slots)
 
 
-def introduce_variable(child: DPTable, run: Sequence[NiceNode]) -> DPTable:
+def introduce_variable(child: DPTable, run: Sequence[NiceNode],
+                       cap: int | None = None) -> DPTable:
     """One pass for a chain of introduce-variable nodes, each the child of
     the next.
 
     Every nonzero key gets each nonempty subset S of the new variables, and
     each such S gets its base entry (|S|, 1, S); a fully-forgotten codeword
-    state (key 0) is not extended.  No two of these keys collide.
+    state (key 0) is not extended.  No two of these keys collide.  With a
+    ``cap``, no entry larger than it is written (see ``run_dp``).
     """
     var_at, kc = child.var_at, len(child.chk_at)
     subsets = []                      # (Q bits, |S|, w bits) of nonempty S
@@ -145,12 +163,21 @@ def introduce_variable(child: DPTable, run: Sequence[NiceNode]) -> DPTable:
         qb, vb = 1 << (kc + slot), 1 << v
         subsets += [(q | qb, n + 1, w | vb) for q, n, w in subsets]
         subsets.append((qb, 1, vb))
+    # by size, so the subsets that fit under the cap are a prefix
+    subsets.sort(key=itemgetter(1))
+    if cap is None:
+        cap = sys.maxsize
     entries = dict(child.entries)
     for k, (f, cnt, w) in child.entries.items():
+        room = cap - f
         for q, n, ws in subsets:
+            if n > room:
+                break
             entries[k | q] = (f + n, cnt, w | ws)
-    # extending key 0 wrote exactly the base keys; overwrite them
+    # extending key 0 wrote only base keys, each at most the cap; overwrite
     for q, n, ws in subsets:
+        if n > cap:
+            break
         entries[q] = (n, 1, ws)
     return DPTable(child.g, var_at, child.chk_at, entries)
 
@@ -228,7 +255,10 @@ def forget_check(child: DPTable, c: int, slot: int, b: int) -> DPTable:
     return DPTable(child.g, var_at, _set_slot(chk_at, slot, -1), entries)
 
 
-def join(left: DPTable, right: DPTable, b: int) -> DPTable:
+def join(left: DPTable, right: DPTable, b: int,
+         cap: int | None = None) -> DPTable:
+    """Combine the two children's tables; with a ``cap``, no combined entry
+    larger than it is written (see ``run_dp``)."""
     var_at, chk_at = left.var_at, left.chk_at
     if (right.var_at, right.chk_at) != (var_at, chk_at):
         raise ValueError("join children disagree on the bag")
@@ -237,6 +267,8 @@ def join(left: DPTable, right: DPTable, b: int) -> DPTable:
     j_bits = (1 << kc) - 1
     q_bits = ((1 << shift) - 1) ^ j_bits
     over = (b + 1) << shift           # keys at or above it have d > b
+    if cap is None:
+        cap = sys.maxsize
 
     entries: dict[int, Entry] = {}
     get = entries.get
@@ -254,9 +286,9 @@ def join(left: DPTable, right: DPTable, b: int) -> DPTable:
         f1 -= (k1 & q_bits).bit_count()
         for j2, d2, f2, g2, w2 in partners:
             k = (k1 ^ j2) + d2
-            if k >= over:
-                continue
             f = f1 + f2
+            if k >= over or f > cap:
+                continue
             old = get(k)
             if old is None or f < old[0]:
                 entries[k] = (f, g1 * g2, w1 | w2)
@@ -286,8 +318,10 @@ class DPResult:
 
     The root table also holds ``(0, 0, b')`` for every ``b' <= b`` with the
     value a run at ``b'`` would give, since d never decreases toward the root.
-    ``tables`` is indexed by nice node; only the root's slot is filled unless
-    the run retained every table.
+    The size cap of a freed run leaves it unchanged: each of those entries
+    is at most the cap (see the module docstring).  ``tables`` is indexed by
+    nice node; only the root's slot is filled unless the run retained every
+    table, and a retained run is never capped.
     """
 
     a_min: int | None
@@ -311,6 +345,13 @@ def run_dp(g: TannerGraph, ntd: NiceTreeDecomposition, b: int,
     the child of the next, runs as one pass and leaves only its last node's
     table; with it, each such chain is one node long and every table is
     kept.  Check nodes always run one at a time.
+
+    Without ``retain_tables`` the run also prunes: after each table it
+    lowers U[d] to the f of ``table.answer(d)`` for d = 0..b, and once no
+    U[d] is unknown it passes ``cap = max(U)`` to ``introduce_variable``
+    and ``join``.  The root table is the one an uncapped run gives, w
+    included.  If some b' <= b has no trapping set, U[b'] stays unknown and
+    the cap never engages.
     """
     if b < 0:
         raise ValueError("b must be >= 0")
@@ -321,6 +362,10 @@ def run_dp(g: TannerGraph, ntd: NiceTreeDecomposition, b: int,
     last = len(nodes) - 1
     fuse = not retain_tables
     tables: list[DPTable | None] = [None] * len(nodes)
+    # best[d]: the smallest f seen so far in any table's answer(d), a
+    # complete (f, d)-trapping set; cap = max(best) once all are known
+    best: list[int | None] = [None] * (b + 1)
+    cap = None
     end = -1                          # the node the latest table belongs to
     for idx, node in enumerate(nodes):
         if idx <= end:
@@ -331,7 +376,7 @@ def run_dp(g: TannerGraph, ntd: NiceTreeDecomposition, b: int,
             table = leaf_table(ntd.var_slots, ntd.chk_slots, g)
         elif kind == JOIN:
             c1, c2 = node.children
-            table = join(tables[c1], tables[c2], b)
+            table = join(tables[c1], tables[c2], b, cap)
         elif kind == INTRO_CHK:
             table = introduce_check(tables[node.children[0]], node.elem,
                                     node.slot)
@@ -342,15 +387,21 @@ def run_dp(g: TannerGraph, ntd: NiceTreeDecomposition, b: int,
             while fuse and end < last and nodes[end + 1].kind == kind \
                     and nodes[end + 1].children[0] == end:
                 end += 1
-            kernel = introduce_variable if kind == INTRO_VAR \
-                else forget_variable
-            table = kernel(tables[node.children[0]], nodes[idx:end + 1])
+            child, run = tables[node.children[0]], nodes[idx:end + 1]
+            table = introduce_variable(child, run, cap) \
+                if kind == INTRO_VAR else forget_variable(child, run)
         else:
             raise ValueError(f"unknown node kind {kind!r}")
         tables[end] = table
         if fuse:
             for ch in node.children:
                 tables[ch] = None
+            for d, f in enumerate(best):
+                ent = table.answer(d)
+                if ent is not None and (f is None or ent[0] < f):
+                    best[d] = ent[0]
+            if None not in best:
+                cap = max(best)
 
     root_table = tables[ntd.root]
     root_entry = root_table.answer(b)

@@ -2,7 +2,9 @@
 
 The oracles here are deliberately written along different routes than the
 library code they check: the minimum-distance oracle works on GF(2) null
-spaces, and ``run_dp_b0`` is a separate d-free dynamic program.
+spaces, ``run_dp_b0`` is a separate d-free dynamic program, and
+``trellis_spectrum`` sweeps the variables in index order with no tree
+decomposition at all.
 """
 
 from __future__ import annotations
@@ -237,6 +239,57 @@ def run_dp_b0(g: TannerGraph, ntd: NiceTreeDecomposition):
             tables[ch] = None
     root = tables[ntd.root].get((0, 0))
     return None if root is None else root
+
+
+# ---------------------------------------------------------------------------
+# syndrome trellis: every b, no tree decomposition
+
+TRELLIS_MAX_OPEN = 20
+
+
+def trellis_spectrum(g: TannerGraph, b: int) -> list[tuple | None]:
+    """(f, count, w) of the smallest (f, d)-trapping sets for d = 0..b, or
+    None where there is none; w is the integer-smallest minimizer.
+
+    The classical code trellis of Bahl, Cocke, Jelinek and Raviv (1974)
+    with d added: the variables are swept in index order, and a state is
+    (parity of the open checks as a global-id mask, d, nonempty), mapped to
+    (f, count, w).  A check opens at its first neighbour and closes at its
+    last, where its parity moves into d.  Raises ValueError when more than
+    ``TRELLIS_MAX_OPEN`` checks are open at once, before sweeping.
+    """
+    closing = [0] * g.n_var           # checks whose last neighbour is v
+    opened = [0] * g.n_var            # +1 at a first neighbour, -1 at a last
+    for c, vs in enumerate(g.chk_adj):
+        if vs:
+            closing[max(vs)] |= 1 << c
+            opened[min(vs)] += 1
+            opened[max(vs)] -= 1
+    now = 0
+    for v in range(g.n_var):
+        now += opened[v]
+        if now > TRELLIS_MAX_OPEN:
+            raise ValueError(f"{now} open checks at v{v} exceed "
+                             f"{TRELLIS_MAX_OPEN}")
+    states = {(0, 0, False): (0, 1, 0)}
+    for v in range(g.n_var):
+        vb, flip, close = 1 << v, g.var_masks[v], closing[v]
+        nxt: dict[tuple, tuple] = {}
+        for (par, d, nonempty), (f, cnt, w) in states.items():
+            for par2, ent, ne in ((par, (f, cnt, w), nonempty),
+                                  (par ^ flip, (f + 1, cnt, w | vb), True)):
+                d2 = d + (par2 & close).bit_count()
+                if d2 > b:
+                    continue
+                key = (par2 & ~close, d2, ne)
+                old = nxt.get(key)
+                if old is None or ent[0] < old[0]:
+                    nxt[key] = ent
+                elif ent[0] == old[0]:
+                    nxt[key] = (ent[0], old[1] + ent[1],
+                                min(old[2], ent[2]))
+        states = nxt
+    return [states.get((0, d, True)) for d in range(b + 1)]
 
 
 def all_nonempty_subsets(n: int):

@@ -92,6 +92,21 @@ def test_validate_reports_out_of_range_tree_edge():
         assert exc.value.violations == (violation,)
 
 
+def test_validate_reports_out_of_range_root():
+    # make_nice roots the tree at td.root, so a root outside the bags must
+    # be refused before it indexes them (-1 would silently pick the last)
+    g = TannerGraph.from_check_adj(1, 1, [[0]])
+    for root in (5, 1, -1):
+        td = TreeDecomposition(2, (frozenset({0, 1}),), (), root=root)
+        violation = f"tree structure: root {root} out of range"
+        assert validate(g, td).violations == (violation,)
+        with pytest.raises(InvalidDecompositionError) as exc:
+            make_nice(g, td)
+        assert exc.value.violations == (violation,)
+    assert validate(g, TreeDecomposition(2, (frozenset({0, 1}),), (),
+                                         root=0)).ok
+
+
 def test_td_round_trip_simple():
     td = parse_td("s td 1 1 1\nb 1 1\n")
     assert td.bags == (frozenset({0}),)

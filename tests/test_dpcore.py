@@ -521,9 +521,9 @@ def count_runs(monkeypatch):
     runs = []
 
     def recording(kernel):
-        def call(child, run):
+        def call(child, run, *rest):
             runs.append(run)
-            return kernel(child, run)
+            return kernel(child, run, *rest)
         return call
 
     for name in ("forget_variable", "introduce_variable"):
@@ -565,6 +565,70 @@ def test_fused_sc_path_matches_per_node_kernels(monkeypatch):
         g, make_nice(g, sc_path_decomposition(g, params)), 2, runs)
     # one forget run and one introduce run per window step
     assert len(runs) == 2 * 40
+
+
+def record_kernels(monkeypatch):
+    """The cap that run_dp hands each introduce_variable and join call, and
+    the size of every table the kernels return, introduce_check's excepted
+    (it shares its child's entries)."""
+    caps, sizes = [], []
+
+    def recording(kernel, at):
+        def call(*args):
+            if at is not None:
+                caps.append(args[at] if len(args) > at else None)
+            table = kernel(*args)
+            sizes.append(len(table.entries))
+            return table
+        return call
+
+    for name, at in (("introduce_variable", 2), ("join", 3),
+                     ("forget_variable", None), ("forget_check", None)):
+        monkeypatch.setattr(dpcore, name,
+                            recording(getattr(dpcore, name), at))
+    return caps, sizes
+
+
+def test_capped_root_tables_equal_uncapped(monkeypatch):
+    # the freed run prunes entries above its cap and the retained run never
+    # prunes; the root tables agree, minimizers included, on runs where the
+    # cap engages and on runs where some b' <= b has no set, so it never does
+    caps, _ = record_kernels(monkeypatch)
+    rng = random.Random(86)
+    engaged = idle = 0
+    for _ in range(300):
+        g = random_graph(rng, max_var=9, max_chk=7)
+        for td in (random_td(g, rng), single_bag_td(g),
+                   heuristic_decomposition(g)):
+            ntd = make_nice(g, td)
+            for b in range(4):
+                full = run_dp(g, ntd, b, retain_tables=True).root_table
+                assert all(cap is None for cap in caps)
+                capped = run_dp(g, ntd, b).root_table
+                assert capped.entries == full.entries
+                if any(cap is not None for cap in caps):
+                    engaged += 1
+                elif None in map(full.answer, range(b + 1)):
+                    idle += 1
+                caps.clear()
+    assert engaged > 1000 and idle > 1000
+
+
+def test_cap_engages_on_sc_path(monkeypatch):
+    # uncapped, fusing the variable chains alone keeps 35% of the retained
+    # run's entries (201845 of 577796); the cap keeps 9% (49670), so a cap
+    # that is never set, or never reaches the kernels, fails here
+    params = ScLdpcParams(3, 4, 160, 2, var_degree=3, seed=1)
+    g = generate_sc_ldpc(params)
+    ntd = make_nice(g, sc_path_decomposition(g, params))
+    retained = run_dp(g, ntd, 2, retain_tables=True)
+    kept = sum(len(t.entries) for n, t in zip(ntd.nodes, retained.tables)
+               if n.kind != INTRO_CHK)
+    caps, sizes = record_kernels(monkeypatch)
+    root = run_dp(g, ntd, 2).root_table
+    assert root.entries == retained.root_table.entries
+    assert any(cap is not None for cap in caps)
+    assert sum(sizes) < kept / 5
 
 
 def test_root_table_answers_every_smaller_b():

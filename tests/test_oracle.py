@@ -9,7 +9,13 @@ from trapgraph.oracle import (
     brute_force_spectrum,
 )
 from trapgraph.tanner import TannerGraph, gamma_odd
-from helpers import HAMMING_74, gf2_nullspace_weights, random_graph
+from helpers import (
+    HAMMING_74,
+    TRELLIS_MAX_OPEN,
+    gf2_nullspace_weights,
+    random_graph,
+    trellis_spectrum,
+)
 
 
 def test_repetition_code_enumeration():
@@ -33,6 +39,34 @@ def test_nullspace_weights_refuse_a_large_null_space():
     # vectors, refused before any is enumerated
     with pytest.raises(ValueError, match="dimension 23"):
         gf2_nullspace_weights([[1] * 24])
+
+
+def test_trellis_matches_brute_force():
+    # the trellis shares no code with brute force or the DP: (a_min, count)
+    # and the integer-smallest minimizer at every d <= 3
+    rng = random.Random(6)
+    found = 0
+    for _ in range(200):
+        g = random_graph(rng, max_var=10, max_chk=8)
+        for d, got in enumerate(trellis_spectrum(g, 3)):
+            exp = brute_force_spectrum(g, d)
+            assert (got[:2] if got else None) == exp
+            if got:
+                smallest = min(sum(1 << v for v in r.members) for r in
+                               brute_force_enumerate(g, got[0], d))
+                assert got[2] == smallest
+                found += 1
+    assert found > 400
+
+
+def test_trellis_refuses_too_many_open_checks():
+    # every check meets v0 and v1, so all are open after v0
+    m = TRELLIS_MAX_OPEN + 1
+    g = TannerGraph.from_check_adj(2, m, [[0, 1]] * m)
+    with pytest.raises(ValueError, match=f"{m} open checks at v0"):
+        trellis_spectrum(g, 1)
+    g = TannerGraph.from_check_adj(2, m - 1, [[0, 1]] * (m - 1))
+    assert trellis_spectrum(g, 1) == [(2, 1, 0b11), None]
 
 
 def test_records_revalidate():

@@ -6,7 +6,10 @@ chains of forget and introduce nodes must give the same root table as the
 retained run, which applies one node at a time; at b = 0 the independent
 d-free DP ``run_dp_b0`` must agree too.  Past brute force, on codes of 24
 to 36 variables, b = 0 is checked against the GF(2) null-space weights on
-min-fill and random min-degree decompositions.  Random elimination
+min-fill and random min-degree decompositions; on seed-1 SC codes every
+b <= 3 is checked against the syndrome trellis, which uses no
+decomposition and no DP kernel, on the path, min-fill and random
+min-degree routes.  Random elimination
 decompositions are join-heavy, so they exercise the slots a join hands to
 both children.  The search is derandomized and bounded, so the module runs
 the same examples in the same short time on every run.
@@ -14,14 +17,30 @@ the same examples in the same short time on every run.
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from trapgraph.decomp import heuristic_decomposition, make_nice
+from trapgraph.decomp import (
+    heuristic_decomposition,
+    make_nice,
+    sc_path_decomposition,
+)
 from trapgraph.dpcore import run_dp
 from trapgraph.oracle import brute_force_spectrum
-from trapgraph.tanner import TannerGraph, gamma_odd
+from trapgraph.tanner import (
+    ScLdpcParams,
+    TannerGraph,
+    gamma_odd,
+    generate_sc_ldpc,
+)
 from trapgraph.witness import extract_witness
-from helpers import min_weight_and_count, random_td, run_dp_b0, single_bag_td
+from helpers import (
+    min_weight_and_count,
+    random_td,
+    run_dp_b0,
+    single_bag_td,
+    trellis_spectrum,
+)
 
 B_MAX = 2
 
@@ -90,3 +109,26 @@ def test_b0_agrees_with_nullspace_beyond_brute_force(g, seed):
         res = run_dp(g, ntd, 0)
         assert ((res.a_min, res.count) if res.found else None) == expected
         assert run_dp_b0(g, ntd) == expected
+
+
+@pytest.mark.parametrize("length", [40, 160])
+@pytest.mark.parametrize("route", ["path", "min-fill", "min-degree"])
+def test_capped_dp_agrees_with_trellis_on_sc_codes(route, length):
+    # every route runs the same dpcore kernels, so only a route that shares
+    # none of them catches a fault they all have; each run at b prunes under
+    # its own size cap and must still give every d <= b exactly, witness
+    # included
+    params = ScLdpcParams(3, 4, length, 2, var_degree=3, seed=1)
+    g = generate_sc_ldpc(params)
+    if route == "path":
+        td = sc_path_decomposition(g, params)
+    elif route == "min-fill":
+        td = heuristic_decomposition(g)
+    else:
+        td = random_td(g, random.Random(length), min_degree=True)
+    ntd = make_nice(g, td)
+    expected = trellis_spectrum(g, 3)
+    assert all(expected)
+    for b in range(4):
+        root = run_dp(g, ntd, b).root_table
+        assert [root.answer(d) for d in range(b + 1)] == expected[:b + 1]
