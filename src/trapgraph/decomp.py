@@ -455,10 +455,19 @@ def heuristic_decomposition(g: TannerGraph) -> TreeDecomposition:
     neighbours, and turns that neighbourhood into a clique.  Node x
     eliminated with neighbourhood N gives bag {x} | N, whose parent is the
     bag of the earliest-eliminated node of N; parentless bags are chained
-    together.  Bag i belongs to the i-th eliminated node.  Each step
-    rescores only the eliminated node's neighbours and theirs.  No width
+    together.  Bag i belongs to the i-th eliminated node.  No width
     guarantee (Bodlaender & Koster, "Treewidth computations I. Upper
     bounds", Inf. Comput. 2010).
+
+    Every fill-in is kept exact by incremental updates instead of being
+    recounted.  A Tanner graph is bipartite, so no two neighbours of a node
+    start out adjacent and its initial fill-in is deg * (deg - 1) / 2.
+    Eliminating x first drops, at each a in N, the missing pairs (x, c)
+    with c outside N.  Each missing pair (a, b) in N then becomes a fill
+    edge: a gains the missing pairs (b, c) for c in N(a) - N(b), b likewise,
+    and every common neighbour of a and b loses one.  Only N and those
+    common neighbours are rescored, so a step costs O(|N|) set operations
+    plus O(degree) per fill edge it adds.
     """
     total = g.n_var + g.n_chk
     if total == 0:
@@ -469,14 +478,13 @@ def heuristic_decomposition(g: TannerGraph) -> TreeDecomposition:
             adj[v].add(g.n_var + c)
             adj[g.n_var + c].add(v)
 
-    def key(x: int) -> tuple[int, int, int]:
-        nbrs = adj[x]
-        # each missing pair is seen from both ends; -1 drops a itself
-        fill = sum(len(nbrs - adj[a]) - 1 for a in nbrs) // 2
-        return fill, len(nbrs), x
-
-    # lazy heap: an entry is live while it equals current[x]
-    current = [key(x) for x in range(total)]
+    # the graph is bipartite: every pair of a node's neighbours is missing
+    fill = [len(nbrs) * (len(nbrs) - 1) // 2 for nbrs in adj]
+    # lazy heap of keys (fill * total + degree) * total + x, which order as
+    # the tuples (fill, degree, x) but compare faster; an entry is live
+    # while it equals current[x]
+    current = [(f * total + len(nbrs)) * total + x
+               for x, (f, nbrs) in enumerate(zip(fill, adj))]
     heap = list(current)
     heapq.heapify(heap)
     position = [-1] * total
@@ -484,7 +492,7 @@ def heuristic_decomposition(g: TannerGraph) -> TreeDecomposition:
     eliminated_nbrs: list[set[int]] = []
     while heap:
         k = heapq.heappop(heap)
-        x = k[2]
+        x = k % total
         if position[x] >= 0 or k != current[x]:
             continue
         position[x] = len(bags)
@@ -492,16 +500,26 @@ def heuristic_decomposition(g: TannerGraph) -> TreeDecomposition:
         bags.append(frozenset(nbrs | {x}))
         eliminated_nbrs.append(nbrs)
         for a in nbrs:
-            adj[a] |= nbrs
-            adj[a].discard(a)
-            adj[a].discard(x)
-        # only N(x) changed degree, and only N(x) and their neighbours can
-        # have gained an edge inside their neighbourhood
+            na = adj[a]
+            na.discard(x)
+            fill[a] -= len(na - nbrs)
         touched = set(nbrs)
         for a in nbrs:
-            touched |= adj[a]
+            na = adj[a]
+            for b in nbrs - na:
+                if b <= a:            # a itself, or a pair added from b
+                    continue
+                nb = adj[b]
+                fill[a] += len(na - nb)
+                fill[b] += len(nb - na)
+                common = na & nb
+                for y in common:
+                    fill[y] -= 1
+                touched |= common
+                na.add(b)
+                nb.add(a)
         for y in touched:
-            k = key(y)
+            k = (fill[y] * total + len(adj[y])) * total + y
             if k != current[y]:
                 current[y] = k
                 heapq.heappush(heap, k)

@@ -346,12 +346,15 @@ def run_dp(g: TannerGraph, ntd: NiceTreeDecomposition, b: int,
     table; with it, each such chain is one node long and every table is
     kept.  Check nodes always run one at a time.
 
-    Without ``retain_tables`` the run also prunes: after each table it
-    lowers U[d] to the f of ``table.answer(d)`` for d = 0..b, and once no
-    U[d] is unknown it passes ``cap = max(U)`` to ``introduce_variable``
-    and ``join``.  The root table is the one an uncapped run gives, w
-    included.  If some b' <= b has no trapping set, U[b'] stays unknown and
-    the cap never engages.
+    Without ``retain_tables`` the run also prunes: after each forget and
+    join table it lowers U[d] to the f of ``table.answer(d)`` for
+    d = 0..b, and once no U[d] is unknown it passes ``cap = max(U)`` to
+    ``introduce_variable`` and ``join``.  Other tables cannot lower U: a
+    leaf table is empty, and an introduce table keeps its child's keys
+    with Q = 0 as they are and adds only keys with Q bits, so its
+    ``answer(d)`` is its child's.  The root table is the one an uncapped
+    run gives, w included.  If some b' <= b has no trapping set, U[b']
+    stays unknown and the cap never engages.
     """
     if b < 0:
         raise ValueError("b must be >= 0")
@@ -365,6 +368,7 @@ def run_dp(g: TannerGraph, ntd: NiceTreeDecomposition, b: int,
     # best[d]: the smallest f seen so far in any table's answer(d), a
     # complete (f, d)-trapping set; cap = max(best) once all are known
     best: list[int | None] = [None] * (b + 1)
+    shift = ntd.var_slots + ntd.chk_slots       # answer(d) is key d << shift
     cap = None
     end = -1                          # the node the latest table belongs to
     for idx, node in enumerate(nodes):
@@ -396,12 +400,14 @@ def run_dp(g: TannerGraph, ntd: NiceTreeDecomposition, b: int,
         if fuse:
             for ch in node.children:
                 tables[ch] = None
-            for d, f in enumerate(best):
-                ent = table.answer(d)
-                if ent is not None and (f is None or ent[0] < f):
-                    best[d] = ent[0]
-            if None not in best:
-                cap = max(best)
+            if kind == FORGET_VAR or kind == FORGET_CHK or kind == JOIN:
+                get = table.entries.get
+                for d, f in enumerate(best):
+                    ent = get(d << shift)
+                    if ent is not None and (f is None or ent[0] < f):
+                        best[d] = ent[0]
+                if None not in best:
+                    cap = max(best)
 
     root_table = tables[ntd.root]
     root_entry = root_table.answer(b)

@@ -2,13 +2,15 @@
 
 The oracles here are deliberately written along different routes than the
 library code they check: the minimum-distance oracle works on GF(2) null
-spaces, ``run_dp_b0`` is a separate d-free dynamic program, and
+spaces, ``run_dp_b0`` is a separate d-free dynamic program,
 ``trellis_spectrum`` sweeps the variables in index order with no tree
-decomposition at all.
+decomposition at all, and ``min_fill_reference`` recounts every min-fill
+score from scratch.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import random
 
@@ -80,6 +82,69 @@ def random_td(g: TannerGraph, rng: random.Random,
         else:
             parentless.append(i)
     edges = [(i, min(bag_of[u] for u in nbrs)) for i, nbrs in pending]
+    edges.extend(zip(parentless, parentless[1:]))
+    return TreeDecomposition(total, tuple(bags), tuple(edges))
+
+
+def min_fill_reference(g: TannerGraph) -> TreeDecomposition:
+    """Greedy min-fill that counts every fill-in from scratch.
+
+    The oracle for ``decomp.heuristic_decomposition``, which keeps its
+    fill-ins by incremental updates: the same rule (eliminate the smallest
+    (fill-in, current degree, id)), the same bags, order and edges.  After
+    each elimination it recounts every node the step can have changed, the
+    eliminated node's neighbours and theirs.
+    """
+    total = g.n_var + g.n_chk
+    if total == 0:
+        return TreeDecomposition(0, (frozenset(),), ())
+    adj: list[set[int]] = [set() for _ in range(total)]
+    for c, vs in enumerate(g.chk_adj):
+        for v in vs:
+            adj[v].add(g.n_var + c)
+            adj[g.n_var + c].add(v)
+
+    def key(x: int) -> tuple[int, int, int]:
+        nbrs = adj[x]
+        # each missing pair is seen from both ends; -1 drops a itself
+        fill = sum(len(nbrs - adj[a]) - 1 for a in nbrs) // 2
+        return fill, len(nbrs), x
+
+    # lazy heap: an entry is live while it equals current[x]
+    current = [key(x) for x in range(total)]
+    heap = list(current)
+    heapq.heapify(heap)
+    position = [-1] * total
+    bags: list[frozenset[int]] = []
+    eliminated_nbrs: list[set[int]] = []
+    while heap:
+        k = heapq.heappop(heap)
+        x = k[2]
+        if position[x] >= 0 or k != current[x]:
+            continue
+        position[x] = len(bags)
+        nbrs = adj[x]
+        bags.append(frozenset(nbrs | {x}))
+        eliminated_nbrs.append(nbrs)
+        for a in nbrs:
+            adj[a] |= nbrs
+            adj[a].discard(a)
+            adj[a].discard(x)
+        touched = set(nbrs)
+        for a in nbrs:
+            touched |= adj[a]
+        for y in touched:
+            k = key(y)
+            if k != current[y]:
+                current[y] = k
+                heapq.heappush(heap, k)
+
+    edges, parentless = [], []
+    for i, nbrs in enumerate(eliminated_nbrs):
+        if nbrs:
+            edges.append((i, min(position[u] for u in nbrs)))
+        else:
+            parentless.append(i)
     edges.extend(zip(parentless, parentless[1:]))
     return TreeDecomposition(total, tuple(bags), tuple(edges))
 

@@ -27,7 +27,7 @@ from trapgraph.tanner import (
     bit_ids,
     generate_sc_ldpc,
 )
-from helpers import random_graph, random_td, single_bag_td
+from helpers import min_fill_reference, random_graph, random_td, single_bag_td
 
 
 def bipartite_example():
@@ -380,6 +380,32 @@ def test_heuristic_decomposition_fuzz():
         g = random_graph(rng, max_var=10, max_chk=8)
         td = heuristic_decomposition(g)
         assert validate(g, td).ok
+
+
+def test_heuristic_decomposition_equals_from_scratch_min_fill():
+    # the incremental fill-in updates must keep every score exact, so the
+    # elimination order, bags and edges are those of recounting each score
+    rng = random.Random(33)
+    graphs = [TannerGraph.from_check_adj(0, 0, []),
+              TannerGraph.from_check_adj(3, 0, []),
+              TannerGraph.from_check_adj(0, 2, [[], []]),
+              TannerGraph.from_check_adj(4, 3, [[], [0, 2], []])]
+    for _ in range(600):
+        graphs.append(random_graph(rng, max_var=rng.choice((6, 14, 30)),
+                                   max_chk=rng.choice((4, 10, 20))))
+    empty_chk = sum(any(not vs for vs in g.chk_adj) for g in graphs)
+    isolated_var = sum(any(not cs for cs in g.var_adj) for g in graphs)
+    assert empty_chk > 100 and isolated_var > 100
+    for g in graphs:
+        assert heuristic_decomposition(g) == min_fill_reference(g)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("length", [40, 160])
+def test_heuristic_decomposition_equals_from_scratch_min_fill_sc(seed, length):
+    g = generate_sc_ldpc(ScLdpcParams(3, 4, length, 2, var_degree=3,
+                                      seed=seed))
+    assert heuristic_decomposition(g) == min_fill_reference(g)
 
 
 def test_heuristic_decomposition_width_matches_networkx():

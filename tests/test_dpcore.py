@@ -8,6 +8,7 @@ from trapgraph.decomp import (
     FORGET_VAR,
     INTRO_CHK,
     INTRO_VAR,
+    LEAF,
     NiceNode,
     heuristic_decomposition,
     make_nice,
@@ -629,6 +630,72 @@ def test_cap_engages_on_sc_path(monkeypatch):
     assert root.entries == retained.root_table.entries
     assert any(cap is not None for cap in caps)
     assert sum(sizes) < kept / 5
+
+
+def test_leaf_and_introduce_tables_keep_every_answer():
+    # run_dp reads U only after forget and join tables; that is exact
+    # because a leaf table is empty and an introduce table's answer(d) is
+    # its child's
+    rng = random.Random(88)
+    hits = 0
+    for _ in range(60):
+        g = random_graph(rng, max_var=10, max_chk=8)
+        for td in (random_td(g, rng), single_bag_td(g),
+                   heuristic_decomposition(g)):
+            ntd = make_nice(g, td)
+            b = rng.randint(0, 3)
+            tables = run_dp(g, ntd, b, retain_tables=True).tables
+            for nd, t in zip(ntd.nodes, tables):
+                if nd.kind == LEAF:
+                    assert not t.entries
+                elif nd.kind in (INTRO_VAR, INTRO_CHK):
+                    child = tables[nd.children[0]]
+                    for d in range(-1, b + 2):
+                        assert t.answer(d) == child.answer(d)
+                        hits += t.answer(d) is not None
+    assert hits > 500
+
+
+def test_freed_run_caps_equal_reading_every_table(monkeypatch):
+    # the cap each introduce_variable and join call gets is max(U) with U
+    # lowered by the answer(d) of every table built before it, whatever
+    # its kind
+    calls = []                        # (takes a cap, cap, table) in order
+
+    def recording(kernel, at):
+        def call(*args):
+            table = kernel(*args)
+            calls.append((at is not None,
+                          None if at is None else args[at], table))
+            return table
+        return call
+
+    for name, at in (("leaf_table", None), ("introduce_variable", 2),
+                     ("forget_variable", None), ("introduce_check", None),
+                     ("forget_check", None), ("join", 3)):
+        monkeypatch.setattr(dpcore, name,
+                            recording(getattr(dpcore, name), at))
+    rng = random.Random(89)
+    engaged = 0
+    for _ in range(150):
+        g = random_graph(rng, max_var=9, max_chk=7)
+        for td in (random_td(g, rng), single_bag_td(g),
+                   heuristic_decomposition(g)):
+            ntd = make_nice(g, td)
+            for b in range(4):
+                calls.clear()
+                run_dp(g, ntd, b)
+                best = [None] * (b + 1)
+                for takes_cap, cap, t in calls:
+                    if takes_cap:
+                        assert cap == (None if None in best else max(best))
+                        engaged += cap is not None
+                    for d in range(b + 1):
+                        ent = t.answer(d)
+                        if ent is not None and (best[d] is None
+                                                or ent[0] < best[d]):
+                            best[d] = ent[0]
+    assert engaged > 1000
 
 
 def test_root_table_answers_every_smaller_b():
