@@ -105,6 +105,9 @@ def validate(g: TannerGraph, td: TreeDecomposition) -> ValidationReport:
     """Check the decomposition conditions; violations become report entries."""
     total = g.n_var + g.n_chk
     violations: list[str] = []
+    if td.n_nodes != total:
+        violations.append(f"decomposition has {td.n_nodes} nodes, "
+                          f"graph has {total}")
 
     for i, bag in enumerate(td.bags):
         for x in bag:
@@ -293,64 +296,51 @@ class NiceTreeDecomposition(NamedTuple):
                                  tuple(edges), root=self.root)
 
 
-class _NiceBuilder:
-    def __init__(self, n_var: int):
-        self.n_var = n_var
-        # (kind, elem, children) per node, in post-order
-        self.nodes: list[tuple] = []
+def _layout(nodes: list[tuple], var_slots: int,
+            chk_slots: int) -> tuple[tuple[NiceNode, ...], int]:
+    """Lay out every bag top-down from the empty root and freeze the nodes.
 
-    def emit(self, kind, elem, children=()) -> int:
-        self.nodes.append((kind, elem, children))
-        return len(self.nodes) - 1
-
-    def chain(self, idx: int, cur: frozenset[int], target: frozenset[int]) -> int:
-        """Bridge two bags with forgets (ascending id) then introduces.
-
-        Node ``idx`` holds bag ``cur``; each emitted bag differs from its
-        predecessor's by one element.
-        """
-        n = self.n_var
-        for kinds, xs in (((FORGET_VAR, FORGET_CHK), cur - target),
-                          ((INTRO_VAR, INTRO_CHK), target - cur)):
-            for x in sorted(xs):
-                chk = x >= n
-                idx = self.emit(kinds[chk], x - n if chk else x, (idx,))
-        return idx
-
-    def finish(self, n_chk: int, var_slots: int,
-               chk_slots: int) -> NiceTreeDecomposition:
-        """Lay out every bag top-down from the empty root and freeze the nodes.
-
-        Read downward, a forget puts its element in the lowest free slot of
-        its own layout, an introduce frees its element's slot, and a join
-        hands its layouts to both children.  A layout an operation leaves
-        alone is passed on as the same tuple.
-        """
-        nodes = self.nodes
-        out: list[NiceNode | None] = [None] * len(nodes)
-        stack = [(len(nodes) - 1, (-1,) * var_slots, (-1,) * chk_slots)]
-        while stack:
-            x, var_at, chk_at = stack.pop()
-            while True:
-                kind, elem, kids = nodes[x]
-                slot, down_v, down_c = None, var_at, chk_at
-                # the slot holds `here` in this bag and `down` in the child's
-                here, down = ((elem, -1) if kind in (INTRO_VAR, INTRO_CHK)
-                              else (-1, elem))
-                if kind in (INTRO_VAR, FORGET_VAR):
-                    slot = var_at.index(here)
-                    down_v = var_at[:slot] + (down,) + var_at[slot + 1:]
-                elif kind in (INTRO_CHK, FORGET_CHK):
-                    slot = chk_at.index(here)
-                    down_c = chk_at[:slot] + (down,) + chk_at[slot + 1:]
-                out[x] = NiceNode(kind, elem, var_at, chk_at, kids, slot)
+    ``nodes`` holds (kind, elem, children) per nice node, in post-order.
+    Read downward, a forget puts its element in the lowest free slot of its
+    own layout, an introduce frees its element's slot, and a join hands its
+    layouts to both children.  A layout an operation leaves alone is passed
+    on as the same tuple.  Also returns the width, from the fewest free
+    slots of any bag.
+    """
+    out: list[NiceNode | None] = [None] * len(nodes)
+    new = tuple.__new__
+    fewest = var_slots + chk_slots
+    stack = [(len(nodes) - 1, (-1,) * var_slots, (-1,) * chk_slots, fewest)]
+    while stack:
+        x, var_at, chk_at, free = stack.pop()
+        while True:
+            kind, elem, kids = nodes[x]
+            if free < fewest:
+                fewest = free
+            if kind == LEAF or kind == JOIN:
+                out[x] = new(NiceNode, (kind, elem, var_at, chk_at, kids, None))
                 if kind == LEAF:
                     break
-                if kind == JOIN:
-                    stack.append((kids[1], var_at, chk_at))
-                x, var_at, chk_at = kids[0], down_v, down_c
-        return NiceTreeDecomposition(self.n_var, n_chk, tuple(out),
-                                     var_slots, chk_slots)
+                stack.append((kids[1], var_at, chk_at, free))
+                x = kids[0]
+                continue
+            # the slot holds `here` in this bag and `down` in the child's
+            if kind == INTRO_VAR or kind == INTRO_CHK:
+                here, down = elem, -1
+                free += 1
+            else:
+                here, down = -1, elem
+                free -= 1
+            if kind == INTRO_VAR or kind == FORGET_VAR:
+                slot = var_at.index(here)
+                out[x] = new(NiceNode, (kind, elem, var_at, chk_at, kids, slot))
+                var_at = var_at[:slot] + (down,) + var_at[slot + 1:]
+            else:
+                slot = chk_at.index(here)
+                out[x] = new(NiceNode, (kind, elem, var_at, chk_at, kids, slot))
+                chk_at = chk_at[:slot] + (down,) + chk_at[slot + 1:]
+            x = kids[0]
+    return tuple(out), var_slots + chk_slots - fewest - 1
 
 
 def make_nice(g: TannerGraph, td: TreeDecomposition) -> NiceTreeDecomposition:
@@ -393,30 +383,49 @@ def make_nice(g: TannerGraph, td: TreeDecomposition) -> NiceTreeDecomposition:
                 children[x].append(y)
                 order.append(y)
 
-    b = _NiceBuilder(g.n_var)
+    n = g.n_var
+    nodes: list[tuple] = []           # (kind, elem, children), post-order
+    append = nodes.append
+
+    def chain(idx: int, cur: frozenset[int], target: frozenset[int]) -> int:
+        """Bridge node ``idx``, holding bag ``cur``, to bag ``target`` with
+        forgets (ascending id) then introduces, one element per node."""
+        for x in sorted(cur - target):
+            append((FORGET_VAR, x, (idx,)) if x < n
+                   else (FORGET_CHK, x - n, (idx,)))
+            idx = len(nodes) - 1
+        for x in sorted(target - cur):
+            append((INTRO_VAR, x, (idx,)) if x < n
+                   else (INTRO_CHK, x - n, (idx,)))
+            idx = len(nodes) - 1
+        return idx
+
     top: dict[int, int] = {}
     for x in reversed(order):              # post-order over original bags
         bag = td.bags[x]
         kids = children[x]
         if not kids:
-            top[x] = b.chain(b.emit(LEAF, None), frozenset(), bag)
+            append((LEAF, None, ()))
+            top[x] = chain(len(nodes) - 1, frozenset(), bag)
             continue
-        tops = [b.chain(top[k], td.bags[k], bag) for k in kids]
+        tops = [chain(top[k], td.bags[k], bag) for k in kids]
         idx = tops[0]
         for other in tops[1:]:
-            idx = b.emit(JOIN, None, (idx, other))
+            append((JOIN, None, (idx, other)))
+            idx = len(nodes) - 1
         top[x] = idx
 
-    b.chain(top[root], td.bags[root], frozenset())
+    chain(top[root], td.bags[root], frozenset())
     # every nice bag is a subset of an input bag, so the input bags give
     # the slot counts
-    n_vars = [sum(x < g.n_var for x in bag) for bag in td.bags]
-    ntd = b.finish(g.n_chk, max(n_vars),
-                   max(len(bag) - k for bag, k in zip(td.bags, n_vars)))
-    if ntd.width() != width(td):
-        raise ValueError(f"nice form has width {ntd.width()}, "
+    n_vars = [sum(x < n for x in bag) for bag in td.bags]
+    var_slots = max(n_vars)
+    chk_slots = max(len(bag) - k for bag, k in zip(td.bags, n_vars))
+    nice, nice_width = _layout(nodes, var_slots, chk_slots)
+    if nice_width != width(td):
+        raise ValueError(f"nice form has width {nice_width}, "
                          f"input has width {width(td)}")
-    return ntd
+    return NiceTreeDecomposition(n, g.n_chk, nice, var_slots, chk_slots)
 
 
 def sc_path_decomposition(g: TannerGraph, p: ScLdpcParams) -> TreeDecomposition:

@@ -173,7 +173,8 @@ def bit_ids(mask: int):
 def parse_alist(text: str | bytes) -> TannerGraph:
     """Parse a parity-check matrix in MacKay alist format.
 
-    Zero padding in the neighbor lists is tolerated and stripped.  The column
+    Zero padding in the neighbor lists is tolerated and stripped.  The
+    declared maximum degrees must be the largest listed ones, and the column
     and row lists are cross-checked against each other.
     """
     if isinstance(text, bytes):
@@ -205,6 +206,10 @@ def parse_alist(text: str | bytes) -> TannerGraph:
     row_deg = ints(3, "row degrees")
     if len(row_deg) != m:
         raise AlistError(f"expected {m} row degrees, got {len(row_deg)}", 4)
+    largest = [max(col_deg, default=0), max(row_deg, default=0)]
+    if maxdeg != largest:
+        raise AlistError(f"max degrees {maxdeg[0]} {maxdeg[1]}, but the "
+                         f"listed degrees reach {largest[0]} {largest[1]}", 2)
 
     cols: list[list[int]] = []
     for j in range(n):

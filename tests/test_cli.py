@@ -206,6 +206,22 @@ def test_decomp_validate_rejects_bad_td(hamming_alist, tmp_path, capsys):
     assert rc == 2
 
 
+def test_td_node_count_must_match_graph(tmp_path, capsys):
+    # every bag id is in range, but the header says 9 nodes on a 5-node graph
+    alist = tmp_path / "g.alist"
+    alist.write_text(serialize_alist(
+        TannerGraph.from_matrix([[1, 1, 0], [0, 1, 1]])))
+    td = tmp_path / "g.td"
+    td.write_text("s td 1 5 9\nb 1 1 2 3 4 5\n")
+    violation = "decomposition has 9 nodes, graph has 5"
+    assert main(["decomp", "validate", "--alist", str(alist),
+                 "--td", str(td)]) == 2
+    assert capsys.readouterr().out.splitlines() == [violation]
+    assert main(["analyze", "--alist", str(alist), "--td", str(td)]) == 2
+    assert capsys.readouterr().err.splitlines() == \
+        [f"invalid decomposition: {violation}"]
+
+
 def test_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["analyze"])

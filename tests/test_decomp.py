@@ -107,6 +107,19 @@ def test_validate_reports_out_of_range_root():
                                          root=0)).ok
 
 
+def test_validate_reports_node_count_mismatch():
+    # a .td header may claim more nodes than the graph has while every bag
+    # stays in range
+    g = TannerGraph.from_check_adj(1, 1, [[0]])
+    for n_nodes in (9, 1):
+        td = TreeDecomposition(n_nodes, (frozenset({0, 1}),), ())
+        violation = f"decomposition has {n_nodes} nodes, graph has 2"
+        assert validate(g, td).violations == (violation,)
+        with pytest.raises(InvalidDecompositionError) as exc:
+            make_nice(g, td)
+        assert exc.value.violations == (violation,)
+
+
 def test_td_round_trip_simple():
     td = parse_td("s td 1 1 1\nb 1 1\n")
     assert td.bags == (frozenset({0}),)

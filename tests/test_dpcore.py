@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -569,9 +570,9 @@ def test_fused_sc_path_matches_per_node_kernels(monkeypatch):
 
 
 def record_kernels(monkeypatch):
-    """The cap that run_dp hands each introduce_variable and join call, and
-    the size of every table the kernels return, introduce_check's excepted
-    (it shares its child's entries)."""
+    """The cap that run_dp hands each introduce_variable, forget_check and
+    join call, and the size of every table the kernels return,
+    introduce_check's excepted (it shares its child's entries)."""
     caps, sizes = [], []
 
     def recording(kernel, at):
@@ -584,19 +585,25 @@ def record_kernels(monkeypatch):
         return call
 
     for name, at in (("introduce_variable", 2), ("join", 3),
-                     ("forget_variable", None), ("forget_check", None)):
+                     ("forget_variable", None), ("forget_check", 4)):
         monkeypatch.setattr(dpcore, name,
                             recording(getattr(dpcore, name), at))
     return caps, sizes
 
 
+def bounded(cap):
+    """Whether a kernel's cap bounds f at some d."""
+    return cap is not None and min(cap) < sys.maxsize
+
+
 def test_capped_root_tables_equal_uncapped(monkeypatch):
     # the freed run prunes entries above its cap and the retained run never
     # prunes; the root tables agree, minimizers included, on runs where the
-    # cap engages and on runs where some b' <= b has no set, so it never does
+    # cap engages at some d, among them runs where some b' <= b has no set,
+    # so the cap stays unbounded at every d <= b'
     caps, _ = record_kernels(monkeypatch)
     rng = random.Random(86)
-    engaged = idle = 0
+    engaged = partial = 0
     for _ in range(300):
         g = random_graph(rng, max_var=9, max_chk=7)
         for td in (random_td(g, rng), single_bag_td(g),
@@ -604,21 +611,57 @@ def test_capped_root_tables_equal_uncapped(monkeypatch):
             ntd = make_nice(g, td)
             for b in range(4):
                 full = run_dp(g, ntd, b, retain_tables=True).root_table
-                assert all(cap is None for cap in caps)
+                assert not any(map(bounded, caps))
                 capped = run_dp(g, ntd, b).root_table
                 assert capped.entries == full.entries
-                if any(cap is not None for cap in caps):
+                if any(map(bounded, caps)):
                     engaged += 1
-                elif None in map(full.answer, range(b + 1)):
-                    idle += 1
+                    partial += None in map(full.answer, range(b + 1))
                 caps.clear()
-    assert engaged > 1000 and idle > 1000
+    assert engaged > 2000 and partial > 200
+
+
+def test_per_d_cap_engages_without_codewords(monkeypatch):
+    # with no codeword, U[0] is never known and cap[0] stays unbounded, but
+    # cap[1..b] bound f: forget_check drops entries whose d rises past
+    # their cap, it keeps every entry at or below its cap exactly, and the
+    # root table is the retained run's, minimizers included
+    drops = checked = 0
+
+    def capped_forget_check(child, c, slot, b, cap):
+        nonlocal drops
+        table = forget_check(child, c, slot, b, cap)
+        full = forget_check(child, c, slot, b)
+        shift = len(child.chk_at) + len(child.var_at)
+        for k, ent in full.entries.items():
+            if ent[0] <= cap[k >> shift]:
+                assert table.entries[k] == ent
+        drops += len(full.entries.keys() - table.entries.keys())
+        return table
+
+    monkeypatch.setattr(dpcore, "forget_check", capped_forget_check)
+    rng = random.Random(90)
+    while checked < 300:
+        g = random_graph(rng, max_var=9, max_chk=9)
+        if brute_force_spectrum(g, 0) is not None \
+                or brute_force_spectrum(g, 1) is None:
+            continue
+        for td in (random_td(g, rng), single_bag_td(g),
+                   heuristic_decomposition(g)):
+            ntd = make_nice(g, td)
+            for b in (1, 2, 3):
+                full = run_dp(g, ntd, b, retain_tables=True).root_table
+                assert full.answer(0) is None
+                assert run_dp(g, ntd, b).root_table.entries == full.entries
+                checked += 1
+    assert drops > 100
 
 
 def test_cap_engages_on_sc_path(monkeypatch):
     # uncapped, fusing the variable chains alone keeps 35% of the retained
-    # run's entries (201845 of 577796); the cap keeps 9% (49670), so a cap
-    # that is never set, or never reaches the kernels, fails here
+    # run's entries (201845 of 577796); one cap max(U) for every d would keep
+    # 9% (49670) and the per-d cap keeps 6% (35913), so a cap that is never
+    # set, never reaches the kernels or is not per d fails here
     params = ScLdpcParams(3, 4, 160, 2, var_degree=3, seed=1)
     g = generate_sc_ldpc(params)
     ntd = make_nice(g, sc_path_decomposition(g, params))
@@ -628,8 +671,8 @@ def test_cap_engages_on_sc_path(monkeypatch):
     caps, sizes = record_kernels(monkeypatch)
     root = run_dp(g, ntd, 2).root_table
     assert root.entries == retained.root_table.entries
-    assert any(cap is not None for cap in caps)
-    assert sum(sizes) < kept / 5
+    assert any(map(bounded, caps))
+    assert sum(sizes) < kept / 15
 
 
 def test_leaf_and_introduce_tables_keep_every_answer():
@@ -657,9 +700,10 @@ def test_leaf_and_introduce_tables_keep_every_answer():
 
 
 def test_freed_run_caps_equal_reading_every_table(monkeypatch):
-    # the cap each introduce_variable and join call gets is max(U) with U
-    # lowered by the answer(d) of every table built before it, whatever
-    # its kind
+    # the cap each introduce_variable, forget_check and join call gets is,
+    # at each d, max(U[d..b]) with U lowered by the answer(d) of every table
+    # built before it, whatever its kind, and unbounded while some U[d..b]
+    # is unknown
     calls = []                        # (takes a cap, cap, table) in order
 
     def recording(kernel, at):
@@ -672,11 +716,11 @@ def test_freed_run_caps_equal_reading_every_table(monkeypatch):
 
     for name, at in (("leaf_table", None), ("introduce_variable", 2),
                      ("forget_variable", None), ("introduce_check", None),
-                     ("forget_check", None), ("join", 3)):
+                     ("forget_check", 4), ("join", 3)):
         monkeypatch.setattr(dpcore, name,
                             recording(getattr(dpcore, name), at))
     rng = random.Random(89)
-    engaged = 0
+    engaged = per_d = 0
     for _ in range(150):
         g = random_graph(rng, max_var=9, max_chk=7)
         for td in (random_td(g, rng), single_bag_td(g),
@@ -688,14 +732,17 @@ def test_freed_run_caps_equal_reading_every_table(monkeypatch):
                 best = [None] * (b + 1)
                 for takes_cap, cap, t in calls:
                     if takes_cap:
-                        assert cap == (None if None in best else max(best))
-                        engaged += cap is not None
+                        expected = [sys.maxsize if None in best[d:]
+                                    else max(best[d:]) for d in range(b + 1)]
+                        assert list(cap) == expected
+                        engaged += bounded(cap)
+                        per_d += len(set(cap)) > 1
                     for d in range(b + 1):
                         ent = t.answer(d)
                         if ent is not None and (best[d] is None
                                                 or ent[0] < best[d]):
                             best[d] = ent[0]
-    assert engaged > 1000
+    assert engaged > 5000 and per_d > 1500
 
 
 def test_root_table_answers_every_smaller_b():

@@ -105,6 +105,15 @@ def test_parse_alist_accepts_zero_padding():
     assert g.chk_adj == ((0, 1),)
 
 
+@pytest.mark.parametrize("maxdeg", ["1 1", "1 3", "2 2"])
+def test_parse_alist_max_degrees_must_be_reached(maxdeg):
+    # the largest column degree is 1 and the largest row degree 2
+    text = f"2 1\n{maxdeg}\n1 1\n2\n1\n1\n1 2\n"
+    with pytest.raises(AlistError, match="line 2: max degrees"):
+        parse_alist(text)
+    assert parse_alist(text.replace(maxdeg, "1 2", 1)).chk_adj == ((0, 1),)
+
+
 def test_parse_alist_index_out_of_range():
     # a column list naming check 5 in a 2-check code
     text = "3 2\n2 2\n1 2 1\n2 2\n5\n1 2\n2\n1 2\n2 3\n"
