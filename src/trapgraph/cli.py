@@ -11,6 +11,7 @@ import json
 import os
 import sys
 import time
+from collections import Counter
 
 from trapgraph import decomp, dpcore, oracle, tanner, witness
 
@@ -62,10 +63,7 @@ def _parse_sc_flag(raw: str) -> tuple[int, int, int, int]:
 
 
 def _node_kind_counts(ntd: decomp.NiceTreeDecomposition) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for node in ntd.nodes:
-        counts[node.kind] = counts.get(node.kind, 0) + 1
-    return dict(sorted(counts.items()))
+    return dict(sorted(Counter([node.kind for node in ntd.nodes]).items()))
 
 
 def _write_output(text: str, out: str | None) -> None:

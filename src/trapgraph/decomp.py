@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 from collections import Counter, deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 from trapgraph.tanner import ScLdpcParams, TannerGraph
@@ -73,6 +74,19 @@ def _tree_ok(num_bags: int, edges) -> str | None:
     """Return a violation string if the edge set is not a tree, else None."""
     if num_bags == 0:
         return "no bags"
+    if len(edges) == num_bags - 1:
+        if not edges:
+            return None
+        # num_bags - 1 edges in range, no self-loop, and no two edges with
+        # the same smaller end: then there is no cycle either, since the
+        # smallest bag of a cycle is the smaller end of two of its edges.
+        # Builders list each edge smaller end first, or larger end first.
+        low, high = zip(*edges)
+        if not all(map(int.__lt__, low, high)):
+            low, high = high, low
+        if (all(map(int.__lt__, low, high)) and min(low) >= 0
+                and max(high) < num_bags and len(set(low)) == len(low)):
+            return None
     seen = set()
     adj = {i: [] for i in range(num_bags)}
     for i, j in edges:
@@ -102,55 +116,75 @@ def _tree_ok(num_bags: int, edges) -> str | None:
 
 
 def validate(g: TannerGraph, td: TreeDecomposition) -> ValidationReport:
-    """Check the decomposition conditions; violations become report entries."""
-    total = g.n_var + g.n_chk
+    """Check the decomposition conditions; violations become report entries.
+
+    The report lists, in this order: a node count that differs from the
+    graph's, every out-of-range bag entry, a tree-structure fault (which
+    ends the report), every node in no bag, every edge covered by no bag
+    and every node whose bags are disconnected.  Each condition is checked
+    in bulk: occurrences come from one ``Counter`` over all bags, a
+    check's uncovered edges from one set difference with the bags that
+    hold it, and the running intersection from one ``Counter`` over the
+    intersections of adjacent bags.  Entries are listed one by one only
+    for a condition that fails.
+    """
+    n, total = g.n_var, g.n_var + g.n_chk
+    bags = td.bags
     violations: list[str] = []
     if td.n_nodes != total:
         violations.append(f"decomposition has {td.n_nodes} nodes, "
                           f"graph has {total}")
 
-    for i, bag in enumerate(td.bags):
-        for x in bag:
-            if not 0 <= x < total:
-                violations.append(f"bag {i}: node id {x} out of range")
+    occurrences = Counter(chain.from_iterable(bags))
+    stray = bool(occurrences) and (min(occurrences) < 0
+                                   or max(occurrences) >= total)
+    if stray:
+        for i, bag in enumerate(bags):
+            for x in bag:
+                if not 0 <= x < total:
+                    violations.append(f"bag {i}: node id {x} out of range")
 
-    tree_err = _tree_ok(len(td.bags), td.edges)
+    tree_err = _tree_ok(len(bags), td.edges)
     if tree_err is None and td.root is not None \
-            and not 0 <= td.root < len(td.bags):
+            and not 0 <= td.root < len(bags):
         tree_err = f"root {td.root} out of range"
     if tree_err:
         violations.append(f"tree structure: {tree_err}")
         return ValidationReport(tuple(violations))
 
-    occurrence: dict[int, list[int]] = {x: [] for x in range(total)}
-    for i, bag in enumerate(td.bags):
-        for x in bag:
-            if 0 <= x < total:
-                occurrence[x].append(i)
+    if stray or len(occurrences) != total:
+        violations.extend(f"node {x} appears in no bag"
+                          for x in range(total) if x not in occurrences)
 
-    for x in range(total):
-        if not occurrence[x]:
-            violations.append(f"node {x} appears in no bag")
+    holding: list[list[frozenset[int]]] = [[] for _ in range(g.n_chk)]
+    checks = set(range(n, total))
+    for bag in bags:
+        for x in checks.intersection(bag):
+            holding[x - n].append(bag)
+    for c, (vs, held) in enumerate(zip(g.chk_adj, holding)):
+        missed = set(vs).difference(*held)
+        if missed:
+            violations.extend(f"edge (v{v}, c{c}) is covered by no bag"
+                              for v in vs if v in missed)
 
-    for c in range(g.n_chk):
-        cc = g.n_var + c
-        for v in g.chk_adj[c]:
-            if not any(v in td.bags[i] for i in occurrence.get(cc, ())):
-                violations.append(f"edge (v{v}, c{c}) is covered by no bag")
-
-    # connectivity of each node's occurrence set: a subforest of a tree is
-    # connected iff #bags == #edges-within + 1
-    inside = Counter(x for i, j in td.edges for x in td.bags[i] & td.bags[j])
-    for x in range(total):
-        occ = occurrence[x]
-        if occ and len(occ) != inside[x] + 1:
-            violations.append(f"node {x}: occurrence bags are disconnected")
+    # each node's bags are connected iff they span one edge fewer than
+    # their number; they never span more, as the tree has no cycle
+    inside = Counter(chain.from_iterable(bags[i] & bags[j]
+                                         for i, j in td.edges))
+    if sum(occurrences.values()) != sum(inside.values()) + len(occurrences):
+        violations.extend(f"node {x}: occurrence bags are disconnected"
+                          for x in range(total) if x in occurrences
+                          and occurrences[x] != inside[x] + 1)
 
     return ValidationReport(tuple(violations))
 
 
 def parse_td(text: str | bytes) -> TreeDecomposition:
-    """Parse the PACE-2017 .td exchange format (1-indexed, combined namespace)."""
+    """Parse the PACE-2017 .td exchange format (1-indexed, combined namespace).
+
+    Every bag needs its own ``b`` line, and the header's max-bag field must
+    be the size of the largest bag.
+    """
     if isinstance(text, bytes):
         try:
             text = text.decode("ascii")
@@ -175,6 +209,7 @@ def parse_td(text: str | bytes) -> TreeDecomposition:
                 header = tuple(int(t) for t in toks[2:])
             except ValueError:
                 raise TdFormatError("non-integer header field", lineno) from None
+            header_line = lineno
         elif toks[0] == "b":
             if header is None:
                 raise TdFormatError("bag line before header", lineno)
@@ -193,7 +228,11 @@ def parse_td(text: str | bytes) -> TreeDecomposition:
                 if not 1 <= x <= header[2]:
                     raise TdFormatError(f"bag {bag_id}: node id {x} out of range",
                                         lineno)
-            bags[bag_id - 1] = frozenset(x - 1 for x in contents)
+            bag = frozenset(x - 1 for x in contents)
+            if len(bag) > header[1]:
+                raise TdFormatError(f"bag {bag_id} has {len(bag)} nodes, the "
+                                    f"header allows {header[1]}", lineno)
+            bags[bag_id - 1] = bag
         else:
             if header is None:
                 raise TdFormatError("edge line before header", lineno)
@@ -207,7 +246,14 @@ def parse_td(text: str | bytes) -> TreeDecomposition:
     if header is None:
         raise TdFormatError("missing 's td' header")
     num_bags = header[0]
-    bag_list = tuple(bags.get(i, frozenset()) for i in range(num_bags))
+    if len(bags) != num_bags:
+        missing = min(set(range(num_bags)) - bags.keys())
+        raise TdFormatError(f"bag {missing + 1} has no 'b' line", header_line)
+    largest = max(map(len, bags.values()), default=0)
+    if largest != header[1]:
+        raise TdFormatError(f"header says bags have up to {header[1]} nodes, "
+                            f"the largest has {largest}", header_line)
+    bag_list = tuple(bags[i] for i in range(num_bags))
     tree_err = _tree_ok(num_bags, edges)
     if tree_err:
         raise TdFormatError(f"edge set is not a tree: {tree_err}")
@@ -300,7 +346,9 @@ def _layout(nodes: list[tuple], var_slots: int,
             chk_slots: int) -> tuple[tuple[NiceNode, ...], int]:
     """Lay out every bag top-down from the empty root and freeze the nodes.
 
-    ``nodes`` holds (kind, elem, children) per nice node, in post-order.
+    ``nodes`` holds (kind, elem, children) per nice node, in post-order;
+    each entry is cleared once read, so the nodes are built in about the
+    memory they replace.
     Read downward, a forget puts its element in the lowest free slot of its
     own layout, an introduce frees its element's slot, and a join hands its
     layouts to both children.  A layout an operation leaves alone is passed
@@ -313,32 +361,46 @@ def _layout(nodes: list[tuple], var_slots: int,
     stack = [(len(nodes) - 1, (-1,) * var_slots, (-1,) * chk_slots, fewest)]
     while stack:
         x, var_at, chk_at, free = stack.pop()
+        # the layouts as lists, updated in place and frozen after each change
+        var_list, chk_list = list(var_at), list(chk_at)
         while True:
             kind, elem, kids = nodes[x]
-            if free < fewest:
-                fewest = free
-            if kind == LEAF or kind == JOIN:
+            nodes[x] = None           # read once; frees memory as we go
+            # only an introduce's bag can be the fullest: a forget's child
+            # holds one more element, and a join's children its own bag
+            if kind == FORGET_VAR:
+                slot = var_list.index(-1)
+                out[x] = new(NiceNode, (kind, elem, var_at, chk_at, kids, slot))
+                var_list[slot] = elem
+                var_at = tuple(var_list)
+                free -= 1
+            elif kind == INTRO_VAR:
+                if free < fewest:
+                    fewest = free
+                slot = var_list.index(elem)
+                out[x] = new(NiceNode, (kind, elem, var_at, chk_at, kids, slot))
+                var_list[slot] = -1
+                var_at = tuple(var_list)
+                free += 1
+            elif kind == FORGET_CHK:
+                slot = chk_list.index(-1)
+                out[x] = new(NiceNode, (kind, elem, var_at, chk_at, kids, slot))
+                chk_list[slot] = elem
+                chk_at = tuple(chk_list)
+                free -= 1
+            elif kind == INTRO_CHK:
+                if free < fewest:
+                    fewest = free
+                slot = chk_list.index(elem)
+                out[x] = new(NiceNode, (kind, elem, var_at, chk_at, kids, slot))
+                chk_list[slot] = -1
+                chk_at = tuple(chk_list)
+                free += 1
+            else:
                 out[x] = new(NiceNode, (kind, elem, var_at, chk_at, kids, None))
                 if kind == LEAF:
                     break
                 stack.append((kids[1], var_at, chk_at, free))
-                x = kids[0]
-                continue
-            # the slot holds `here` in this bag and `down` in the child's
-            if kind == INTRO_VAR or kind == INTRO_CHK:
-                here, down = elem, -1
-                free += 1
-            else:
-                here, down = -1, elem
-                free -= 1
-            if kind == INTRO_VAR or kind == FORGET_VAR:
-                slot = var_at.index(here)
-                out[x] = new(NiceNode, (kind, elem, var_at, chk_at, kids, slot))
-                var_at = var_at[:slot] + (down,) + var_at[slot + 1:]
-            else:
-                slot = chk_at.index(here)
-                out[x] = new(NiceNode, (kind, elem, var_at, chk_at, kids, slot))
-                chk_at = chk_at[:slot] + (down,) + chk_at[slot + 1:]
             x = kids[0]
     return tuple(out), var_slots + chk_slots - fewest - 1
 
@@ -387,7 +449,7 @@ def make_nice(g: TannerGraph, td: TreeDecomposition) -> NiceTreeDecomposition:
     nodes: list[tuple] = []           # (kind, elem, children), post-order
     append = nodes.append
 
-    def chain(idx: int, cur: frozenset[int], target: frozenset[int]) -> int:
+    def bridge(idx: int, cur: frozenset[int], target: frozenset[int]) -> int:
         """Bridge node ``idx``, holding bag ``cur``, to bag ``target`` with
         forgets (ascending id) then introduces, one element per node."""
         for x in sorted(cur - target):
@@ -406,21 +468,21 @@ def make_nice(g: TannerGraph, td: TreeDecomposition) -> NiceTreeDecomposition:
         kids = children[x]
         if not kids:
             append((LEAF, None, ()))
-            top[x] = chain(len(nodes) - 1, frozenset(), bag)
+            top[x] = bridge(len(nodes) - 1, frozenset(), bag)
             continue
-        tops = [chain(top[k], td.bags[k], bag) for k in kids]
+        tops = [bridge(top[k], td.bags[k], bag) for k in kids]
         idx = tops[0]
         for other in tops[1:]:
             append((JOIN, None, (idx, other)))
             idx = len(nodes) - 1
         top[x] = idx
 
-    chain(top[root], td.bags[root], frozenset())
+    bridge(top[root], td.bags[root], frozenset())
     # every nice bag is a subset of an input bag, so the input bags give
     # the slot counts
-    n_vars = [sum(x < n for x in bag) for bag in td.bags]
+    n_vars = list(map(len, map(set(range(n)).intersection, td.bags)))
     var_slots = max(n_vars)
-    chk_slots = max(len(bag) - k for bag, k in zip(td.bags, n_vars))
+    chk_slots = max(map(int.__sub__, map(len, td.bags), n_vars))
     nice, nice_width = _layout(nodes, var_slots, chk_slots)
     if nice_width != width(td):
         raise ValueError(f"nice form has width {nice_width}, "

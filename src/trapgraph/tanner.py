@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable
 
 
@@ -170,12 +171,59 @@ def bit_ids(mask: int):
         mask ^= low
 
 
+def _transpose(lists: list[list[int]], size: int) -> list[list[int]]:
+    """``out[x]`` lists, in ascending order, the indices of the lists that
+    hold the id x."""
+    out: list[list[int]] = [[] for _ in range(size)]
+    for i, ids in enumerate(lists):
+        for x in ids:
+            out[x].append(i)
+    return out
+
+
+def _list_error(body: list[str], n: int, m: int, col_deg: list[int],
+                row_deg: list[int]) -> AlistError:
+    """The first fault of the neighbor lists, read line by line: a missing
+    line, a non-integer token, a wrong degree, an id out of range, a
+    duplicate id, or else row and column lists that do not transpose."""
+    for j in range(n + m):
+        if j < n:
+            what, i, deg, top, kind = "column", j, col_deg[j], m, "check"
+        else:
+            what, i, deg, top, kind = "row", j - n, row_deg[j - n], n, "variable"
+        lineno = 5 + j
+        if j >= len(body):
+            return AlistError(f"unexpected end of input, expected {what} {i} "
+                              "list", lineno)
+        try:
+            entries = [x for x in map(int, body[j].split()) if x != 0]
+        except ValueError:
+            return AlistError(f"non-integer token in {what} {i} list", lineno)
+        if len(entries) != deg:
+            return AlistError(f"{what} {i}: {len(entries)} entries, degree "
+                              f"says {deg}", lineno)
+        for x in entries:
+            if not 1 <= x <= top:
+                return AlistError(f"{what} {i}: {kind} id {x} out of range "
+                                  f"1..{top}", lineno)
+        if len(set(entries)) != len(entries):
+            return AlistError(f"{what} {i}: duplicate {kind} id", lineno)
+    return AlistError("row lists and column lists are inconsistent", 5 + n)
+
+
 def parse_alist(text: str | bytes) -> TannerGraph:
     """Parse a parity-check matrix in MacKay alist format.
 
     Zero padding in the neighbor lists is tolerated and stripped.  The
     declared maximum degrees must be the largest listed ones, and the column
     and row lists are cross-checked against each other.
+
+    The neighbor lists are checked in bulk, with builtins over whole
+    lists: the tokens are converted in one pass over the body, degrees,
+    the id floor, row ids and row duplicates are compared list-wide, and
+    ``var_adj``, the transpose of the row lists, must equal the sorted
+    column lists.  Only when a bulk check fails are the lines read one by
+    one, to name the first fault and its line.
     """
     if isinstance(text, bytes):
         try:
@@ -189,7 +237,7 @@ def parse_alist(text: str | bytes) -> TannerGraph:
         if i >= len(lines):
             raise AlistError(f"unexpected end of input, expected {what}", i + 1)
         try:
-            return [int(tok) for tok in lines[i].split()]
+            return list(map(int, lines[i].split()))
         except ValueError:
             raise AlistError(f"non-integer token in {what}", i + 1) from None
 
@@ -211,46 +259,37 @@ def parse_alist(text: str | bytes) -> TannerGraph:
         raise AlistError(f"max degrees {maxdeg[0]} {maxdeg[1]}, but the "
                          f"listed degrees reach {largest[0]} {largest[1]}", 2)
 
-    cols: list[list[int]] = []
-    for j in range(n):
-        lineno = 5 + j
-        entries = [x for x in ints(4 + j, f"column {j} list") if x != 0]
-        if len(entries) != col_deg[j]:
-            raise AlistError(
-                f"column {j}: {len(entries)} entries, degree says {col_deg[j]}",
-                lineno)
-        for x in entries:
-            if not 1 <= x <= m:
-                raise AlistError(f"column {j}: check id {x} out of range 1..{m}",
-                                 lineno)
-        if len(set(entries)) != len(entries):
-            raise AlistError(f"column {j}: duplicate check id", lineno)
-        cols.append(sorted(x - 1 for x in entries))
-
-    rows: list[list[int]] = []
-    for i in range(m):
-        lineno = 5 + n + i
-        entries = [x for x in ints(4 + n + i, f"row {i} list") if x != 0]
-        if len(entries) != row_deg[i]:
-            raise AlistError(
-                f"row {i}: {len(entries)} entries, degree says {row_deg[i]}",
-                lineno)
-        for x in entries:
-            if not 1 <= x <= n:
-                raise AlistError(f"row {i}: variable id {x} out of range 1..{n}",
-                                 lineno)
-        if len(set(entries)) != len(entries):
-            raise AlistError(f"row {i}: duplicate variable id", lineno)
-        rows.append(sorted(x - 1 for x in entries))
-
-    # row and column views must transpose into each other
-    from_cols = sorted((c, v) for v, cs in enumerate(cols) for c in cs)
-    from_rows = sorted((c, v) for c, vs in enumerate(rows) for v in vs)
-    if from_cols != from_rows:
-        raise AlistError("row lists and column lists are inconsistent", 5 + n)
-
-    return TannerGraph(n, m, tuple(tuple(r) for r in rows),
-                       tuple(tuple(c) for c in cols))
+    body = lines[4:4 + n + m]         # column lists, then row lists
+    del lines
+    # 0-based ids; zero padding turns into -1
+    dec = (-1).__add__
+    try:
+        lists = [list(map(dec, map(int, line.split()))) for line in body]
+    except ValueError:
+        raise _list_error(body, n, m, col_deg, row_deg) from None
+    flat = chain.from_iterable
+    low = min(flat(lists), default=0)
+    if low == -1:
+        lists = [list(filter((-1).__ne__, ids)) for ids in lists]
+        low = min(flat(lists), default=0)
+    cols, rows = lists[:n], lists[n:]
+    var_adj = None
+    if (list(map(len, lists)) == col_deg + row_deg and low >= 0
+            and max(flat(rows), default=0) < n
+            and list(map(len, map(set, rows))) == row_deg):
+        # in-range, duplicate-free rows transpose into ascending lists of
+        # check ids below m, which the sorted column lists must equal; that
+        # also rules out column ids out of range and duplicates in columns
+        var_adj = _transpose(rows, n)
+        if var_adj != list(map(sorted, cols)):
+            var_adj = None
+    if var_adj is None:
+        raise _list_error(body, n, m, col_deg, row_deg)
+    # drop the lines and the column lists before building the tuples
+    del body, cols
+    chk_adj = tuple(map(tuple, map(sorted, rows)))
+    del lists, rows
+    return TannerGraph(n, m, chk_adj, tuple(map(tuple, var_adj)))
 
 
 def serialize_alist(g: TannerGraph) -> str:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from trapgraph.decomp import NiceTreeDecomposition
 from trapgraph.dpcore import DPTable
-from trapgraph.tanner import TannerGraph, bit_ids, gamma_odd_mask
+from trapgraph.tanner import TannerGraph, bit_ids
 
 
 class WitnessError(RuntimeError):
@@ -26,13 +26,18 @@ def extract_witness(g: TannerGraph, ntd: NiceTreeDecomposition, b: int,
 
     ``tables`` is ``DPResult.tables``; only its root slot is read.  Raises
     WitnessError when the root state is absent.  The result is validated
-    against the graph before returning.
+    against the graph before returning: its size, and its odd checks,
+    counted by XOR-ing the members' ``var_adj`` lists, so the check costs
+    O(|S| * degree) and builds no bitmask per variable.
     """
     root_entry = tables[ntd.root].answer(b)
     if root_entry is None:
         raise WitnessError(f"no (a,{b})-trapping set exists")
     a_min, _, members = root_entry
-    odd = gamma_odd_mask(g.var_masks, members, (1 << g.n_chk) - 1)
-    if members.bit_count() != a_min or odd.bit_count() != b:
+    witness = frozenset(bit_ids(members))
+    odd: set[int] = set()
+    for v in witness:
+        odd.symmetric_difference_update(g.var_adj[v])
+    if len(witness) != a_min or len(odd) != b:
         raise WitnessError("extracted witness failed validation")
-    return frozenset(bit_ids(members))
+    return witness

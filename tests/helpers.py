@@ -4,8 +4,10 @@ The oracles here are deliberately written along different routes than the
 library code they check: the minimum-distance oracle works on GF(2) null
 spaces, ``run_dp_b0`` is a separate d-free dynamic program,
 ``trellis_spectrum`` sweeps the variables in index order with no tree
-decomposition at all, and ``min_fill_reference`` recounts every min-fill
-score from scratch.
+decomposition at all, ``min_fill_reference`` recounts every min-fill
+score from scratch, and ``parse_alist_reference`` and
+``validate_reference`` read their input one line, or one membership, at a
+time where the library checks it in bulk.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
+from collections import Counter, deque
 
 from trapgraph.decomp import (
     INTRO_CHK,
@@ -23,8 +26,9 @@ from trapgraph.decomp import (
     LEAF,
     NiceTreeDecomposition,
     TreeDecomposition,
+    ValidationReport,
 )
-from trapgraph.tanner import TannerGraph, gamma_odd_mask
+from trapgraph.tanner import AlistError, TannerGraph, gamma_odd_mask
 
 HAMMING_74 = [
     [1, 0, 1, 0, 1, 0, 1],
@@ -360,3 +364,179 @@ def trellis_spectrum(g: TannerGraph, b: int) -> list[tuple | None]:
 def all_nonempty_subsets(n: int):
     for a in range(1, n + 1):
         yield from itertools.combinations(range(n), a)
+
+
+# ---------------------------------------------------------------------------
+# line-by-line input checks
+
+def parse_alist_reference(text: str | bytes) -> TannerGraph:
+    """Parse a parity-check matrix in MacKay alist format.
+
+    The oracle for ``tanner.parse_alist``, which checks the neighbor lists
+    in bulk: this one reads them line by line.
+
+    Zero padding in the neighbor lists is tolerated and stripped.  The
+    declared maximum degrees must be the largest listed ones, and the column
+    and row lists are cross-checked against each other.
+    """
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise AlistError(f"non-ASCII byte 0x{text[exc.start]:02x}",
+                             text.count(b"\n", 0, exc.start) + 1) from None
+    lines = text.splitlines()
+
+    def ints(i: int, what: str) -> list[int]:
+        if i >= len(lines):
+            raise AlistError(f"unexpected end of input, expected {what}", i + 1)
+        try:
+            return [int(tok) for tok in lines[i].split()]
+        except ValueError:
+            raise AlistError(f"non-integer token in {what}", i + 1) from None
+
+    header = ints(0, "header 'n m'")
+    if len(header) != 2 or header[0] < 0 or header[1] < 0:
+        raise AlistError("header must be two non-negative integers 'n m'", 1)
+    n, m = header
+    maxdeg = ints(1, "max degrees")
+    if len(maxdeg) != 2:
+        raise AlistError("expected 'max_col_degree max_row_degree'", 2)
+    col_deg = ints(2, "column degrees")
+    if len(col_deg) != n:
+        raise AlistError(f"expected {n} column degrees, got {len(col_deg)}", 3)
+    row_deg = ints(3, "row degrees")
+    if len(row_deg) != m:
+        raise AlistError(f"expected {m} row degrees, got {len(row_deg)}", 4)
+    largest = [max(col_deg, default=0), max(row_deg, default=0)]
+    if maxdeg != largest:
+        raise AlistError(f"max degrees {maxdeg[0]} {maxdeg[1]}, but the "
+                         f"listed degrees reach {largest[0]} {largest[1]}", 2)
+
+    cols: list[list[int]] = []
+    for j in range(n):
+        lineno = 5 + j
+        entries = [x for x in ints(4 + j, f"column {j} list") if x != 0]
+        if len(entries) != col_deg[j]:
+            raise AlistError(
+                f"column {j}: {len(entries)} entries, degree says {col_deg[j]}",
+                lineno)
+        for x in entries:
+            if not 1 <= x <= m:
+                raise AlistError(f"column {j}: check id {x} out of range 1..{m}",
+                                 lineno)
+        if len(set(entries)) != len(entries):
+            raise AlistError(f"column {j}: duplicate check id", lineno)
+        cols.append(sorted(x - 1 for x in entries))
+
+    rows: list[list[int]] = []
+    for i in range(m):
+        lineno = 5 + n + i
+        entries = [x for x in ints(4 + n + i, f"row {i} list") if x != 0]
+        if len(entries) != row_deg[i]:
+            raise AlistError(
+                f"row {i}: {len(entries)} entries, degree says {row_deg[i]}",
+                lineno)
+        for x in entries:
+            if not 1 <= x <= n:
+                raise AlistError(f"row {i}: variable id {x} out of range 1..{n}",
+                                 lineno)
+        if len(set(entries)) != len(entries):
+            raise AlistError(f"row {i}: duplicate variable id", lineno)
+        rows.append(sorted(x - 1 for x in entries))
+
+    # row and column views must transpose into each other
+    from_cols = sorted((c, v) for v, cs in enumerate(cols) for c in cs)
+    from_rows = sorted((c, v) for c, vs in enumerate(rows) for v in vs)
+    if from_cols != from_rows:
+        raise AlistError("row lists and column lists are inconsistent", 5 + n)
+
+    return TannerGraph(n, m, tuple(tuple(r) for r in rows),
+                       tuple(tuple(c) for c in cols))
+
+
+def _tree_ok_reference(num_bags: int, edges) -> str | None:
+    """Return a violation string if the edge set is not a tree, else None;
+    every edge is checked and the tree searched breadth first."""
+    if num_bags == 0:
+        return "no bags"
+    seen = set()
+    adj = {i: [] for i in range(num_bags)}
+    for i, j in edges:
+        if not (0 <= i < num_bags and 0 <= j < num_bags):
+            return f"tree edge {(i, j)} out of range"
+        if i == j:
+            return f"self-loop on bag {i}"
+        key = (min(i, j), max(i, j))
+        if key in seen:
+            return f"duplicate tree edge {key}"
+        seen.add(key)
+        adj[i].append(j)
+        adj[j].append(i)
+    if len(seen) != num_bags - 1:
+        return f"{len(seen)} edges for {num_bags} bags (tree needs {num_bags - 1})"
+    reached = {0}
+    queue = deque([0])
+    while queue:
+        x = queue.popleft()
+        for y in adj[x]:
+            if y not in reached:
+                reached.add(y)
+                queue.append(y)
+    if len(reached) != num_bags:
+        return "tree edges do not connect all bags"
+    return None
+
+
+def validate_reference(g: TannerGraph,
+                       td: TreeDecomposition) -> ValidationReport:
+    """Check the decomposition conditions; violations become report entries.
+
+    The oracle for ``decomp.validate``, which checks each condition in
+    bulk: this one keeps an occurrence list per node and tests membership
+    one by one.
+    """
+    total = g.n_var + g.n_chk
+    violations: list[str] = []
+    if td.n_nodes != total:
+        violations.append(f"decomposition has {td.n_nodes} nodes, "
+                          f"graph has {total}")
+
+    for i, bag in enumerate(td.bags):
+        for x in bag:
+            if not 0 <= x < total:
+                violations.append(f"bag {i}: node id {x} out of range")
+
+    tree_err = _tree_ok_reference(len(td.bags), td.edges)
+    if tree_err is None and td.root is not None \
+            and not 0 <= td.root < len(td.bags):
+        tree_err = f"root {td.root} out of range"
+    if tree_err:
+        violations.append(f"tree structure: {tree_err}")
+        return ValidationReport(tuple(violations))
+
+    occurrence: dict[int, list[int]] = {x: [] for x in range(total)}
+    for i, bag in enumerate(td.bags):
+        for x in bag:
+            if 0 <= x < total:
+                occurrence[x].append(i)
+
+    for x in range(total):
+        if not occurrence[x]:
+            violations.append(f"node {x} appears in no bag")
+
+    for c in range(g.n_chk):
+        cc = g.n_var + c
+        for v in g.chk_adj[c]:
+            if not any(v in td.bags[i] for i in occurrence.get(cc, ())):
+                violations.append(f"edge (v{v}, c{c}) is covered by no bag")
+
+    # connectivity of each node's occurrence set: a subforest of a tree is
+    # connected iff #bags == #edges-within + 1
+    inside = Counter(x for i, j in td.edges for x in td.bags[i] & td.bags[j])
+    for x in range(total):
+        occ = occurrence[x]
+        if occ and len(occ) != inside[x] + 1:
+            violations.append(f"node {x}: occurrence bags are disconnected")
+
+    return ValidationReport(tuple(violations))

@@ -40,6 +40,20 @@ def test_analyze_text_with_witness(hamming_alist, capsys):
     assert "b=1: a_min=1 count=" in out
 
 
+def test_analyze_builds_no_var_masks(hamming_alist, monkeypatch, capsys):
+    # the per-variable check bitmasks cost O(n * m); analyze, witness
+    # check included, reads adjacency lists only
+    def refuse(g):
+        raise AssertionError("analyze built TannerGraph.var_masks")
+
+    monkeypatch.setattr(TannerGraph, "var_masks", property(refuse))
+    rc = main(["analyze", "--alist", hamming_alist, "--b", "0,1,2",
+               "--witness", "--no-timing"])
+    assert rc == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert all(r["witness"] for r in results)
+
+
 def test_analyze_validate_oracle_agrees(hamming_alist, capsys):
     rc = main(["analyze", "--alist", hamming_alist, "--b", "0,1,2",
                "--validate-oracle", "10"])

@@ -27,7 +27,13 @@ from trapgraph.tanner import (
     bit_ids,
     generate_sc_ldpc,
 )
-from helpers import min_fill_reference, random_graph, random_td, single_bag_td
+from helpers import (
+    min_fill_reference,
+    random_graph,
+    random_td,
+    single_bag_td,
+    validate_reference,
+)
 
 
 def bipartite_example():
@@ -120,6 +126,74 @@ def test_validate_reports_node_count_mismatch():
         assert exc.value.violations == (violation,)
 
 
+def mutate_td(rng: random.Random, g: TannerGraph,
+              td: TreeDecomposition) -> TreeDecomposition:
+    """td with up to three random faults, or reorientations that keep it
+    valid."""
+    total = g.n_var + g.n_chk
+    bags = [set(b) for b in td.bags]
+    edges = list(td.edges)
+    n_nodes, root = td.n_nodes, td.root
+    for _ in range(rng.randint(0, 3)):
+        kind = rng.randrange(10)
+        i = rng.randrange(len(bags))
+        if kind == 0 and bags[i]:                     # drop a node
+            bags[i].discard(rng.choice(sorted(bags[i])))
+        elif kind == 1:                               # add a node
+            bags[i].add(rng.choice([rng.randrange(total), -1, total,
+                                    total + 3]))
+        elif kind == 2 and edges:                     # drop an edge
+            del edges[rng.randrange(len(edges))]
+        elif kind == 3:                               # add an edge
+            edges.append((i, rng.choice([rng.randrange(len(bags)), i,
+                                         -1, len(bags)])))
+        elif kind == 4 and len(edges) > 1:            # an edge twice
+            k = rng.randrange(len(edges))
+            edges[k] = edges[k - 1][::rng.choice([1, -1])]
+        elif kind == 5:                               # reoriented edges
+            edges = [e[::-1] if rng.random() < 0.5 else e for e in edges]
+            rng.shuffle(edges)
+        elif kind == 6:                               # another root
+            root = rng.choice([None, i, len(bags), -1])
+        elif kind == 7:                               # another node count
+            n_nodes = total + rng.choice([-1, 1])
+        elif kind == 8:                               # an emptied bag
+            bags[i] = set()
+        elif kind == 9 and edges:                     # an edge moved
+            k = rng.randrange(len(edges))
+            x, y = edges[k]
+            if rng.random() < 0.5:
+                edges[k] = (rng.choice([rng.randrange(len(bags)), -1]), y)
+            else:
+                edges[k] = (x, rng.choice([rng.randrange(len(bags)),
+                                           len(bags)]))
+    return TreeDecomposition(n_nodes, tuple(map(frozenset, bags)),
+                             tuple(edges), root)
+
+
+def test_validate_matches_membership_reference():
+    # the bulk checks must report exactly the violations, in the same
+    # order, that the reference finds one membership at a time
+    rng = random.Random(17)
+    valid = invalid = 0
+    for k in range(2400):
+        g = random_graph(rng, max_var=10, max_chk=8)
+        if k % 100 == 0:
+            p = ScLdpcParams(3, 4, rng.randint(1, 8), 2, var_degree=3,
+                             seed=k)
+            g = generate_sc_ldpc(p)
+            td = sc_path_decomposition(g, p)
+        else:
+            td = rng.choice([random_td, lambda g, rng: single_bag_td(g),
+                             lambda g, rng: heuristic_decomposition(g)])(g, rng)
+        td = mutate_td(rng, g, td)
+        got = validate(g, td).violations
+        assert got == validate_reference(g, td).violations, td
+        valid += not got
+        invalid += bool(got)
+    assert valid > 500 and invalid > 1200
+
+
 def test_td_round_trip_simple():
     td = parse_td("s td 1 1 1\nb 1 1\n")
     assert td.bags == (frozenset({0}),)
@@ -133,6 +207,30 @@ def test_td_parse_rejects_cycles_and_garbage():
         parse_td("b 1 1\n")
     with pytest.raises(TdFormatError, match="out of range"):
         parse_td("s td 1 1 2\nb 1 5\n")
+
+
+def test_td_parse_checks_the_max_bag_field():
+    # the header's max-bag field must be the largest bag's size: a larger
+    # bag fails at its b line, a smaller largest bag at the header
+    with pytest.raises(TdFormatError,
+                       match="line 2: bag 1 has 5 nodes, the header allows 1"):
+        parse_td("s td 1 1 5\nb 1 1 2 3 4 5\n")
+    with pytest.raises(TdFormatError, match="line 1: header says bags have "
+                                            "up to 6 nodes, the largest has 5"):
+        parse_td("s td 1 6 5\nb 1 1 2 3 4 5\n")
+    assert width(parse_td("s td 1 5 5\nb 1 1 2 3 4 5\n")) == 4
+
+
+def test_td_parse_rejects_a_bag_without_b_line():
+    # a bag with no b line is refused, not read as the empty set, which
+    # validate would accept when its neighbours cover everything
+    text = "s td 2 5 5\nb 1 1 2 3 4 5\n1 2\n"
+    with pytest.raises(TdFormatError, match="line 1: bag 2 has no 'b' line"):
+        parse_td(text)
+    with pytest.raises(TdFormatError, match="line 2: bag 1 has no 'b' line"):
+        parse_td("c two bags\ns td 2 1 1\nb 2 1\n1 2\n")
+    td = parse_td(text.replace("1 2\n", "b 2\n1 2\n"))
+    assert td.bags == (frozenset(range(5)), frozenset())
 
 
 def test_td_round_trip_fuzz():

@@ -39,6 +39,7 @@ from helpers import (
     random_td,
     run_dp_b0,
     single_bag_td,
+    trellis_spectrum,
 )
 
 
@@ -675,6 +676,29 @@ def test_cap_engages_on_sc_path(monkeypatch):
     assert sum(sizes) < kept / 15
 
 
+def test_path_route_counts_per_variable_stay_flat(monkeypatch):
+    # the paper's linear-time claim in counts rather than wall clock, so a
+    # slow machine phase cannot fail it: from L = 160 to L = 1280 on the
+    # path route, nice nodes and kernel-output entries per variable stay
+    # within a fixed factor of L = 160 (measured: 3.51 -> 3.50 nodes and
+    # 56.1 -> 55.7 entries per variable), and so does the largest table
+    _, sizes = record_kernels(monkeypatch)
+    per_var = []
+    for length in (160, 320, 640, 1280):
+        params = ScLdpcParams(3, 4, length, 2, var_degree=3, seed=1)
+        g = generate_sc_ldpc(params)
+        ntd = make_nice(g, sc_path_decomposition(g, params))
+        sizes.clear()
+        run_dp(g, ntd, 2)
+        per_var.append((len(ntd.nodes) / g.n_var, sum(sizes) / g.n_var,
+                        max(sizes)))
+    nodes0, entries0, peak0 = per_var[0]
+    for nodes, entries, peak in per_var[1:]:
+        assert nodes0 / 1.05 <= nodes <= nodes0 * 1.05
+        assert entries0 / 1.25 <= entries <= entries0 * 1.25
+        assert peak <= peak0 * 1.5
+
+
 def test_leaf_and_introduce_tables_keep_every_answer():
     # run_dp reads U only after forget and join tables; that is exact
     # because a leaf table is empty and an introduce table's answer(d) is
@@ -701,9 +725,11 @@ def test_leaf_and_introduce_tables_keep_every_answer():
 
 def test_freed_run_caps_equal_reading_every_table(monkeypatch):
     # the cap each introduce_variable, forget_check and join call gets is,
-    # at each d, max(U[d..b]) with U lowered by the answer(d) of every table
-    # built before it, whatever its kind, and unbounded while some U[d..b]
-    # is unknown
+    # at each d, the max of U[b'] over the b' in d..b that can have a set,
+    # with U lowered by the answer(d) of every table built before it,
+    # whatever its kind; unbounded while some of those U[b'] is unknown,
+    # and -1 when there are none.  Every b' can have a set, except an odd
+    # b' when every variable degree is even.
     calls = []                        # (takes a cap, cap, table) in order
 
     def recording(kernel, at):
@@ -720,9 +746,10 @@ def test_freed_run_caps_equal_reading_every_table(monkeypatch):
         monkeypatch.setattr(dpcore, name,
                             recording(getattr(dpcore, name), at))
     rng = random.Random(89)
-    engaged = per_d = 0
+    engaged = per_d = parity = 0
     for _ in range(150):
         g = random_graph(rng, max_var=9, max_chk=7)
+        even = all(len(cs) % 2 == 0 for cs in g.var_adj)
         for td in (random_td(g, rng), single_bag_td(g),
                    heuristic_decomposition(g)):
             ntd = make_nice(g, td)
@@ -732,17 +759,85 @@ def test_freed_run_caps_equal_reading_every_table(monkeypatch):
                 best = [None] * (b + 1)
                 for takes_cap, cap, t in calls:
                     if takes_cap:
-                        expected = [sys.maxsize if None in best[d:]
-                                    else max(best[d:]) for d in range(b + 1)]
+                        expected = []
+                        for d in range(b + 1):
+                            known = [best[b2] for b2 in range(d, b + 1)
+                                     if not (even and b2 % 2)]
+                            expected.append(sys.maxsize if None in known
+                                            else max(known, default=-1))
                         assert list(cap) == expected
                         engaged += bounded(cap)
                         per_d += len(set(cap)) > 1
+                        parity += even and b % 2 == 1
                     for d in range(b + 1):
                         ent = t.answer(d)
                         if ent is not None and (best[d] is None
                                                 or ent[0] < best[d]):
                             best[d] = ent[0]
-    assert engaged > 5000 and per_d > 1500
+    assert engaged > 5000 and per_d > 1500 and parity > 500
+
+
+def random_even_graph(rng: random.Random, max_var=9,
+                      max_chk=7) -> TannerGraph:
+    """Random graph in which every variable has an even degree."""
+    n, m = rng.randint(1, max_var), rng.randint(2, max_chk)
+    adj = [[] for _ in range(m)]
+    for v in range(n):
+        for c in rng.sample(range(m), 2 * rng.randint(0, m // 2)):
+            adj[c].append(v)
+    return TannerGraph.from_check_adj(n, m, [sorted(a) for a in adj])
+
+
+def test_parity_caps_keep_root_tables_on_even_degree_graphs(monkeypatch):
+    # with every degree even no odd b' has a set, so the freed run prunes
+    # every entry at an odd d = b outright and caps the d below it by the
+    # even b' alone; its root tables stay the retained run's
+    caps, _ = record_kernels(monkeypatch)
+    rng = random.Random(91)
+    pruned = 0
+    for _ in range(200):
+        g = random_even_graph(rng)
+        for td in (random_td(g, rng), single_bag_td(g),
+                   heuristic_decomposition(g)):
+            ntd = make_nice(g, td)
+            for b in range(4):
+                full = run_dp(g, ntd, b, retain_tables=True).root_table
+                assert all(full.answer(d) is None for d in range(1, b + 1, 2))
+                caps.clear()
+                assert run_dp(g, ntd, b).root_table.entries == full.entries
+                pruned += any(cap is not None and cap[-1] == -1
+                              for cap in caps)
+    # every run at an odd b hands cap[b] = -1 to its kernels
+    assert pruned == 200 * 3 * 2
+
+
+@pytest.mark.parametrize("route", ["path", "min-fill"])
+def test_parity_caps_on_even_degree_sc_code(monkeypatch, route):
+    # a degree-4 SC code: the capped runs at b = 0..3 keep the retained
+    # run's root tables and agree with the syndrome trellis, which has no
+    # sets at odd b; at b = 1 and 3 the parity rule prunes most entries
+    params = ScLdpcParams(3, 6, 20, 2, var_degree=4, seed=1)
+    g = generate_sc_ldpc(params)
+    td = sc_path_decomposition(g, params) if route == "path" \
+        else heuristic_decomposition(g)
+    ntd = make_nice(g, td)
+    expected = trellis_spectrum(g, 3)
+    assert expected[1] is None and expected[3] is None
+    assert expected[0] is not None and expected[2] is not None
+    for b in range(4):
+        full = run_dp(g, ntd, b, retain_tables=True).root_table
+        root = run_dp(g, ntd, b).root_table
+        assert root.entries == full.entries
+        assert [root.answer(d) for d in range(b + 1)] == expected[:b + 1]
+    _, sizes = record_kernels(monkeypatch)
+    run_dp(g, ntd, 3)
+    with_parity = sum(sizes)
+    sizes.clear()
+    caps = dpcore._caps
+    monkeypatch.setattr(dpcore, "_caps",
+                        lambda best, even_only: caps(best, False))
+    run_dp(g, ntd, 3)
+    assert with_parity < sum(sizes) / 2
 
 
 def test_root_table_answers_every_smaller_b():

@@ -11,7 +11,7 @@ from trapgraph.tanner import (
     parse_alist,
     serialize_alist,
 )
-from helpers import random_graph
+from helpers import parse_alist_reference, random_graph
 
 
 H23 = [[1, 1, 0], [0, 1, 1]]
@@ -136,6 +136,91 @@ def test_parse_alist_inconsistent_views():
 def test_parse_alist_malformed_header():
     with pytest.raises(AlistError, match="line 1"):
         parse_alist("3\n")
+
+
+def parse_outcome(parse, data):
+    """The graph, or the exception's type, message and line."""
+    try:
+        return parse(data)
+    except Exception as exc:          # compared, never swallowed
+        return type(exc).__name__, str(exc), getattr(exc, "line", None)
+
+
+def mutate_alist(rng: random.Random, g: TannerGraph) -> str | bytes:
+    """The alist text of g with up to four random faults or paddings."""
+    lines = [ln.split() for ln in serialize_alist(g).splitlines()]
+    body = range(4, len(lines))
+    if g.var_adj[0] and rng.random() < 0.1:           # an edge listed twice
+        c = g.var_adj[0][0]                           # on both sides
+        lines[4].append(str(c + 1))
+        lines[4 + g.n_var + c].append("1")
+        if rng.random() < 0.8:                        # degrees to match
+            lines[2][0] = str(len(lines[4]))
+            lines[3][c] = str(len(lines[4 + g.n_var + c]))
+            lines[1] = [str(max(map(int, lines[k]))) for k in (2, 3)]
+    for _ in range(rng.randint(0, 3)):
+        kind = rng.randrange(9)
+        i = rng.choice(body) if rng.random() < 0.8 or len(lines) < 5 \
+            else rng.randrange(len(lines))
+        toks = lines[i]
+        if kind == 0 and toks:                        # drop a token
+            del toks[rng.randrange(len(toks))]
+        elif kind == 1 and toks:                      # duplicate a token
+            k = rng.randrange(len(toks))
+            toks.insert(k, toks[k])
+        elif kind == 2:                               # swap two tokens
+            j = rng.choice(body) if rng.random() < 0.5 else i
+            if toks and lines[j]:
+                a, b = rng.randrange(len(toks)), rng.randrange(len(lines[j]))
+                toks[a], lines[j][b] = lines[j][b], toks[a]
+        elif kind == 3:                               # zero padding
+            for j in rng.sample(body, min(len(body), rng.randint(1, 4))):
+                lines[j] += ["0"] * rng.randint(1, 2)
+                if rng.random() < 0.3:
+                    rng.shuffle(lines[j])
+        elif kind == 4 and toks:                      # wrong degree or id
+            k = rng.randrange(len(toks))
+            if toks[k].lstrip("-").isdigit():
+                toks[k] = str(int(toks[k]) + rng.choice([-1, 1]))
+        elif kind == 5 and toks:                      # id out of range
+            toks[rng.randrange(len(toks))] = str(rng.choice(
+                [-1, -2, g.n_var + 1, g.n_chk + 1, 10**20]))
+        elif kind == 6 and toks:                      # not an integer
+            toks[rng.randrange(len(toks))] = rng.choice(["x", "1.5", "+2"])
+        elif kind == 7:                               # an extra blank line
+            lines.insert(i, [])
+        elif kind == 8:                               # a line swapped
+            j = rng.choice(body)
+            lines[i], lines[j] = lines[j], lines[i]
+    text = "".join(" ".join(toks) + "\n" for toks in lines)
+    if rng.random() < 0.15:                           # truncated
+        text = text[:rng.randrange(len(text))]
+    if rng.random() < 0.5:
+        return text
+    data = text.encode("ascii")
+    if rng.random() < 0.1:                            # a non-ASCII byte
+        k = rng.randrange(len(data) + 1)
+        data = data[:k] + bytes([rng.randrange(128, 256)]) + data[k:]
+    return data
+
+
+def test_parse_alist_matches_line_by_line_reference():
+    # the bulk parser must accept exactly what the line-by-line reference
+    # accepts, with the same graph, and refuse the rest with the same
+    # message and line
+    rng = random.Random(16)
+    accepted = refused = 0
+    for _ in range(2500):
+        g = random_graph(rng, max_var=10, max_chk=8)
+        data = mutate_alist(rng, g)
+        got = parse_outcome(parse_alist, data)
+        assert got == parse_outcome(parse_alist_reference, data), data
+        if isinstance(got, TannerGraph):
+            accepted += 1
+        else:
+            assert got[0] == "AlistError"
+            refused += 1
+    assert accepted > 500 and refused > 1200
 
 
 def test_serialize_minimal_and_degenerate():

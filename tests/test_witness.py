@@ -137,3 +137,23 @@ def test_no_witness_when_root_state_absent():
     assert not res.found
     with pytest.raises(WitnessError, match="no .*trapping set"):
         extract_witness(g, ntd, 0, res.tables)
+
+
+def test_witness_validation_rejects_a_wrong_minimizer():
+    # the odd checks are counted from var_adj: a carried minimizer of the
+    # right size with the wrong odd checks, or of the wrong size, is refused
+    g = TannerGraph.from_matrix(HAMMING_74)
+    ntd = make_nice(g, heuristic_decomposition(g))
+    res = run_dp(g, ntd, 0)
+    root = res.tables[ntd.root]
+    (key,) = root.entries
+    f, count, w = root.entries[key]
+    # {v0, v1, v3} leaves all three checks odd; {v0, v1, v4, v5} is a
+    # codeword of weight 4, not 3
+    for bad in (0b1011, 0b110011):
+        root.entries[key] = (f, count, bad)
+        with pytest.raises(WitnessError, match="failed validation"):
+            extract_witness(g, ntd, 0, res.tables)
+    root.entries[key] = (f, count, w)
+    assert extract_witness(g, ntd, 0, res.tables) == frozenset(
+        v for v in range(7) if w >> v & 1)
