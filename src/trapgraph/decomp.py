@@ -10,7 +10,7 @@ as a post-order array (children precede parents).
 from __future__ import annotations
 
 import heapq
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple
@@ -54,9 +54,25 @@ class TreeDecomposition:
     root: int | None = None
 
 
+class RootedTree(NamedTuple):
+    """The bag tree oriented away from its root, ``order[0]``: the bags in
+    breadth-first order, and the children of each bag in ascending index."""
+
+    order: list[int]
+    children: list[list[int]]
+
+
 @dataclass(frozen=True)
 class ValidationReport:
+    """The violations ``validate`` found, in report order.
+
+    ``tree`` is the bag tree as rooted by the walk that checked its shape
+    (see ``RootedTree``), or None when the shape is invalid or the report
+    was built elsewhere; ``make_nice`` orients the nice form by it.
+    """
+
     violations: tuple[str, ...]
+    tree: RootedTree | None = None
 
     @property
     def ok(self) -> bool:
@@ -70,31 +86,27 @@ def width(td: TreeDecomposition) -> int:
     return max(len(b) for b in td.bags) - 1
 
 
-def _tree_ok(num_bags: int, edges) -> str | None:
-    """Return a violation string if the edge set is not a tree, else None."""
+def _walk_tree(num_bags: int, edges, root: int | None) -> RootedTree | str:
+    """Check the tree shape and root it in one walk; a violation string
+    when the edges do not form a tree on the bags or ``root`` is out of
+    range.
+
+    Each edge is checked in order for its range, a self-loop and a
+    repeat, then the edge count.  The walk starts at ``root``, or at the
+    smallest-index bag of tree-degree at most one when ``root`` is None or
+    out of range, and must reach every bag; a root out of range is
+    reported only for an otherwise valid tree.
+    """
     if num_bags == 0:
         return "no bags"
-    if len(edges) == num_bags - 1:
-        if not edges:
-            return None
-        # num_bags - 1 edges in range, no self-loop, and no two edges with
-        # the same smaller end: then there is no cycle either, since the
-        # smallest bag of a cycle is the smaller end of two of its edges.
-        # Builders list each edge smaller end first, or larger end first.
-        low, high = zip(*edges)
-        if not all(map(int.__lt__, low, high)):
-            low, high = high, low
-        if (all(map(int.__lt__, low, high)) and min(low) >= 0
-                and max(high) < num_bags and len(set(low)) == len(low)):
-            return None
+    adj: list[list[int]] = [[] for _ in range(num_bags)]
     seen = set()
-    adj = {i: [] for i in range(num_bags)}
     for i, j in edges:
         if not (0 <= i < num_bags and 0 <= j < num_bags):
             return f"tree edge {(i, j)} out of range"
         if i == j:
             return f"self-loop on bag {i}"
-        key = (min(i, j), max(i, j))
+        key = (i, j) if i < j else (j, i)
         if key in seen:
             return f"duplicate tree edge {key}"
         seen.add(key)
@@ -102,29 +114,41 @@ def _tree_ok(num_bags: int, edges) -> str | None:
         adj[j].append(i)
     if len(seen) != num_bags - 1:
         return f"{len(seen)} edges for {num_bags} bags (tree needs {num_bags - 1})"
-    reached = {0}
-    queue = deque([0])
-    while queue:
-        x = queue.popleft()
-        for y in adj[x]:
-            if y not in reached:
-                reached.add(y)
-                queue.append(y)
-    if len(reached) != num_bags:
+    # with num_bags - 1 edges some component is a tree, so some bag has
+    # tree-degree at most one
+    start = root if root is not None and 0 <= root < num_bags \
+        else next(i for i, nbrs in enumerate(adj) if len(nbrs) <= 1)
+    reached = [False] * num_bags
+    reached[start] = True
+    order = [start]
+    for x in order:
+        kids = [y for y in adj[x] if not reached[y]]
+        for y in kids:
+            reached[y] = True
+        kids.sort()
+        adj[x] = kids                 # the adjacency becomes the children
+        order += kids
+    if len(order) != num_bags:
         return "tree edges do not connect all bags"
-    return None
+    if root is not None and root != start:
+        return f"root {root} out of range"
+    return RootedTree(order, adj)
 
 
 def validate(g: TannerGraph, td: TreeDecomposition) -> ValidationReport:
     """Check the decomposition conditions; violations become report entries.
 
     The report lists, in this order: a node count that differs from the
-    graph's, every out-of-range bag entry, a tree-structure fault (which
-    ends the report), every node in no bag, every edge covered by no bag
-    and every node whose bags are disconnected.  Each condition is checked
-    in bulk: occurrences come from one ``Counter`` over all bags, a
-    check's uncovered edges from one set difference with the bags that
-    hold it, and the running intersection from one ``Counter`` over the
+    graph's, every out-of-range bag entry, a tree-structure fault or a
+    ``td.root`` out of range (which ends the report), every node in no
+    bag, every edge covered by no bag and every node whose bags are
+    disconnected.  The tree shape is checked by one walk that also roots
+    the tree, at ``td.root`` or else at the smallest-index bag of
+    tree-degree at most one; the report carries the rooted tree whenever
+    the shape is valid.  The other conditions are checked in bulk:
+    occurrences come from one ``Counter`` over all bags, a check's
+    uncovered edges from one set difference with the bags that hold it,
+    and the running intersection from one ``Counter`` over the
     intersections of adjacent bags.  Entries are listed one by one only
     for a condition that fails.
     """
@@ -144,12 +168,9 @@ def validate(g: TannerGraph, td: TreeDecomposition) -> ValidationReport:
                 if not 0 <= x < total:
                     violations.append(f"bag {i}: node id {x} out of range")
 
-    tree_err = _tree_ok(len(bags), td.edges)
-    if tree_err is None and td.root is not None \
-            and not 0 <= td.root < len(bags):
-        tree_err = f"root {td.root} out of range"
-    if tree_err:
-        violations.append(f"tree structure: {tree_err}")
+    tree = _walk_tree(len(bags), td.edges, td.root)
+    if isinstance(tree, str):
+        violations.append(f"tree structure: {tree}")
         return ValidationReport(tuple(violations))
 
     if stray or len(occurrences) != total:
@@ -176,14 +197,14 @@ def validate(g: TannerGraph, td: TreeDecomposition) -> ValidationReport:
                           for x in range(total) if x in occurrences
                           and occurrences[x] != inside[x] + 1)
 
-    return ValidationReport(tuple(violations))
+    return ValidationReport(tuple(violations), tree)
 
 
 def parse_td(text: str | bytes) -> TreeDecomposition:
     """Parse the PACE-2017 .td exchange format (1-indexed, combined namespace).
 
-    Every bag needs its own ``b`` line, and the header's max-bag field must
-    be the size of the largest bag.
+    Every bag needs its own ``b`` line that lists no node twice, and the
+    header's max-bag field must be the size of the largest bag.
     """
     if isinstance(text, bytes):
         try:
@@ -229,6 +250,11 @@ def parse_td(text: str | bytes) -> TreeDecomposition:
                     raise TdFormatError(f"bag {bag_id}: node id {x} out of range",
                                         lineno)
             bag = frozenset(x - 1 for x in contents)
+            if len(bag) != len(contents):
+                repeated = next(x for i, x in enumerate(contents)
+                                if x in contents[:i])
+                raise TdFormatError(f"bag {bag_id}: node {repeated} listed "
+                                    "twice", lineno)
             if len(bag) > header[1]:
                 raise TdFormatError(f"bag {bag_id} has {len(bag)} nodes, the "
                                     f"header allows {header[1]}", lineno)
@@ -254,9 +280,9 @@ def parse_td(text: str | bytes) -> TreeDecomposition:
         raise TdFormatError(f"header says bags have up to {header[1]} nodes, "
                             f"the largest has {largest}", header_line)
     bag_list = tuple(bags[i] for i in range(num_bags))
-    tree_err = _tree_ok(num_bags, edges)
-    if tree_err:
-        raise TdFormatError(f"edge set is not a tree: {tree_err}")
+    tree = _walk_tree(num_bags, edges, None)
+    if isinstance(tree, str):
+        raise TdFormatError(f"edge set is not a tree: {tree}")
     return TreeDecomposition(header[2], bag_list, tuple(edges))
 
 
@@ -342,6 +368,12 @@ class NiceTreeDecomposition(NamedTuple):
                                  tuple(edges), root=self.root)
 
 
+# the namespace, 0 for variables and 1 for checks, of each forget and
+# introduce kind
+_FORGET_NS = {FORGET_VAR: 0, FORGET_CHK: 1}
+_INTRO_NS = {INTRO_VAR: 0, INTRO_CHK: 1}
+
+
 def _layout(nodes: list[tuple], var_slots: int,
             chk_slots: int) -> tuple[tuple[NiceNode, ...], int]:
     """Lay out every bag top-down from the empty root and freeze the nodes.
@@ -350,10 +382,11 @@ def _layout(nodes: list[tuple], var_slots: int,
     each entry is cleared once read, so the nodes are built in about the
     memory they replace.
     Read downward, a forget puts its element in the lowest free slot of its
-    own layout, an introduce frees its element's slot, and a join hands its
-    layouts to both children.  A layout an operation leaves alone is passed
-    on as the same tuple.  Also returns the width, from the fewest free
-    slots of any bag.
+    namespace's layout, an introduce frees its element's slot there, and a
+    join hands both layouts to both children: one rule per direction, the
+    same for variables and checks.  A layout an operation leaves alone is
+    passed on as the same tuple.  Also returns the width, from the fewest
+    free slots of any bag.
     """
     out: list[NiceNode | None] = [None] * len(nodes)
     new = tuple.__new__
@@ -361,46 +394,39 @@ def _layout(nodes: list[tuple], var_slots: int,
     stack = [(len(nodes) - 1, (-1,) * var_slots, (-1,) * chk_slots, fewest)]
     while stack:
         x, var_at, chk_at, free = stack.pop()
-        # the layouts as lists, updated in place and frozen after each change
-        var_list, chk_list = list(var_at), list(chk_at)
+        # per namespace, the layout frozen as a tuple and as a list updated
+        # in place
+        at = [var_at, chk_at]
+        lists = [list(var_at), list(chk_at)]
         while True:
             kind, elem, kids = nodes[x]
             nodes[x] = None           # read once; frees memory as we go
-            # only an introduce's bag can be the fullest: a forget's child
-            # holds one more element, and a join's children its own bag
-            if kind == FORGET_VAR:
-                slot = var_list.index(-1)
-                out[x] = new(NiceNode, (kind, elem, var_at, chk_at, kids, slot))
-                var_list[slot] = elem
-                var_at = tuple(var_list)
+            if kind in _FORGET_NS:
+                ns = _FORGET_NS[kind]
+                layout = lists[ns]
+                slot = layout.index(-1)
+                out[x] = new(NiceNode, (kind, elem, at[0], at[1], kids, slot))
+                layout[slot] = elem
+                at[ns] = tuple(layout)
                 free -= 1
-            elif kind == INTRO_VAR:
+            elif kind in _INTRO_NS:
+                # only an introduce's bag can be the fullest: a forget's
+                # child holds one more element, and a join's children its
+                # own bag
                 if free < fewest:
                     fewest = free
-                slot = var_list.index(elem)
-                out[x] = new(NiceNode, (kind, elem, var_at, chk_at, kids, slot))
-                var_list[slot] = -1
-                var_at = tuple(var_list)
-                free += 1
-            elif kind == FORGET_CHK:
-                slot = chk_list.index(-1)
-                out[x] = new(NiceNode, (kind, elem, var_at, chk_at, kids, slot))
-                chk_list[slot] = elem
-                chk_at = tuple(chk_list)
-                free -= 1
-            elif kind == INTRO_CHK:
-                if free < fewest:
-                    fewest = free
-                slot = chk_list.index(elem)
-                out[x] = new(NiceNode, (kind, elem, var_at, chk_at, kids, slot))
-                chk_list[slot] = -1
-                chk_at = tuple(chk_list)
+                ns = _INTRO_NS[kind]
+                layout = lists[ns]
+                slot = layout.index(elem)
+                out[x] = new(NiceNode, (kind, elem, at[0], at[1], kids, slot))
+                layout[slot] = -1
+                at[ns] = tuple(layout)
                 free += 1
             else:
-                out[x] = new(NiceNode, (kind, elem, var_at, chk_at, kids, None))
+                out[x] = new(NiceNode, (kind, elem, at[0], at[1], kids, None))
                 if kind == LEAF:
                     break
-                stack.append((kids[1], var_at, chk_at, free))
+                stack.append((kids[1], at[0], at[1], free))
             x = kids[0]
     return tuple(out), var_slots + chk_slots - fewest - 1
 
@@ -408,9 +434,11 @@ def _layout(nodes: list[tuple], var_slots: int,
 def make_nice(g: TannerGraph, td: TreeDecomposition) -> NiceTreeDecomposition:
     """Transform a valid decomposition into rooted nice form, width preserved.
 
-    The tree is rooted at ``td.root`` when set, otherwise at the
-    smallest-index bag of tree-degree at most one (for a path: an endpoint,
-    which yields a join-free nice form).  Multi-child bags become binary join
+    ``validate`` checks the input and roots its tree, at ``td.root`` when
+    set, otherwise at the smallest-index bag of tree-degree at most one (for
+    a path: an endpoint, which yields a join-free nice form); the nice form
+    follows that tree's breadth-first order and ascending children from the
+    report, with no second walk.  Multi-child bags become binary join
     cascades; adjacent differing bags are bridged by forget-then-introduce
     chains in ascending id order.  Every node carries its bag's slot layouts
     and every introduce and forget its element's slot (see
@@ -421,30 +449,8 @@ def make_nice(g: TannerGraph, td: TreeDecomposition) -> NiceTreeDecomposition:
     if not report.ok:
         raise InvalidDecompositionError(report.violations)
 
-    num = len(td.bags)
-    adj: list[list[int]] = [[] for _ in range(num)]
-    for i, j in td.edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    for nbrs in adj:
-        nbrs.sort()
-
-    if td.root is not None:
-        root = td.root
-    else:
-        root = min((i for i in range(num) if len(adj[i]) <= 1), default=0)
-
-    # orient the tree away from the root, in breadth-first order
-    children: list[list[int]] = [[] for _ in range(num)]
-    order = [root]
-    seen = {root}
-    for x in order:
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                children[x].append(y)
-                order.append(y)
-
+    order, children = report.tree
+    root = order[0]
     n = g.n_var
     nodes: list[tuple] = []           # (kind, elem, children), post-order
     append = nodes.append

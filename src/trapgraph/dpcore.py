@@ -46,16 +46,18 @@ to the sum of deg(v) over S (mod 2), so when every variable degree is
 even no odd b' has a set; an entry at an odd d = b is then pruned
 outright, since no b' >= d can have a set.  ``run_dp`` hands the per-d
 cap to the kernels that raise f (``introduce_variable`` and ``join``) or d
-(``forget_check`` and ``join``), and they skip every entry above the cap
-at its d.  An introduce adds |S|, a join gives f1 + f2 - |Q| >=
-max(f1, f2) at d1 + d2, and a forget keeps f, so f and d never decrease
-toward the root, while cap[d] never increases in d and only tightens as
-the run goes on.  A state at or below its cap is thus built only from
-states at or below theirs, and those are exact: f, count and minimizer.
+(``forget_check`` and ``join``) as a list ``cap[0..b]``, from which they
+also read b, and they skip every entry above the cap at its d.  An
+introduce adds |S|, a join gives f1 + f2 - |Q| >= max(f1, f2) at
+d1 + d2, and a forget keeps f, so f and d never decrease toward the root,
+while cap[d] never increases in d and only tightens as the run goes on.
+A state at or below its cap is thus built only from states at or below
+theirs, and those are exact: f, count and minimizer.
 The root bag is empty, so the root table holds only the answers (0, 0, b')
 for b' <= b, each with f = a_min(b') <= U[b'] <= cap[b']: it is the
 uncapped table.  Entries above the cap may be missing or off in
-intermediate tables, which is why ``retain_tables=True`` is never capped.
+intermediate tables, which is why ``retain_tables=True`` is never capped:
+its kernels get ``[sys.maxsize] * (b + 1)``.
 
 The b=0 run is simply the d-pinned-to-0 slice of the general recurrence.
 """
@@ -143,31 +145,20 @@ def _slot_mask(layout: tuple[int, ...], adj: tuple[int, ...],
 # the integer-smallest minimizer of its state, whatever order the entries
 # merge in: a chain gives the same table in one pass as node by node.
 
-class _Uncapped:
-    """The ``cap`` of a kernel called without one: every f fits at every d."""
-
-    def __getitem__(self, d: int) -> int:
-        return sys.maxsize
-
-
-_UNCAPPED = _Uncapped()
-
-
 def leaf_table(var_slots: int, chk_slots: int, g: TannerGraph) -> DPTable:
     """Empty table: every state is implicitly (+inf, 0)."""
     return DPTable(g, (-1,) * var_slots, (-1,) * chk_slots)
 
 
 def introduce_variable(child: DPTable, run: Sequence[NiceNode],
-                       cap: Sequence[int] | None = None) -> DPTable:
+                       cap: Sequence[int]) -> DPTable:
     """One pass for a chain of introduce-variable nodes, each the child of
     the next.
 
     Every nonzero key gets each nonempty subset S of the new variables, and
     each such S gets its base entry (|S|, 1, S); a fully-forgotten codeword
-    state (key 0) is not extended.  No two of these keys collide.  With a
-    ``cap``, no entry at d larger than ``cap[d]`` is written (see
-    ``run_dp``).
+    state (key 0) is not extended.  No two of these keys collide.  No entry
+    at d with f larger than ``cap[d]`` is written (see ``run_dp``).
     """
     var_at, kc = child.var_at, len(child.chk_at)
     subsets = []                      # (Q bits, |S|, w bits) of nonempty S
@@ -185,8 +176,6 @@ def introduce_variable(child: DPTable, run: Sequence[NiceNode],
     # by size, so the subsets that fit under the cap are a prefix
     subsets.sort(key=itemgetter(1))
     shift = kc + len(var_at)
-    if cap is None:
-        cap = _UNCAPPED
     entries = dict(child.entries)
     for k, (f, cnt, w) in child.entries.items():
         room = cap[k >> shift] - f
@@ -247,11 +236,11 @@ def introduce_check(child: DPTable, c: int, slot: int) -> DPTable:
     return DPTable(child.g, var_at, _set_slot(chk_at, slot, c), child.entries)
 
 
-def forget_check(child: DPTable, c: int, slot: int, b: int,
-                 cap: Sequence[int] | None = None) -> DPTable:
+def forget_check(child: DPTable, c: int, slot: int,
+                 cap: Sequence[int]) -> DPTable:
     """Forget check c; an entry whose c is odd moves to d + 1, and is
-    dropped when that exceeds b or, with a ``cap``, when its f exceeds the
-    cap at d + 1 (see ``run_dp``)."""
+    dropped when that exceeds b = len(cap) - 1 or its f exceeds
+    ``cap[d + 1]`` (see ``run_dp``)."""
     var_at, chk_at = child.var_at, child.chk_at
     if chk_at[slot] != c:
         raise ValueError(f"forget-check bag mismatch for c{c}")
@@ -259,9 +248,7 @@ def forget_check(child: DPTable, c: int, slot: int, b: int,
     keep = ~cb
     shift = len(chk_at) + len(var_at)
     step = 1 << shift
-    full = b << shift                 # keys at or above it have d == b
-    if cap is None:
-        cap = _UNCAPPED
+    full = (len(cap) - 1) << shift    # keys at or above it have d == b
     # c is odd iff its J bit and its bag members' Q bits have odd parity
     parity = cb | _slot_mask(var_at, child.g.chk_adj[c], len(chk_at))
     entries: dict[int, Entry] = {}
@@ -284,10 +271,10 @@ def forget_check(child: DPTable, c: int, slot: int, b: int,
     return DPTable(child.g, var_at, _set_slot(chk_at, slot, -1), entries)
 
 
-def join(left: DPTable, right: DPTable, b: int,
-         cap: Sequence[int] | None = None) -> DPTable:
-    """Combine the two children's tables; with a ``cap``, no combined entry
-    at d larger than ``cap[d]`` is written (see ``run_dp``)."""
+def join(left: DPTable, right: DPTable, cap: Sequence[int]) -> DPTable:
+    """Combine the two children's tables; no combined entry at d above
+    b = len(cap) - 1, or with f larger than ``cap[d]``, is written (see
+    ``run_dp``)."""
     var_at, chk_at = left.var_at, left.chk_at
     if (right.var_at, right.chk_at) != (var_at, chk_at):
         raise ValueError("join children disagree on the bag")
@@ -295,9 +282,7 @@ def join(left: DPTable, right: DPTable, b: int,
     shift = kc + len(var_at)
     j_bits = (1 << kc) - 1
     q_bits = ((1 << shift) - 1) ^ j_bits
-    over = (b + 1) << shift           # keys at or above it have d > b
-    if cap is None:
-        cap = _UNCAPPED
+    over = len(cap) << shift          # keys at or above it have d > b
 
     entries: dict[int, Entry] = {}
     get = entries.get
@@ -433,13 +418,13 @@ def run_dp(g: TannerGraph, ntd: NiceTreeDecomposition, b: int,
             table = leaf_table(ntd.var_slots, ntd.chk_slots, g)
         elif kind == JOIN:
             c1, c2 = node.children
-            table = join(tables[c1], tables[c2], b, cap)
+            table = join(tables[c1], tables[c2], cap)
         elif kind == INTRO_CHK:
             table = introduce_check(tables[node.children[0]], node.elem,
                                     node.slot)
         elif kind == FORGET_CHK:
             table = forget_check(tables[node.children[0]], node.elem,
-                                 node.slot, b, cap)
+                                 node.slot, cap)
         elif kind == INTRO_VAR or kind == FORGET_VAR:
             while fuse and end < last and nodes[end + 1].kind == kind \
                     and nodes[end + 1].children[0] == end:

@@ -5,9 +5,10 @@ library code they check: the minimum-distance oracle works on GF(2) null
 spaces, ``run_dp_b0`` is a separate d-free dynamic program,
 ``trellis_spectrum`` sweeps the variables in index order with no tree
 decomposition at all, ``min_fill_reference`` recounts every min-fill
-score from scratch, and ``parse_alist_reference`` and
-``validate_reference`` read their input one line, or one membership, at a
-time where the library checks it in bulk.
+score from scratch, ``parse_alist_reference`` and ``validate_reference``
+read their input one line, or one membership, at a time where the library
+checks it in bulk, and ``rooted_tree_reference`` roots the bag tree with a
+queue and a parent per bag.
 """
 
 from __future__ import annotations
@@ -486,6 +487,33 @@ def _tree_ok_reference(num_bags: int, edges) -> str | None:
     if len(reached) != num_bags:
         return "tree edges do not connect all bags"
     return None
+
+
+def rooted_tree_reference(
+        td: TreeDecomposition) -> tuple[list[int], list[list[int]]]:
+    """Breadth-first order and ascending children of a valid bag tree.
+
+    The oracle for the tree in ``decomp.validate``'s report: rooted at
+    ``td.root``, or else at the smallest-index bag of tree-degree at most
+    one, and searched with a queue and a parent per bag.
+    """
+    nbrs: dict[int, set[int]] = {i: set() for i in range(len(td.bags))}
+    for i, j in td.edges:
+        nbrs[i].add(j)
+        nbrs[j].add(i)
+    root = td.root if td.root is not None \
+        else min(i for i in nbrs if len(nbrs[i]) <= 1)
+    parent = {root: None}
+    order = []
+    queue = deque([root])
+    while queue:
+        x = queue.popleft()
+        order.append(x)
+        for y in sorted(nbrs[x] - {parent[x]}):
+            parent[y] = x
+            queue.append(y)
+    children = [sorted(nbrs[x] - {parent[x]}) for x in range(len(td.bags))]
+    return order, children
 
 
 def validate_reference(g: TannerGraph,

@@ -322,3 +322,22 @@ def test_golden_reports_have_equal_results():
             ("analyze_sc40_seed1_sc_params.json",
              "analyze_sc40_seed1_heuristic.json")]
     assert docs[0]["results"] == docs[1]["results"]
+
+
+@pytest.mark.parametrize("route,golden", [
+    ([], "nice_sc40_seed1_path.td"),
+    (["decomp", "heuristic", "--alist", "sc40.alist", "--out", "sc40.td"],
+     "nice_sc40_seed1_min_fill.td"),
+], ids=["path", "min-fill"])
+def test_decomp_nice_matches_golden(tmp_path, monkeypatch, route, golden):
+    # pins the whole nice form on both routes, byte for byte: the root and
+    # the orientation of the bag tree, the order of the nice nodes and
+    # every bag
+    monkeypatch.chdir(tmp_path)
+    assert main(["generate", "--sc", "3,4,40,2", "--deg", "3", "--seed", "1",
+                 "--out", "sc40.alist", "--emit-td", "sc40.td"]) == 0
+    if route:
+        assert main(route) == 0
+    assert main(["decomp", "nice", "--alist", "sc40.alist", "--td", "sc40.td",
+                 "--out", "nice.td"]) == 0
+    assert (tmp_path / "nice.td").read_bytes() == (DATA / golden).read_bytes()

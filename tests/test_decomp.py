@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import sys
 
@@ -31,6 +32,7 @@ from helpers import (
     min_fill_reference,
     random_graph,
     random_td,
+    rooted_tree_reference,
     single_bag_td,
     validate_reference,
 )
@@ -192,6 +194,49 @@ def test_validate_matches_membership_reference():
         valid += not got
         invalid += bool(got)
     assert valid > 500 and invalid > 1200
+
+
+def test_validate_roots_the_tree_as_the_reference():
+    # the report's tree is the breadth-first walk from td.root, or else
+    # from the smallest-index bag of tree-degree at most one, with each
+    # bag's children in ascending index; td.root set and unset
+    rng = random.Random(23)
+    tds = []
+    for _ in range(300):
+        g = random_graph(rng, max_var=10, max_chk=8)
+        tds += [(g, random_td(g, rng)), (g, single_bag_td(g)),
+                (g, heuristic_decomposition(g))]
+    for length in (1, 2, 5, 40):
+        p = ScLdpcParams(3, 4, length, 2, var_degree=3, seed=length)
+        g = generate_sc_ldpc(p)
+        tds += [(g, sc_path_decomposition(g, p)), (g, heuristic_decomposition(g))]
+    rooted = branching = 0
+    for g, td in tds:
+        for root in (None, td.root, rng.randrange(len(td.bags))):
+            td = dataclasses.replace(td, root=root)
+            tree = validate(g, td).tree
+            assert tree == rooted_tree_reference(td)
+            rooted += root is not None
+            branching += any(len(kids) > 1 for kids in tree.children)
+    assert rooted > 800 and branching > 1000
+    # no tree when the shape is invalid
+    g = TannerGraph.from_check_adj(1, 1, [[0]])
+    for td in (TreeDecomposition(2, (frozenset({0, 1}),), (), root=1),
+               TreeDecomposition(2, (frozenset({0, 1}),) * 2, ())):
+        report = validate(g, td)
+        assert not report.ok and report.tree is None
+
+
+def test_td_parse_rejects_a_repeated_node():
+    # a b line listing a node twice is refused at that line, not read as
+    # the set of its distinct nodes
+    with pytest.raises(TdFormatError,
+                       match="line 2: bag 1: node 1 listed twice"):
+        parse_td("s td 1 2 2\nb 1 1 1 2\n")
+    with pytest.raises(TdFormatError,
+                       match="line 3: bag 2: node 3 listed twice"):
+        parse_td("s td 2 3 3\nb 1 1 2\nb 2 2 3 1 3\n1 2\n")
+    assert parse_td("s td 1 2 2\nb 1 2 1\n").bags == (frozenset({0, 1}),)
 
 
 def test_td_round_trip_simple():

@@ -94,9 +94,15 @@ def node(kind, elem, slot):
     return NiceNode(kind, elem, (), (), (), slot)
 
 
+def uncapped(b):
+    """The cap of a run that prunes nothing at b: every f fits at every
+    d <= b, as in a retained run."""
+    return [sys.maxsize] * (b + 1)
+
+
 def intro_v(child, v, slot):
-    """introduce_variable on a one-node run."""
-    return introduce_variable(child, [node(INTRO_VAR, v, slot)])
+    """introduce_variable on a one-node run, keys at d = 0."""
+    return introduce_variable(child, [node(INTRO_VAR, v, slot)], uncapped(0))
 
 
 def forget_v(child, v, slot):
@@ -196,29 +202,30 @@ def test_introduce_check_parity_cases():
 def test_forget_check_drops_when_budget_exhausted():
     g = TannerGraph.from_matrix([[1]])
     child = table(g, (0,), (0,), {(0b1, 0b1, 0): (1, 1, 0b1)})
-    t = forget_check(child, 0, 0, 0)
+    t = forget_check(child, 0, 0, uncapped(0))
     assert t.entries == {}
 
 
 def test_forget_check_increments_d_and_merges():
     g = TannerGraph.from_matrix([[1]])
     child = table(g, (0,), (0,), {(0b1, 0b1, 0): (1, 1, 0b1)})
-    t = forget_check(child, 0, 0, 1)
+    t = forget_check(child, 0, 0, uncapped(1))
     assert states(t) == {(0, 0b1, 1): (1, 1, 0b1)}
     child2 = table(g, (0,), (0,), {
         (0b1, 0b1, 0): (4, 2, 0b1111),
         (0b0, 0b1, 1): (4, 3, 0b11101),
     })
-    t2 = forget_check(child2, 0, 0, 1)
+    t2 = forget_check(child2, 0, 0, uncapped(1))
     assert states(t2) == {(0, 0b1, 1): (4, 5, 0b1111)}
 
 
-def chain(child, run):
-    """The variable run applied one node at a time, as one-node runs."""
+def chain(child, run, b):
+    """The variable run applied one node at a time, as one-node runs, on
+    keys at d <= b."""
     t = child
     for n in run:
-        kernel = forget_variable if n.kind == FORGET_VAR else introduce_variable
-        t = kernel(t, [n])
+        t = forget_variable(t, [n]) if n.kind == FORGET_VAR \
+            else introduce_variable(t, [n], uncapped(b))
     return t
 
 
@@ -246,7 +253,7 @@ def test_forget_run_equals_chain(length):
             child = DPTable(RUN_GRAPH, (2, 0, 1), (1, 0, 2))
             child.entries.update(random_entries(rng, 6, b, 40))
             child.entries[0] = (2, 3, 0b1000)
-            fused, ref = forget_variable(child, run), chain(child, run)
+            fused, ref = forget_variable(child, run), chain(child, run, b)
             assert fused.entries == ref.entries
             assert (fused.var_at, fused.chk_at) == (ref.var_at, ref.chk_at)
 
@@ -264,7 +271,8 @@ def test_introduce_run_equals_chain(length):
         child.entries.update({k & 0b1010 | k & 0b1000000: ent for k, ent in
                               random_entries(rng, 7, 0, 6).items()})
         child.entries[0] = (2, 3, 0b1000)
-        fused, ref = introduce_variable(child, run), chain(child, run)
+        fused = introduce_variable(child, run, uncapped(1))
+        ref = chain(child, run, 1)
         assert fused.entries == ref.entries
         assert fused.entries[0] == (2, 3, 0b1000)
         assert (fused.var_at, fused.chk_at) == (ref.var_at, ref.chk_at)
@@ -287,7 +295,7 @@ def test_run_kernels_bag_mismatch():
     ]
     for run in bad_intros:
         with pytest.raises(ValueError, match="mismatch"):
-            introduce_variable(child, run)
+            introduce_variable(child, run, uncapped(0))
 
 
 def test_check_kernels_bag_mismatch():
@@ -297,7 +305,7 @@ def test_check_kernels_bag_mismatch():
     with pytest.raises(ValueError, match="mismatch"):
         introduce_check(child, 0, 0)                       # slot taken
     with pytest.raises(ValueError, match="mismatch"):
-        forget_check(child, 0, 0, 1)                       # not at slot
+        forget_check(child, 0, 0, uncapped(1))             # not at slot
 
 
 def test_variable_kernels_reject_check_nodes():
@@ -308,7 +316,7 @@ def test_variable_kernels_reject_check_nodes():
     for kind in (INTRO_CHK, FORGET_CHK, FORGET_VAR):
         with pytest.raises(ValueError, match=kind):
             introduce_variable(child, [node(INTRO_VAR, 1, 2),
-                                       node(kind, 0, 1)])
+                                       node(kind, 0, 1)], uncapped(0))
 
 
 def test_run_dp_rejects_unknown_node_kind():
@@ -324,14 +332,14 @@ def test_join_shared_members_counted_once():
     g = TannerGraph.from_matrix([[1]])
     left = table(g, (0,), (0,), {(0b1, 0b1, 0): (1, 1, 0b1)})
     right = table(g, (0,), (0,), {(0b1, 0b1, 0): (1, 1, 0b1)})
-    t = join(left, right, 0)
+    t = join(left, right, uncapped(0))
     assert states(t) == {(0b1, 0b1, 0): (1, 1, 0b1)}
 
 
 def test_join_single_side_codeword_survives():
     g = TannerGraph.from_matrix([[1]])
     left = table(g, (), (), {(0, 0, 0): (4, 7, 0b11110)})
-    t = join(left, table(g, (), ()), 0)
+    t = join(left, table(g, (), ()), uncapped(0))
     assert states(t) == {(0, 0, 0): (4, 7, 0b11110)}
 
 
@@ -341,7 +349,8 @@ def test_join_tie_keeps_smaller_minimizer():
     left = [((0b1, 0b1, 0), (2, 1, 0b00011)), ((0, 0b1, 0), (2, 1, 0b00101))]
     right = [((0b1, 0b1, 0), (2, 1, 0b01001)), ((0, 0b1, 0), (2, 1, 0b10001))]
     for order in (left, left[::-1]):
-        t = join(table(g, (0,), (0,), order), table(g, (0,), (0,), right), 0)
+        t = join(table(g, (0,), (0,), order), table(g, (0,), (0,), right),
+                 uncapped(0))
         # two pairs meet in each state: {v0,v1}+{v0,v3} and {v0,v2}+{v0,v4}
         # at I = {c0}, {v0,v1}+{v0,v4} and {v0,v2}+{v0,v3} at I = {}
         assert states(t) == {(0b1, 0b1, 0): (3, 2, 0b01011),
@@ -349,20 +358,20 @@ def test_join_tie_keeps_smaller_minimizer():
     # a set living in one subtree: the right side's smaller one wins
     empty_left = table(g, (-1,), (-1,), {(0, 0, 0): (2, 1, 0b11000)})
     empty_right = table(g, (-1,), (-1,), {(0, 0, 0): (2, 4, 0b00110)})
-    t = join(empty_left, empty_right, 0)
+    t = join(empty_left, empty_right, uncapped(0))
     assert states(t) == {(0, 0, 0): (2, 5, 0b00110)}
 
 
 def test_join_requires_matching_bags():
     g = TannerGraph.from_matrix([[1]])
     with pytest.raises(ValueError, match="bag"):
-        join(table(g, (0,), ()), table(g, (-1,), ()), 0)
+        join(table(g, (0,), ()), table(g, (-1,), ()), uncapped(0))
 
 
 def test_join_with_empty_table_is_identity_on_codeword_states():
     g = TannerGraph.from_matrix([[1, 1]])
     left = table(g, (), (), {(0, 0, 0): (2, 1, 0b11), (0, 0, 1): (1, 2, 0b1)})
-    t = join(left, table(g, (), ()), 2)
+    t = join(left, table(g, (), ()), uncapped(2))
     assert t.entries == left.entries
 
 
@@ -579,14 +588,14 @@ def record_kernels(monkeypatch):
     def recording(kernel, at):
         def call(*args):
             if at is not None:
-                caps.append(args[at] if len(args) > at else None)
+                caps.append(args[at])
             table = kernel(*args)
             sizes.append(len(table.entries))
             return table
         return call
 
-    for name, at in (("introduce_variable", 2), ("join", 3),
-                     ("forget_variable", None), ("forget_check", 4)):
+    for name, at in (("introduce_variable", 2), ("join", 2),
+                     ("forget_variable", None), ("forget_check", 3)):
         monkeypatch.setattr(dpcore, name,
                             recording(getattr(dpcore, name), at))
     return caps, sizes
@@ -594,7 +603,7 @@ def record_kernels(monkeypatch):
 
 def bounded(cap):
     """Whether a kernel's cap bounds f at some d."""
-    return cap is not None and min(cap) < sys.maxsize
+    return min(cap) < sys.maxsize
 
 
 def test_capped_root_tables_equal_uncapped(monkeypatch):
@@ -629,10 +638,10 @@ def test_per_d_cap_engages_without_codewords(monkeypatch):
     # root table is the retained run's, minimizers included
     drops = checked = 0
 
-    def capped_forget_check(child, c, slot, b, cap):
+    def capped_forget_check(child, c, slot, cap):
         nonlocal drops
-        table = forget_check(child, c, slot, b, cap)
-        full = forget_check(child, c, slot, b)
+        table = forget_check(child, c, slot, cap)
+        full = forget_check(child, c, slot, uncapped(len(cap) - 1))
         shift = len(child.chk_at) + len(child.var_at)
         for k, ent in full.entries.items():
             if ent[0] <= cap[k >> shift]:
@@ -742,7 +751,7 @@ def test_freed_run_caps_equal_reading_every_table(monkeypatch):
 
     for name, at in (("leaf_table", None), ("introduce_variable", 2),
                      ("forget_variable", None), ("introduce_check", None),
-                     ("forget_check", 4), ("join", 3)):
+                     ("forget_check", 3), ("join", 2)):
         monkeypatch.setattr(dpcore, name,
                             recording(getattr(dpcore, name), at))
     rng = random.Random(89)
@@ -805,8 +814,7 @@ def test_parity_caps_keep_root_tables_on_even_degree_graphs(monkeypatch):
                 assert all(full.answer(d) is None for d in range(1, b + 1, 2))
                 caps.clear()
                 assert run_dp(g, ntd, b).root_table.entries == full.entries
-                pruned += any(cap is not None and cap[-1] == -1
-                              for cap in caps)
+                pruned += any(cap[-1] == -1 for cap in caps)
     # every run at an odd b hands cap[b] = -1 to its kernels
     assert pruned == 200 * 3 * 2
 
