@@ -63,7 +63,8 @@ def _parse_sc_flag(raw: str) -> tuple[int, int, int, int]:
 
 
 def _node_kind_counts(ntd: decomp.NiceTreeDecomposition) -> dict[str, int]:
-    return dict(sorted(Counter([node.kind for node in ntd.nodes]).items()))
+    return dict(sorted((decomp.KINDS[code], count)
+                       for code, count in Counter(ntd.kind).items()))
 
 
 def _write_output(text: str, out: str | None) -> None:

@@ -1,15 +1,17 @@
 """Tree decompositions of Tanner graphs and their rooted nice form.
 
 Plain decompositions carry bags in the combined node namespace (variables
-0..n-1, checks n..n+m-1).  The nice form splits every bag into a variable
-part and a check part, each stored as a slot layout in its own namespace
-(the element at each bag-local slot, or -1), and lays the rooted tree out
-as a post-order array (children precede parents).
+0..n-1, checks n..n+m-1).  The nice form lays the rooted tree out as flat
+post-order columns (children precede parents): per node a kind byte, the
+element it introduces or forgets in its own namespace, that element's
+bag-local slot and its children.  Bags are not stored; each is a pair of
+slot layouts, one per namespace, that the columns determine.
 """
 
 from __future__ import annotations
 
 import heapq
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
@@ -23,6 +25,11 @@ FORGET_VAR = "forget_var"
 INTRO_CHK = "intro_chk"
 FORGET_CHK = "forget_chk"
 JOIN = "join"
+# the kinds by their byte in ``NiceTreeDecomposition.kind``
+KINDS = (LEAF, INTRO_VAR, FORGET_VAR, INTRO_CHK, FORGET_CHK, JOIN)
+K_LEAF, K_INTRO_VAR, K_FORGET_VAR, K_INTRO_CHK, K_FORGET_CHK, K_JOIN = \
+    range(len(KINDS))
+_ABSENT = array("i", [-1])            # repeated for a column of -1s
 
 
 class TdFormatError(ValueError):
@@ -204,7 +211,11 @@ def parse_td(text: str | bytes) -> TreeDecomposition:
     """Parse the PACE-2017 .td exchange format (1-indexed, combined namespace).
 
     Every bag needs its own ``b`` line that lists no node twice, and the
-    header's max-bag field must be the size of the largest bag.
+    header's max-bag field must be the size of the largest bag.  A tree
+    edge that is a self-loop or repeats an earlier edge fails at its line,
+    with the file's 1-based bag ids, and a number of edges other than the
+    bags' less one at the header line; edges that then fail to connect the
+    bags fail with no line.
     """
     if isinstance(text, bytes):
         try:
@@ -215,6 +226,7 @@ def parse_td(text: str | bytes) -> TreeDecomposition:
     header = None
     bags: dict[int, frozenset[int]] = {}
     edges: list[tuple[int, int]] = []
+    seen_edges: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -268,6 +280,14 @@ def parse_td(text: str | bytes) -> TreeDecomposition:
                 raise TdFormatError("malformed tree-edge line", lineno) from None
             if not (1 <= i <= header[0] and 1 <= j <= header[0]):
                 raise TdFormatError(f"tree edge ({i},{j}) out of range", lineno)
+            if i == j:
+                raise TdFormatError(f"tree edge ({i},{j}) is a self-loop",
+                                    lineno)
+            key = (i, j) if i < j else (j, i)
+            if key in seen_edges:
+                raise TdFormatError(f"tree edge ({i},{j}) repeats an earlier "
+                                    "edge", lineno)
+            seen_edges.add(key)
             edges.append((i - 1, j - 1))
     if header is None:
         raise TdFormatError("missing 's td' header")
@@ -279,6 +299,9 @@ def parse_td(text: str | bytes) -> TreeDecomposition:
     if largest != header[1]:
         raise TdFormatError(f"header says bags have up to {header[1]} nodes, "
                             f"the largest has {largest}", header_line)
+    if num_bags and len(edges) != num_bags - 1:
+        raise TdFormatError(f"{len(edges)} tree edges for {num_bags} bags "
+                            f"(a tree needs {num_bags - 1})", header_line)
     bag_list = tuple(bags[i] for i in range(num_bags))
     tree = _walk_tree(num_bags, edges, None)
     if isinstance(tree, str):
@@ -299,7 +322,7 @@ def serialize_td(td: TreeDecomposition) -> str:
 
 
 class NiceNode(NamedTuple):
-    """One nice node; its bag is stored only as two slot layouts.
+    """One nice node as ``NiceTreeDecomposition.nodes`` rebuilds it.
 
     ``var_at[s]`` and ``chk_at[s]`` are the variable and check at slot s,
     or -1 where the slot is free, as in ``dpcore.DPTable``.
@@ -330,29 +353,79 @@ class NiceNode(NamedTuple):
                 + len(self.chk_at) - self.chk_at.count(-1))
 
 
-class NiceTreeDecomposition(NamedTuple):
-    """Rooted nice decomposition in post-order array form; the root is last.
+class NiceTreeDecomposition:
+    """Rooted nice decomposition as flat per-node columns, in post-order
+    (children precede parents); the root is last.
 
-    Every bag element holds a slot number in its namespace, fixed from the
-    forget that removes it (toward the root) down to the introduce that adds
-    it; the two children of a join share the join's layouts.
-    ``var_slots`` and ``chk_slots`` are the largest variable and check
-    counts of any bag, and the lengths of every node's layouts.
+    Node x has kind ``KINDS[kind[x]]``.  ``elem[x]`` is the variable or
+    check it introduces or forgets, in its own namespace, and ``slot[x]``
+    that element's bag-local slot, in this bag for an introduce and in the
+    child's bag for a forget; both are -1 for leaves and joins.
+    ``child[x]`` is the first child, -1 for a leaf, and ``child2[x]`` a
+    join's second child, -1 for every other kind.  Every bag element holds
+    one slot number in its namespace, fixed from the forget that removes it
+    (toward the root) down to the introduce that adds it; the two children
+    of a join share the join's layouts.  ``var_slots`` and ``chk_slots``
+    are the largest variable and check counts of any bag.
+
+    No bag is stored.  ``nodes`` rebuilds every node with its slot layouts
+    from the columns on first read and keeps them, for readers off the hot
+    path (tests, ``as_tree_decomposition``); the DP reads the columns only.
     """
 
-    n_var: int
-    n_chk: int
-    nodes: tuple[NiceNode, ...]
-    var_slots: int
-    chk_slots: int
+    __slots__ = ("n_var", "n_chk", "kind", "elem", "slot", "child",
+                 "child2", "var_slots", "chk_slots", "_nodes")
+
+    def __init__(self, n_var: int, n_chk: int, kind: bytes, elem: array,
+                 slot: array, child: array, child2: array, var_slots: int,
+                 chk_slots: int):
+        self.n_var = n_var
+        self.n_chk = n_chk
+        self.kind = kind
+        self.elem = elem
+        self.slot = slot
+        self.child = child
+        self.child2 = child2
+        self.var_slots = var_slots
+        self.chk_slots = chk_slots
+        self._nodes: tuple[NiceNode, ...] | None = None
 
     @property
     def root(self) -> int:
-        return len(self.nodes) - 1
+        return len(self.kind) - 1
+
+    @property
+    def nodes(self) -> tuple[NiceNode, ...]:
+        """Every node with its slot layouts, rebuilt bottom-up from the
+        columns on first read: an introduce or forget sets its element's
+        slot in its child's layout of that namespace and shares the other
+        one, and a join shares its first child's layouts."""
+        if self._nodes is None:
+            out: list[NiceNode] = []
+            empty = ((-1,) * self.var_slots, (-1,) * self.chk_slots)
+            for x, code in enumerate(self.kind):
+                kind, c1 = KINDS[code], self.child[x]
+                if code == K_LEAF:
+                    node = NiceNode(kind, None, *empty, (), None)
+                elif code == K_JOIN:
+                    left = out[c1]
+                    node = NiceNode(kind, None, left.var_at, left.chk_at,
+                                    (c1, self.child2[x]), None)
+                else:
+                    elem, s = self.elem[x], self.slot[x]
+                    at = [out[c1].var_at, out[c1].chk_at]
+                    ns = code in (K_INTRO_CHK, K_FORGET_CHK)
+                    layout = list(at[ns])
+                    layout[s] = elem if code in (K_INTRO_VAR, K_INTRO_CHK) \
+                        else -1
+                    at[ns] = tuple(layout)
+                    node = NiceNode(kind, elem, *at, (c1,), s)
+                out.append(node)
+            self._nodes = tuple(out)
+        return self._nodes
 
     def width(self) -> int:
-        free = min(n.var_at.count(-1) + n.chk_at.count(-1) for n in self.nodes)
-        return self.var_slots + self.chk_slots - free - 1
+        return max(node.bag_size for node in self.nodes) - 1
 
     def as_tree_decomposition(self) -> TreeDecomposition:
         """Combined-namespace view, e.g. for re-validation."""
@@ -368,67 +441,48 @@ class NiceTreeDecomposition(NamedTuple):
                                  tuple(edges), root=self.root)
 
 
-# the namespace, 0 for variables and 1 for checks, of each forget and
-# introduce kind
-_FORGET_NS = {FORGET_VAR: 0, FORGET_CHK: 1}
-_INTRO_NS = {INTRO_VAR: 0, INTRO_CHK: 1}
+def _layout(ntd: NiceTreeDecomposition) -> int:
+    """Write every introduce's and forget's slot, top-down from the empty
+    root, and return the width.
 
-
-def _layout(nodes: list[tuple], var_slots: int,
-            chk_slots: int) -> tuple[tuple[NiceNode, ...], int]:
-    """Lay out every bag top-down from the empty root and freeze the nodes.
-
-    ``nodes`` holds (kind, elem, children) per nice node, in post-order;
-    each entry is cleared once read, so the nodes are built in about the
-    memory they replace.
     Read downward, a forget puts its element in the lowest free slot of its
     namespace's layout, an introduce frees its element's slot there, and a
-    join hands both layouts to both children: one rule per direction, the
-    same for variables and checks.  A layout an operation leaves alone is
-    passed on as the same tuple.  Also returns the width, from the fewest
-    free slots of any bag.
+    join hands a copy of both layouts to its second child: one rule per
+    direction, the same for variables and checks.  Each namespace's layout
+    is one list, updated in place along a path.  The width comes from the
+    fewest free slots of any bag.
     """
-    out: list[NiceNode | None] = [None] * len(nodes)
-    new = tuple.__new__
-    fewest = var_slots + chk_slots
-    stack = [(len(nodes) - 1, (-1,) * var_slots, (-1,) * chk_slots, fewest)]
+    kinds, elems, slots = ntd.kind, ntd.elem, ntd.slot
+    child, child2 = ntd.child, ntd.child2
+    fewest = ntd.var_slots + ntd.chk_slots
+    stack = [(ntd.root, [-1] * ntd.var_slots, [-1] * ntd.chk_slots, fewest)]
     while stack:
         x, var_at, chk_at, free = stack.pop()
-        # per namespace, the layout frozen as a tuple and as a list updated
-        # in place
-        at = [var_at, chk_at]
-        lists = [list(var_at), list(chk_at)]
         while True:
-            kind, elem, kids = nodes[x]
-            nodes[x] = None           # read once; frees memory as we go
-            if kind in _FORGET_NS:
-                ns = _FORGET_NS[kind]
-                layout = lists[ns]
-                slot = layout.index(-1)
-                out[x] = new(NiceNode, (kind, elem, at[0], at[1], kids, slot))
-                layout[slot] = elem
-                at[ns] = tuple(layout)
+            code = kinds[x]
+            if code == K_FORGET_VAR or code == K_FORGET_CHK:
+                layout = var_at if code == K_FORGET_VAR else chk_at
+                s = layout.index(-1)
+                layout[s] = elems[x]
+                slots[x] = s
                 free -= 1
-            elif kind in _INTRO_NS:
+            elif code == K_INTRO_VAR or code == K_INTRO_CHK:
                 # only an introduce's bag can be the fullest: a forget's
                 # child holds one more element, and a join's children its
                 # own bag
                 if free < fewest:
                     fewest = free
-                ns = _INTRO_NS[kind]
-                layout = lists[ns]
-                slot = layout.index(elem)
-                out[x] = new(NiceNode, (kind, elem, at[0], at[1], kids, slot))
-                layout[slot] = -1
-                at[ns] = tuple(layout)
+                layout = var_at if code == K_INTRO_VAR else chk_at
+                s = layout.index(elems[x])
+                layout[s] = -1
+                slots[x] = s
                 free += 1
+            elif code == K_JOIN:
+                stack.append((child2[x], var_at[:], chk_at[:], free))
             else:
-                out[x] = new(NiceNode, (kind, elem, at[0], at[1], kids, None))
-                if kind == LEAF:
-                    break
-                stack.append((kids[1], at[0], at[1], free))
-            x = kids[0]
-    return tuple(out), var_slots + chk_slots - fewest - 1
+                break
+            x = child[x]
+    return ntd.var_slots + ntd.chk_slots - fewest - 1
 
 
 def make_nice(g: TannerGraph, td: TreeDecomposition) -> NiceTreeDecomposition:
@@ -440,10 +494,10 @@ def make_nice(g: TannerGraph, td: TreeDecomposition) -> NiceTreeDecomposition:
     follows that tree's breadth-first order and ascending children from the
     report, with no second walk.  Multi-child bags become binary join
     cascades; adjacent differing bags are bridged by forget-then-introduce
-    chains in ascending id order.  Every node carries its bag's slot layouts
-    and every introduce and forget its element's slot (see
-    ``NiceTreeDecomposition``).  Raises ``InvalidDecompositionError`` when
-    ``validate`` finds violations.
+    chains in ascending id order.  Each chain is appended to the columns in
+    one go, then ``_layout`` writes every introduce's and forget's slot (see
+    ``NiceTreeDecomposition``); no per-node object is made.  Raises
+    ``InvalidDecompositionError`` when ``validate`` finds violations.
     """
     report = validate(g, td)
     if not report.ok:
@@ -452,35 +506,50 @@ def make_nice(g: TannerGraph, td: TreeDecomposition) -> NiceTreeDecomposition:
     order, children = report.tree
     root = order[0]
     n = g.n_var
-    nodes: list[tuple] = []           # (kind, elem, children), post-order
-    append = nodes.append
+    kind = bytearray()
+    elem, child, child2 = array("i"), array("i"), array("i")
+    # per combined-namespace id: its id in its own namespace, and the kind
+    # byte of its forget and of its introduce
+    local = array("i", range(n)) + array("i", range(g.n_chk))
+    forget_kind = bytes([K_FORGET_VAR]) * n + bytes([K_FORGET_CHK]) * g.n_chk
+    intro_kind = bytes([K_INTRO_VAR]) * n + bytes([K_INTRO_CHK]) * g.n_chk
 
     def bridge(idx: int, cur: frozenset[int], target: frozenset[int]) -> int:
         """Bridge node ``idx``, holding bag ``cur``, to bag ``target`` with
         forgets (ascending id) then introduces, one element per node."""
-        for x in sorted(cur - target):
-            append((FORGET_VAR, x, (idx,)) if x < n
-                   else (FORGET_CHK, x - n, (idx,)))
-            idx = len(nodes) - 1
-        for x in sorted(target - cur):
-            append((INTRO_VAR, x, (idx,)) if x < n
-                   else (INTRO_CHK, x - n, (idx,)))
-            idx = len(nodes) - 1
-        return idx
+        steps = sorted(cur - target)
+        new = sorted(target - cur)
+        kind.extend(map(forget_kind.__getitem__, steps))
+        kind.extend(map(intro_kind.__getitem__, new))
+        steps += new
+        if not steps:
+            return idx
+        elem.extend(map(local.__getitem__, steps))
+        start = len(child)
+        child.append(idx)
+        child.extend(range(start, start + len(steps) - 1))
+        child2.extend(_ABSENT * len(steps))
+        return len(child) - 1
 
     top: dict[int, int] = {}
     for x in reversed(order):              # post-order over original bags
         bag = td.bags[x]
         kids = children[x]
         if not kids:
-            append((LEAF, None, ()))
-            top[x] = bridge(len(nodes) - 1, frozenset(), bag)
+            kind.append(K_LEAF)
+            elem.append(-1)
+            child.append(-1)
+            child2.append(-1)
+            top[x] = bridge(len(kind) - 1, frozenset(), bag)
             continue
         tops = [bridge(top[k], td.bags[k], bag) for k in kids]
         idx = tops[0]
         for other in tops[1:]:
-            append((JOIN, None, (idx, other)))
-            idx = len(nodes) - 1
+            kind.append(K_JOIN)
+            elem.append(-1)
+            child.append(idx)
+            child2.append(other)
+            idx = len(kind) - 1
         top[x] = idx
 
     bridge(top[root], td.bags[root], frozenset())
@@ -489,11 +558,14 @@ def make_nice(g: TannerGraph, td: TreeDecomposition) -> NiceTreeDecomposition:
     n_vars = list(map(len, map(set(range(n)).intersection, td.bags)))
     var_slots = max(n_vars)
     chk_slots = max(map(int.__sub__, map(len, td.bags), n_vars))
-    nice, nice_width = _layout(nodes, var_slots, chk_slots)
+    ntd = NiceTreeDecomposition(n, g.n_chk, bytes(kind), elem,
+                                _ABSENT * len(kind), child, child2,
+                                var_slots, chk_slots)
+    nice_width = _layout(ntd)
     if nice_width != width(td):
         raise ValueError(f"nice form has width {nice_width}, "
                          f"input has width {width(td)}")
-    return NiceTreeDecomposition(n, g.n_chk, nice, var_slots, chk_slots)
+    return ntd
 
 
 def sc_path_decomposition(g: TannerGraph, p: ScLdpcParams) -> TreeDecomposition:

@@ -8,7 +8,7 @@ of one minimizer, so the root entry carries a witness.  Absent states mean
 (+inf, 0).  Counts are Python ints, so arbitrary precision.
 
 Table keys are bag-local: ``make_nice`` gives every bag element a small
-slot number (``NiceNode.slot``), and a key packs J over the check slots, Q
+slot number (the ``slot`` column), and a key packs J over the check slots, Q
 over the variable slots above them and d above both, into one int below
 2^(kc+kv)*(b+1), where kc and kv are the decomposition's check and variable
 slot counts.  J is not I: it holds the bag checks made odd by the
@@ -26,8 +26,9 @@ takes it and the other kernels read it from their child.
 
 There is one kernel per node kind.  The variable kernels
 (``introduce_variable``, ``forget_variable``) take a chain of nodes of their
-kind, each the child of the next, and process it in one pass over the
-chain's child table; ``run_dp`` hands them every maximal such chain, so only
+kind, each the child of the next, as the chain's elements and slots, and
+process it in one pass over the chain's child table; ``run_dp`` hands them
+every maximal such chain, as slices of the nice form's columns, so only
 the chain's last node gets a table.  The check kernels (``introduce_check``,
 ``forget_check``) take one node.  On a tie in f the kernels keep the
 integer-smaller w, so every entry carries the integer-smallest minimizer of
@@ -70,13 +71,12 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from trapgraph.decomp import (
-    INTRO_CHK,
-    INTRO_VAR,
-    FORGET_CHK,
-    FORGET_VAR,
-    JOIN,
-    LEAF,
-    NiceNode,
+    K_FORGET_CHK,
+    K_FORGET_VAR,
+    K_INTRO_CHK,
+    K_INTRO_VAR,
+    K_JOIN,
+    K_LEAF,
     NiceTreeDecomposition,
 )
 from trapgraph.tanner import TannerGraph
@@ -120,10 +120,9 @@ class DPTable:
         return self.entries.get(d << (len(self.chk_at) + len(self.var_at)))
 
 
-# Kernels derive each output layout here from the child table and the node's
-# (elem, slot), not from NiceNode.var_at/chk_at: their bag-mismatch errors
-# then check every introduce and forget, where stored layouts that disagree
-# with the operations would mislabel tables without any error.
+# The nice form stores no layouts: kernels derive each output layout from the
+# child table and the node's (elem, slot), and their bag-mismatch errors check
+# every introduce and forget against the child's layout.
 def _set_slot(layout: tuple[int, ...], slot: int, x: int) -> tuple[int, ...]:
     return layout[:slot] + (x,) + layout[slot + 1:]
 
@@ -150,10 +149,10 @@ def leaf_table(var_slots: int, chk_slots: int, g: TannerGraph) -> DPTable:
     return DPTable(g, (-1,) * var_slots, (-1,) * chk_slots)
 
 
-def introduce_variable(child: DPTable, run: Sequence[NiceNode],
-                       cap: Sequence[int]) -> DPTable:
+def introduce_variable(child: DPTable, elems: Sequence[int],
+                       slots: Sequence[int], cap: Sequence[int]) -> DPTable:
     """One pass for a chain of introduce-variable nodes, each the child of
-    the next.
+    the next, given as the variables they introduce and their slots.
 
     Every nonzero key gets each nonempty subset S of the new variables, and
     each such S gets its base entry (|S|, 1, S); a fully-forgotten codeword
@@ -162,11 +161,7 @@ def introduce_variable(child: DPTable, run: Sequence[NiceNode],
     """
     var_at, kc = child.var_at, len(child.chk_at)
     subsets = []                      # (Q bits, |S|, w bits) of nonempty S
-    for node in run:
-        v, slot = node.elem, node.slot
-        if node.kind != INTRO_VAR:
-            raise ValueError(f"introduce_variable takes {INTRO_VAR} nodes, "
-                             f"not {node.kind}")
+    for v, slot in zip(elems, slots):
         if var_at[slot] != -1 or v in var_at:
             raise ValueError(f"introduce-variable bag mismatch for v{v}")
         var_at = _set_slot(var_at, slot, v)
@@ -192,9 +187,11 @@ def introduce_variable(child: DPTable, run: Sequence[NiceNode],
     return DPTable(child.g, var_at, child.chk_at, entries)
 
 
-def forget_variable(child: DPTable, run: Sequence[NiceNode]) -> DPTable:
+def forget_variable(child: DPTable, elems: Sequence[int],
+                    slots: Sequence[int]) -> DPTable:
     """One pass for a chain of forget-variable nodes, each the child of the
-    next: every forgotten member moves its parity into J.
+    next, given as the variables they forget and their slots in the child
+    bags: every forgotten member moves its parity into J.
     """
     var_at, chk_at = child.var_at, child.chk_at
     kc = len(chk_at)
@@ -202,11 +199,7 @@ def forget_variable(child: DPTable, run: Sequence[NiceNode]) -> DPTable:
     # every subset s of the run's forgotten Q bits fq
     flip = {0: 0}
     fq = 0
-    for node in run:
-        v, slot = node.elem, node.slot
-        if node.kind != FORGET_VAR:
-            raise ValueError(f"forget_variable takes {FORGET_VAR} nodes, "
-                             f"not {node.kind}")
+    for v, slot in zip(elems, slots):
         if var_at[slot] != v:
             raise ValueError(f"forget-variable bag mismatch for v{v}")
         var_at = _set_slot(var_at, slot, -1)
@@ -367,13 +360,15 @@ def run_dp(g: TannerGraph, ntd: NiceTreeDecomposition, b: int,
            retain_tables: bool = False) -> DPResult:
     """Process nice nodes in post-order and read out the root state (0, 0, b).
 
-    Child tables are freed as soon as they are consumed unless
+    The nice form is read through its columns only (``ntd.nodes`` is never
+    built).  Child tables are freed as soon as they are consumed unless
     ``retain_tables`` is set, which only serves to inspect them: the witness
     is carried in the root table either way.  Without it, every maximal
     chain of introduce-variable nodes, and of forget-variable nodes, each
-    the child of the next, runs as one pass and leaves only its last node's
-    table; with it, each such chain is one node long and every table is
-    kept.  Check nodes always run one at a time.
+    the child of the next, runs as one pass over column slices of its
+    elements and slots and leaves only its last node's table; with it, each
+    such chain is one node long and every table is kept.  Check nodes
+    always run one at a time.
 
     Without ``retain_tables`` the run also prunes: after each forget and
     join table it lowers U[d] to the f of ``table.answer(d)`` for
@@ -396,10 +391,11 @@ def run_dp(g: TannerGraph, ntd: NiceTreeDecomposition, b: int,
     if ntd.n_var != g.n_var or ntd.n_chk != g.n_chk:
         raise ValueError("decomposition does not match the graph")
 
-    nodes = ntd.nodes
-    last = len(nodes) - 1
+    kinds, elems, slots = ntd.kind, ntd.elem, ntd.slot
+    child, child2 = ntd.child, ntd.child2
+    last = len(kinds) - 1
     fuse = not retain_tables
-    tables: list[DPTable | None] = [None] * len(nodes)
+    tables: list[DPTable | None] = [None] * len(kinds)
     # best[d]: the smallest f seen so far in any table's answer(d), a
     # complete (f, d)-trapping set; cap[d] = max(best[d:]) once those are
     # all known
@@ -409,36 +405,35 @@ def run_dp(g: TannerGraph, ntd: NiceTreeDecomposition, b: int,
     even_only = all(len(chks) % 2 == 0 for chks in g.var_adj)
     cap = _caps(best, even_only) if fuse else [sys.maxsize] * (b + 1)
     end = -1                          # the node the latest table belongs to
-    for idx, node in enumerate(nodes):
+    for idx, kind in enumerate(kinds):
         if idx <= end:
             continue
         end = idx
-        kind = node.kind
-        if kind == LEAF:
+        c1 = child[idx]
+        if kind == K_LEAF:
             table = leaf_table(ntd.var_slots, ntd.chk_slots, g)
-        elif kind == JOIN:
-            c1, c2 = node.children
-            table = join(tables[c1], tables[c2], cap)
-        elif kind == INTRO_CHK:
-            table = introduce_check(tables[node.children[0]], node.elem,
-                                    node.slot)
-        elif kind == FORGET_CHK:
-            table = forget_check(tables[node.children[0]], node.elem,
-                                 node.slot, cap)
-        elif kind == INTRO_VAR or kind == FORGET_VAR:
-            while fuse and end < last and nodes[end + 1].kind == kind \
-                    and nodes[end + 1].children[0] == end:
+        elif kind == K_JOIN:
+            table = join(tables[c1], tables[child2[idx]], cap)
+        elif kind == K_INTRO_CHK:
+            table = introduce_check(tables[c1], elems[idx], slots[idx])
+        elif kind == K_FORGET_CHK:
+            table = forget_check(tables[c1], elems[idx], slots[idx], cap)
+        elif kind == K_INTRO_VAR or kind == K_FORGET_VAR:
+            while fuse and end < last and kinds[end + 1] == kind \
+                    and child[end + 1] == end:
                 end += 1
-            child, run = tables[node.children[0]], nodes[idx:end + 1]
-            table = introduce_variable(child, run, cap) \
-                if kind == INTRO_VAR else forget_variable(child, run)
+            run = slice(idx, end + 1)
+            table = introduce_variable(tables[c1], elems[run], slots[run],
+                                       cap) if kind == K_INTRO_VAR \
+                else forget_variable(tables[c1], elems[run], slots[run])
         else:
-            raise ValueError(f"unknown node kind {kind!r}")
+            raise ValueError(f"unknown node kind {kind}")
         tables[end] = table
-        if fuse:
-            for ch in node.children:
-                tables[ch] = None
-            if kind == FORGET_VAR or kind == FORGET_CHK or kind == JOIN:
+        if fuse and kind != K_LEAF:
+            tables[c1] = None
+            if kind == K_JOIN:
+                tables[child2[idx]] = None
+            if kind == K_FORGET_VAR or kind == K_FORGET_CHK or kind == K_JOIN:
                 get = table.entries.get
                 lowered = False
                 for d, f in enumerate(best):

@@ -219,7 +219,8 @@ def parse_alist(text: str | bytes) -> TannerGraph:
     and row lists are cross-checked against each other.
 
     The neighbor lists are checked in bulk, with builtins over whole
-    lists: the tokens are converted in one pass over the body, degrees,
+    lists: the tokens are converted in one pass over the body, through
+    one table of ids shared by every list when all are canonical, degrees,
     the id floor, row ids and row duplicates are compared list-wide, and
     ``var_adj``, the transpose of the row lists, must equal the sorted
     column lists.  Only when a bulk check fails are the lines read one by
@@ -261,12 +262,19 @@ def parse_alist(text: str | bytes) -> TannerGraph:
 
     body = lines[4:4 + n + m]         # column lists, then row lists
     del lines
-    # 0-based ids; zero padding turns into -1
-    dec = (-1).__add__
+    # 0-based ids; zero padding turns into -1.  Canonical tokens map to
+    # ids shared through one table, not one new int per token; any other
+    # token (leading zeros, a sign, underscores, out of range) takes int()
+    ids = {str(t): t - 1 for t in range(max(n, m) + 1)}.__getitem__
     try:
-        lists = [list(map(dec, map(int, line.split()))) for line in body]
-    except ValueError:
-        raise _list_error(body, n, m, col_deg, row_deg) from None
+        lists = [list(map(ids, line.split())) for line in body]
+    except KeyError:
+        dec = (-1).__add__
+        try:
+            lists = [list(map(dec, map(int, line.split()))) for line in body]
+        except ValueError:
+            raise _list_error(body, n, m, col_deg, row_deg) from None
+    del ids
     flat = chain.from_iterable
     low = min(flat(lists), default=0)
     if low == -1:

@@ -5,10 +5,12 @@ library code they check: the minimum-distance oracle works on GF(2) null
 spaces, ``run_dp_b0`` is a separate d-free dynamic program,
 ``trellis_spectrum`` sweeps the variables in index order with no tree
 decomposition at all, ``min_fill_reference`` recounts every min-fill
-score from scratch, ``parse_alist_reference`` and ``validate_reference``
-read their input one line, or one membership, at a time where the library
-checks it in bulk, and ``rooted_tree_reference`` roots the bag tree with a
-queue and a parent per bag.
+score from scratch, ``nice_nodes_reference`` lays every nice bag out as
+tuples where the library keeps one slot column, ``parse_alist_reference``
+and ``validate_reference`` read their input one line, or one membership,
+at a time where the library checks it in bulk, and
+``rooted_tree_reference`` roots the bag tree with a queue and a parent per
+bag.
 """
 
 from __future__ import annotations
@@ -24,7 +26,9 @@ from trapgraph.decomp import (
     FORGET_CHK,
     FORGET_VAR,
     JOIN,
+    KINDS,
     LEAF,
+    NiceNode,
     NiceTreeDecomposition,
     TreeDecomposition,
     ValidationReport,
@@ -309,6 +313,52 @@ def run_dp_b0(g: TannerGraph, ntd: NiceTreeDecomposition):
             tables[ch] = None
     root = tables[ntd.root].get((0, 0))
     return None if root is None else root
+
+
+# ---------------------------------------------------------------------------
+# tuple-per-node slot layouts of a nice form
+
+def nice_nodes_reference(ntd: NiceTreeDecomposition) -> tuple[NiceNode, ...]:
+    """Every nice node with its slot layouts and slot, laid out anew.
+
+    The oracle for ``NiceTreeDecomposition.nodes`` and the slot pass of
+    ``make_nice``: it takes only the tree's shape from the columns (kind,
+    element and children per node), not their slots, and lays the bags out
+    top-down from the empty root with one frozen tuple per layout and node.
+    Read downward, a forget puts its element in the lowest free slot of its
+    namespace's layout, an introduce frees its element's slot there, and a
+    join hands both layouts to both children; a layout an operation leaves
+    alone is passed on as the same tuple.
+    """
+    kinds = [KINDS[code] for code in ntd.kind]
+    forget_ns = {FORGET_VAR: 0, FORGET_CHK: 1}
+    intro_ns = {INTRO_VAR: 0, INTRO_CHK: 1}
+    out: list[NiceNode | None] = [None] * len(kinds)
+    stack = [(ntd.root, (-1,) * ntd.var_slots, (-1,) * ntd.chk_slots)]
+    while stack:
+        x, var_at, chk_at = stack.pop()
+        at = [var_at, chk_at]
+        lists = [list(var_at), list(chk_at)]
+        while True:
+            kind, c1 = kinds[x], ntd.child[x]
+            if kind in forget_ns or kind in intro_ns:
+                elem = ntd.elem[x]
+                forget = kind in forget_ns
+                ns = forget_ns[kind] if forget else intro_ns[kind]
+                layout = lists[ns]
+                slot = layout.index(-1 if forget else elem)
+                out[x] = NiceNode(kind, elem, at[0], at[1], (c1,), slot)
+                layout[slot] = elem if forget else -1
+                at[ns] = tuple(layout)
+            elif kind == JOIN:
+                out[x] = NiceNode(kind, None, at[0], at[1],
+                                  (c1, ntd.child2[x]), None)
+                stack.append((ntd.child2[x], at[0], at[1]))
+            else:
+                out[x] = NiceNode(kind, None, at[0], at[1], (), None)
+                break
+            x = c1
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

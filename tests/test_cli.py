@@ -54,6 +54,28 @@ def test_analyze_builds_no_var_masks(hamming_alist, monkeypatch, capsys):
     assert all(r["witness"] for r in results)
 
 
+def test_analyze_builds_no_nice_nodes_view(tmp_path, monkeypatch, capsys):
+    # analyze reads the nice form's columns only; the per-node view with
+    # its slot layouts is for tests and `decomp nice`
+    alist, td = str(tmp_path / "sc.alist"), str(tmp_path / "sc.td")
+    assert main(["generate", "--sc", "3,4,10,2", "--deg", "3", "--seed", "7",
+                 "--out", alist, "--emit-td", td]) == 0
+
+    def refuse(ntd):
+        raise AssertionError("analyze built NiceTreeDecomposition.nodes")
+
+    monkeypatch.setattr(decomp.NiceTreeDecomposition, "nodes",
+                        property(refuse))
+    reports = []
+    for route in (["--sc-params", "3,4,10,2"], [], ["--td", td]):
+        rc = main(["analyze", "--alist", alist, "--b", "0,1,2", "--witness",
+                   "--no-timing", *route])
+        assert rc == 0
+        reports.append(json.loads(capsys.readouterr().out)["results"])
+    assert reports[0] == reports[1] == reports[2]
+    assert all(r["witness"] for r in reports[0])
+
+
 def test_analyze_validate_oracle_agrees(hamming_alist, capsys):
     rc = main(["analyze", "--alist", hamming_alist, "--b", "0,1,2",
                "--validate-oracle", "10"])

@@ -1,6 +1,7 @@
 import dataclasses
 import random
 import sys
+import tracemalloc
 
 import pytest
 
@@ -30,6 +31,7 @@ from trapgraph.tanner import (
 )
 from helpers import (
     min_fill_reference,
+    nice_nodes_reference,
     random_graph,
     random_td,
     rooted_tree_reference,
@@ -254,6 +256,28 @@ def test_td_parse_rejects_cycles_and_garbage():
         parse_td("s td 1 1 2\nb 1 5\n")
 
 
+def test_td_parse_names_the_line_of_a_bad_tree_edge():
+    # tree-edge faults name the file's 1-based bag ids and the faulty line,
+    # or the header line for a wrong edge count
+    with pytest.raises(TdFormatError,
+                       match=r"line 3: tree edge \(1,1\) is a self-loop") as exc:
+        parse_td("s td 1 1 1\nb 1 1\n1 1\n")
+    assert exc.value.line == 3
+    with pytest.raises(TdFormatError, match=r"line 6: tree edge \(2,1\) "
+                                            "repeats an earlier edge"):
+        parse_td("s td 2 1 2\nb 1 1\nb 2 2\n1 2\nc again\n2 1\n")
+    with pytest.raises(TdFormatError, match=r"line 2: 1 tree edges for 3 "
+                                            r"bags \(a tree needs 2\)"):
+        parse_td("c three bags\ns td 3 1 3\nb 1 1\nb 2 2\nb 3 3\n2 3\n")
+    with pytest.raises(TdFormatError, match="line 1: 3 tree edges for 3 bags"):
+        parse_td("s td 3 1 3\nb 1 1\nb 2 2\nb 3 3\n1 2\n2 3\n3 1\n")
+    # the right number of edges around a cycle leaves a bag out, which no
+    # single line causes
+    with pytest.raises(TdFormatError, match="do not connect") as exc:
+        parse_td("s td 4 1 4\nb 1 1\nb 2 2\nb 3 3\nb 4 4\n1 2\n2 3\n3 1\n")
+    assert exc.value.line is None
+
+
 def test_td_parse_checks_the_max_bag_field():
     # the header's max-bag field must be the largest bag's size: a larger
     # bag fails at its b line, a smaller largest bag at the header
@@ -417,6 +441,40 @@ def test_slot_layout_random():
     g = generate_sc_ldpc(params)
     for td in (sc_path_decomposition(g, params), heuristic_decomposition(g)):
         check_slot_layout(make_nice(g, td))
+
+
+def test_nodes_view_equals_tuple_reference():
+    # the slot column and the view rebuilt from it give every node the
+    # layouts and slot that a tuple-per-node layout gives
+    rng = random.Random(86)
+    for _ in range(300):
+        g = random_graph(rng, max_var=9, max_chk=7)
+        for td in (random_td(g, rng), single_bag_td(g),
+                   heuristic_decomposition(g)):
+            ntd = make_nice(g, td)
+            assert ntd.nodes == nice_nodes_reference(ntd)
+    params = ScLdpcParams(3, 4, 40, 2, var_degree=3, seed=1)
+    g = generate_sc_ldpc(params)
+    for td in (sc_path_decomposition(g, params), heuristic_decomposition(g)):
+        ntd = make_nice(g, td)
+        assert ntd.nodes == nice_nodes_reference(ntd)
+
+
+@pytest.mark.parametrize("route", ["path", "min-fill"])
+def test_make_nice_keeps_few_bytes_per_node(route):
+    # the nice form is flat columns, about 17 bytes per node; a tuple per
+    # node with its own layout tuples kept about 290
+    params = ScLdpcParams(3, 4, 160, 2, var_degree=3, seed=1)
+    g = generate_sc_ldpc(params)
+    td = sc_path_decomposition(g, params) if route == "path" \
+        else heuristic_decomposition(g)
+    tracemalloc.start()
+    try:
+        ntd = make_nice(g, td)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept <= 40 * len(ntd.nodes), kept / len(ntd.nodes)
 
 
 def nice_node_bytes(ntd):

@@ -10,7 +10,7 @@ from trapgraph.decomp import (
     INTRO_CHK,
     INTRO_VAR,
     LEAF,
-    NiceNode,
+    NiceTreeDecomposition,
     heuristic_decomposition,
     make_nice,
     sc_path_decomposition,
@@ -89,11 +89,6 @@ def states(t):
     return out
 
 
-def node(kind, elem, slot):
-    """A nice node as the kernels read it: kind, element and slot."""
-    return NiceNode(kind, elem, (), (), (), slot)
-
-
 def uncapped(b):
     """The cap of a run that prunes nothing at b: every f fits at every
     d <= b, as in a retained run."""
@@ -102,12 +97,12 @@ def uncapped(b):
 
 def intro_v(child, v, slot):
     """introduce_variable on a one-node run, keys at d = 0."""
-    return introduce_variable(child, [node(INTRO_VAR, v, slot)], uncapped(0))
+    return introduce_variable(child, [v], [slot], uncapped(0))
 
 
 def forget_v(child, v, slot):
     """forget_variable on a one-node run."""
-    return forget_variable(child, [node(FORGET_VAR, v, slot)])
+    return forget_variable(child, [v], [slot])
 
 
 def test_leaf_table_is_empty():
@@ -219,14 +214,21 @@ def test_forget_check_increments_d_and_merges():
     assert states(t2) == {(0, 0b1, 1): (4, 5, 0b1111)}
 
 
-def chain(child, run, b):
-    """The variable run applied one node at a time, as one-node runs, on
-    keys at d <= b."""
+def chain(child, kind, run, b):
+    """The variable run of (element, slot) pairs applied one node at a time,
+    as one-node runs, on keys at d <= b."""
     t = child
-    for n in run:
-        t = forget_variable(t, [n]) if n.kind == FORGET_VAR \
-            else introduce_variable(t, [n], uncapped(b))
+    for v, slot in run:
+        t = forget_variable(t, [v], [slot]) if kind == FORGET_VAR \
+            else introduce_variable(t, [v], [slot], uncapped(b))
     return t
+
+
+def fused(child, kind, run, b):
+    """The variable run of (element, slot) pairs in one kernel call."""
+    elems, slots = zip(*run)
+    return forget_variable(child, elems, slots) if kind == FORGET_VAR \
+        else introduce_variable(child, elems, slots, uncapped(b))
 
 
 def random_entries(rng, bits, b, n):
@@ -245,25 +247,24 @@ RUN_GRAPH = TannerGraph.from_check_adj(4, 3, [[0, 1, 2], [0, 2], [1]])
 def test_forget_run_equals_chain(length):
     # v0, v2 and v1 leave a bag that keeps all three checks, cut to the
     # first ``length`` of them
-    run = [node(FORGET_VAR, 0, 1), node(FORGET_VAR, 2, 0),
-           node(FORGET_VAR, 1, 2)][:length]
+    run = [(0, 1), (2, 0), (1, 2)][:length]
     rng = random.Random(length)
     for b in range(3):
         for _ in range(20):
             child = DPTable(RUN_GRAPH, (2, 0, 1), (1, 0, 2))
             child.entries.update(random_entries(rng, 6, b, 40))
             child.entries[0] = (2, 3, 0b1000)
-            fused, ref = forget_variable(child, run), chain(child, run, b)
-            assert fused.entries == ref.entries
-            assert (fused.var_at, fused.chk_at) == (ref.var_at, ref.chk_at)
+            one = fused(child, FORGET_VAR, run, b)
+            ref = chain(child, FORGET_VAR, run, b)
+            assert one.entries == ref.entries
+            assert (one.var_at, one.chk_at) == (ref.var_at, ref.chk_at)
 
 
 @pytest.mark.parametrize("length", [1, 2, 3])
 def test_introduce_run_equals_chain(length):
     # v0, then v2, then v1 into a bag holding v3 and c1; the child holds
     # key 0, which stays but is not extended
-    run = [node(INTRO_VAR, 0, 0), node(INTRO_VAR, 2, 2),
-           node(INTRO_VAR, 1, 3)][:length]
+    run = [(0, 0), (2, 2), (1, 3)][:length]
     rng = random.Random(length)
     for _ in range(20):
         child = DPTable(RUN_GRAPH, (-1, 3, -1, -1), (-1, 1))
@@ -271,31 +272,31 @@ def test_introduce_run_equals_chain(length):
         child.entries.update({k & 0b1010 | k & 0b1000000: ent for k, ent in
                               random_entries(rng, 7, 0, 6).items()})
         child.entries[0] = (2, 3, 0b1000)
-        fused = introduce_variable(child, run, uncapped(1))
-        ref = chain(child, run, 1)
-        assert fused.entries == ref.entries
-        assert fused.entries[0] == (2, 3, 0b1000)
-        assert (fused.var_at, fused.chk_at) == (ref.var_at, ref.chk_at)
+        one = fused(child, INTRO_VAR, run, 1)
+        ref = chain(child, INTRO_VAR, run, 1)
+        assert one.entries == ref.entries
+        assert one.entries[0] == (2, 3, 0b1000)
+        assert (one.var_at, one.chk_at) == (ref.var_at, ref.chk_at)
 
 
 def test_run_kernels_bag_mismatch():
     child = DPTable(RUN_GRAPH, (2, 0, -1), (1, -1, -1))
     bad_forgets = [
-        [node(FORGET_VAR, 0, 1), node(FORGET_VAR, 0, 1)],  # already gone
-        [node(FORGET_VAR, 2, 1)],                          # not at slot
-        [node(FORGET_VAR, 2, 0), node(FORGET_VAR, 0, 0)],  # slot emptied
+        [(0, 1), (0, 1)],             # already gone
+        [(2, 1)],                     # not at slot
+        [(2, 0), (0, 0)],             # slot emptied
     ]
     for run in bad_forgets:
         with pytest.raises(ValueError, match="mismatch"):
-            forget_variable(child, run)
+            fused(child, FORGET_VAR, run, 0)
     bad_intros = [
-        [node(INTRO_VAR, 1, 2), node(INTRO_VAR, 3, 2)],    # slot taken
-        [node(INTRO_VAR, 2, 2)],                           # already in bag
-        [node(INTRO_VAR, 1, 2), node(INTRO_VAR, 1, 1)],    # introduced twice
+        [(1, 2), (3, 2)],             # slot taken
+        [(2, 2)],                     # already in bag
+        [(1, 2), (1, 1)],             # introduced twice
     ]
     for run in bad_intros:
         with pytest.raises(ValueError, match="mismatch"):
-            introduce_variable(child, run, uncapped(0))
+            fused(child, INTRO_VAR, run, 0)
 
 
 def test_check_kernels_bag_mismatch():
@@ -308,24 +309,14 @@ def test_check_kernels_bag_mismatch():
         forget_check(child, 0, 0, uncapped(1))             # not at slot
 
 
-def test_variable_kernels_reject_check_nodes():
-    child = DPTable(RUN_GRAPH, (2, 0, -1), (1, -1, -1))
-    for kind in (FORGET_CHK, INTRO_CHK, INTRO_VAR):
-        with pytest.raises(ValueError, match=kind):
-            forget_variable(child, [node(FORGET_VAR, 2, 0), node(kind, 1, 0)])
-    for kind in (INTRO_CHK, FORGET_CHK, FORGET_VAR):
-        with pytest.raises(ValueError, match=kind):
-            introduce_variable(child, [node(INTRO_VAR, 1, 2),
-                                       node(kind, 0, 1)], uncapped(0))
-
-
 def test_run_dp_rejects_unknown_node_kind():
     g = TannerGraph.from_matrix([[1, 1]])
     ntd = nice_for(g)
-    nodes = list(ntd.nodes)
-    nodes[-1] = nodes[-1]._replace(kind="bogus")
-    with pytest.raises(ValueError, match="unknown node kind 'bogus'"):
-        run_dp(g, ntd._replace(nodes=tuple(nodes)), 0)
+    bogus = NiceTreeDecomposition(
+        ntd.n_var, ntd.n_chk, ntd.kind[:-1] + bytes([99]), ntd.elem,
+        ntd.slot, ntd.child, ntd.child2, ntd.var_slots, ntd.chk_slots)
+    with pytest.raises(ValueError, match="unknown node kind 99"):
+        run_dp(g, bogus, 0)
 
 
 def test_join_shared_members_counted_once():
@@ -533,9 +524,9 @@ def count_runs(monkeypatch):
     runs = []
 
     def recording(kernel):
-        def call(child, run, *rest):
-            runs.append(run)
-            return kernel(child, run, *rest)
+        def call(child, elems, *rest):
+            runs.append(elems)
+            return kernel(child, elems, *rest)
         return call
 
     for name in ("forget_variable", "introduce_variable"):
@@ -594,7 +585,7 @@ def record_kernels(monkeypatch):
             return table
         return call
 
-    for name, at in (("introduce_variable", 2), ("join", 2),
+    for name, at in (("introduce_variable", 3), ("join", 2),
                      ("forget_variable", None), ("forget_check", 3)):
         monkeypatch.setattr(dpcore, name,
                             recording(getattr(dpcore, name), at))
@@ -749,7 +740,7 @@ def test_freed_run_caps_equal_reading_every_table(monkeypatch):
             return table
         return call
 
-    for name, at in (("leaf_table", None), ("introduce_variable", 2),
+    for name, at in (("leaf_table", None), ("introduce_variable", 3),
                      ("forget_variable", None), ("introduce_check", None),
                      ("forget_check", 3), ("join", 2)):
         monkeypatch.setattr(dpcore, name,

@@ -204,6 +204,44 @@ def mutate_alist(rng: random.Random, g: TannerGraph) -> str | bytes:
     return data
 
 
+@pytest.mark.parametrize("spell", [
+    lambda t: "0" + t,                # leading zero
+    lambda t: "+" + t,                # plus sign
+    lambda t: t[0] + "_" + t[1:] if len(t) > 1 else "0_" + t,  # underscore
+    lambda t: " " + t + "\t",         # other whitespace
+])
+def test_parse_alist_non_canonical_tokens_give_the_same_graph(spell):
+    # canonical tokens are read through a table of shared ids; any other
+    # spelling of the same id takes int() and must give the same graph
+    g = generate_sc_ldpc(ScLdpcParams(3, 4, 40, 2, var_degree=3, seed=1))
+    lines = serialize_alist(g).splitlines()
+    rng = random.Random(19)
+    for _ in range(20):
+        i = rng.randrange(4, len(lines))
+        toks = lines[i].split()
+        k = rng.randrange(len(toks))
+        toks[k] = spell(toks[k])
+        text = "\n".join(lines[:i] + [" ".join(toks)] + lines[i + 1:]) + "\n"
+        assert parse_alist(text) == g
+
+
+@pytest.mark.parametrize("token", ["-1", "-0012", "161", "240", "241",
+                                   "10000000000000000000000", "1__2", "x"])
+def test_parse_alist_out_of_range_tokens_fail_as_the_reference(token):
+    # ids outside the shared table (negative, above n or m, huge) or
+    # malformed ones fail with the message and line of the int() route
+    g = generate_sc_ldpc(ScLdpcParams(3, 4, 40, 2, var_degree=3, seed=1))
+    lines = serialize_alist(g).splitlines()
+    listed = [i for i in range(4, len(lines)) if lines[i]]
+    for i in (listed[0], 4 + g.n_var, listed[-1]):    # columns, then rows
+        toks = lines[i].split()
+        toks[-1] = token
+        text = "\n".join(lines[:i] + [" ".join(toks)] + lines[i + 1:]) + "\n"
+        got = parse_outcome(parse_alist, text)
+        assert got[0] == "AlistError"
+        assert got == parse_outcome(parse_alist_reference, text)
+
+
 def test_parse_alist_matches_line_by_line_reference():
     # the bulk parser must accept exactly what the line-by-line reference
     # accepts, with the same graph, and refuse the rest with the same
