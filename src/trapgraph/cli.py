@@ -112,6 +112,8 @@ def cmd_analyze(args) -> int:
         for v in exc.violations:
             print(f"invalid decomposition: {v}", file=sys.stderr)
         return 2
+    tw = decomp.width(td)
+    del td                            # the DP reads only the nice form
 
     # one pass at the largest b answers every smaller b from its root table
     t0 = time.perf_counter()
@@ -151,14 +153,14 @@ def cmd_analyze(args) -> int:
         "code": {"n": g.n_var, "m": g.n_chk, "source": args.alist},
         "decomposition": {
             "source": source,
-            "width": decomp.width(td),
+            "width": tw,
             "node_kinds": _node_kind_counts(ntd),
         },
         "results": results,
     }
     if args.text:
         lines = [f"code: {args.alist} n={g.n_var} m={g.n_chk}",
-                 f"decomposition: {source} width={decomp.width(td)}"]
+                 f"decomposition: {source} width={tw}"]
         for r in results:
             if r["a_min"] is None:
                 lines.append(f"b={r['b']}: no trapping set")

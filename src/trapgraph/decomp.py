@@ -13,7 +13,6 @@ from __future__ import annotations
 import heapq
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple
 
@@ -51,9 +50,9 @@ class InvalidDecompositionError(ValueError):
         self.violations = violations
 
 
-@dataclass(frozen=True)
-class TreeDecomposition:
-    """Bags over the combined namespace plus an undirected tree on bag indices."""
+class TreeDecomposition(NamedTuple):
+    """Bags over the combined namespace plus an undirected tree on bag
+    indices; an immutable named tuple, so ``td._replace(root=r)`` re-roots."""
 
     n_nodes: int
     bags: tuple[frozenset[int], ...]
@@ -69,9 +68,8 @@ class RootedTree(NamedTuple):
     children: list[list[int]]
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """The violations ``validate`` found, in report order.
+class ValidationReport(NamedTuple):
+    """The violations ``validate`` found, in report order; a named tuple.
 
     ``tree`` is the bag tree as rooted by the walk that checked its shape
     (see ``RootedTree``), or None when the shape is invalid or the report
@@ -604,9 +602,11 @@ def heuristic_decomposition(g: TannerGraph) -> TreeDecomposition:
     neighbours, and turns that neighbourhood into a clique.  Node x
     eliminated with neighbourhood N gives bag {x} | N, whose parent is the
     bag of the earliest-eliminated node of N; parentless bags are chained
-    together.  Bag i belongs to the i-th eliminated node.  No width
-    guarantee (Bodlaender & Koster, "Treewidth computations I. Upper
-    bounds", Inf. Comput. 2010).
+    together.  Bag i belongs to the i-th eliminated node, and every other
+    member of it is eliminated later, so the parent is read off the bags
+    once the order is known: nothing else of N is kept, and x's adjacency
+    set is dropped with its step.  No width guarantee (Bodlaender & Koster,
+    "Treewidth computations I. Upper bounds", Inf. Comput. 2010).
 
     Every fill-in is kept exact by incremental updates instead of being
     recounted.  A Tanner graph is bipartite, so no two neighbours of a node
@@ -621,7 +621,7 @@ def heuristic_decomposition(g: TannerGraph) -> TreeDecomposition:
     total = g.n_var + g.n_chk
     if total == 0:
         return TreeDecomposition(0, (frozenset(),), ())
-    adj: list[set[int]] = [set() for _ in range(total)]
+    adj: list[set[int] | None] = [set() for _ in range(total)]
     for c, vs in enumerate(g.chk_adj):
         for v in vs:
             adj[v].add(g.n_var + c)
@@ -638,7 +638,6 @@ def heuristic_decomposition(g: TannerGraph) -> TreeDecomposition:
     heapq.heapify(heap)
     position = [-1] * total
     bags: list[frozenset[int]] = []
-    eliminated_nbrs: list[set[int]] = []
     while heap:
         k = heapq.heappop(heap)
         x = k % total
@@ -646,8 +645,8 @@ def heuristic_decomposition(g: TannerGraph) -> TreeDecomposition:
             continue
         position[x] = len(bags)
         nbrs = adj[x]
+        adj[x] = None                 # the set dies with this step's nbrs
         bags.append(frozenset(nbrs | {x}))
-        eliminated_nbrs.append(nbrs)
         for a in nbrs:
             na = adj[a]
             na.discard(x)
@@ -674,9 +673,10 @@ def heuristic_decomposition(g: TannerGraph) -> TreeDecomposition:
                 heapq.heappush(heap, k)
 
     edges, parentless = [], []
-    for i, nbrs in enumerate(eliminated_nbrs):
-        if nbrs:
-            edges.append((i, min(position[u] for u in nbrs)))
+    for i, bag in enumerate(bags):
+        if len(bag) > 1:
+            edges.append((i, min(p for p in map(position.__getitem__, bag)
+                                 if p > i)))
         else:
             parentless.append(i)
     edges.extend(zip(parentless, parentless[1:]))

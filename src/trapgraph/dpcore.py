@@ -67,8 +67,8 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Sequence
-from dataclasses import dataclass
 from operator import itemgetter
+from typing import NamedTuple
 
 from trapgraph.decomp import (
     K_FORGET_CHK,
@@ -319,16 +319,16 @@ def join(left: DPTable, right: DPTable, cap: Sequence[int]) -> DPTable:
     return DPTable(left.g, var_at, chk_at, entries)
 
 
-@dataclass
-class DPResult:
-    """Answer at the requested b, plus the root table it was read from.
+class DPResult(NamedTuple):
+    """Answer at the requested b, plus the root table it was read from; an
+    immutable named tuple.
 
     The root table also holds ``(0, 0, b')`` for every ``b' <= b`` with the
     value a run at ``b'`` would give, since d never decreases toward the root.
     The size cap of a freed run leaves it unchanged: each of those entries
-    is at most the cap at its d (see the module docstring).  ``tables`` is indexed by
-    nice node; only the root's slot is filled unless the run retained every
-    table, and a retained run is never capped.
+    is at most the cap at its d (see the module docstring).  ``tables`` is
+    indexed by nice node; only the root's slot is filled unless the run
+    retained every table, and a retained run is never capped.
     """
 
     a_min: int | None

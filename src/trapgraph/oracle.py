@@ -7,8 +7,8 @@ and their odd neighborhoods recomputed from scratch via bitmask XOR.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import reduce
+from typing import NamedTuple
 
 from trapgraph.tanner import TannerGraph
 
@@ -22,8 +22,9 @@ class WorkLimitExceeded(RuntimeError):
     """Raised when the configured number of subset evaluations is exhausted."""
 
 
-@dataclass(frozen=True)
-class TrappingSetRecord:
+class TrappingSetRecord(NamedTuple):
+    """One trapping set: sorted members, size a, number b of odd checks."""
+
     members: tuple[int, ...]
     a: int
     b: int

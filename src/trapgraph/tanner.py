@@ -9,10 +9,9 @@ or checks are frequently handled as integer bitmasks (bit i = node i).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
-from typing import Iterable
+from operator import itemgetter
+from typing import Iterable, NamedTuple
 
 
 class AlistError(ValueError):
@@ -25,18 +24,24 @@ class AlistError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class TannerGraph:
-    """Bipartite graph of an LDPC code.
-
-    ``chk_adj[c]`` is the sorted tuple of variable ids adjacent to check c;
-    ``var_adj`` is the exact transpose.  Instances are immutable.
-    """
-
+class _TannerFields(NamedTuple):
     n_var: int
     n_chk: int
     chk_adj: tuple[tuple[int, ...], ...]
     var_adj: tuple[tuple[int, ...], ...]
+
+
+class TannerGraph(_TannerFields):
+    """Bipartite graph of an LDPC code.
+
+    ``chk_adj[c]`` is the sorted tuple of variable ids adjacent to check c;
+    ``var_adj`` is the exact transpose.  Instances are immutable named
+    tuples, equal and hashed by their fields; the instance dict holds only
+    the masks, cached on first read.
+    """
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"TannerGraph is immutable, cannot set {name!r}")
 
     @staticmethod
     def from_check_adj(n_var: int, n_chk: int,
@@ -94,15 +99,7 @@ class TannerGraph:
         return tuple(masks)
 
 
-@dataclass(frozen=True)
-class ScLdpcParams:
-    """Parameters of a spatially coupled LDPC ensemble.
-
-    ``coupling_len`` variable blocks of ``base_cols`` columns each; check
-    blocks of ``base_rows`` rows; every variable connects to checks within
-    the ``coupling_width`` consecutive check blocks of its window.
-    """
-
+class _ScLdpcFields(NamedTuple):
     base_rows: int
     base_cols: int
     coupling_len: int
@@ -110,17 +107,31 @@ class ScLdpcParams:
     var_degree: int
     seed: int = 0
 
-    def __post_init__(self):
-        if self.base_rows < 1 or self.base_cols < 1:
+
+class ScLdpcParams(_ScLdpcFields):
+    """Parameters of a spatially coupled LDPC ensemble, an immutable named
+    tuple whose constructor checks them.
+
+    ``coupling_len`` variable blocks of ``base_cols`` columns each; check
+    blocks of ``base_rows`` rows; every variable connects to checks within
+    the ``coupling_width`` consecutive check blocks of its window.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, base_rows: int, base_cols: int, coupling_len: int,
+                coupling_width: int, var_degree: int, seed: int = 0):
+        if base_rows < 1 or base_cols < 1:
             raise ValueError("base matrix dimensions must be >= 1")
-        if self.coupling_len < 1:
+        if coupling_len < 1:
             raise ValueError("coupling length must be >= 1")
-        if self.coupling_width < 1:
+        if coupling_width < 1:
             raise ValueError("coupling width must be >= 1")
-        if not 1 <= self.var_degree <= self.base_rows * self.coupling_width:
-            raise ValueError(
-                f"variable degree {self.var_degree} must be in "
-                f"[1, {self.base_rows * self.coupling_width}]")
+        if not 1 <= var_degree <= base_rows * coupling_width:
+            raise ValueError(f"variable degree {var_degree} must be in "
+                             f"[1, {base_rows * coupling_width}]")
+        return super().__new__(cls, base_rows, base_cols, coupling_len,
+                               coupling_width, var_degree, seed)
 
     @property
     def n_var(self) -> int:
@@ -171,21 +182,12 @@ def bit_ids(mask: int):
         mask ^= low
 
 
-def _transpose(lists: list[list[int]], size: int) -> list[list[int]]:
-    """``out[x]`` lists, in ascending order, the indices of the lists that
-    hold the id x."""
-    out: list[list[int]] = [[] for _ in range(size)]
-    for i, ids in enumerate(lists):
-        for x in ids:
-            out[x].append(i)
-    return out
-
-
-def _list_error(body: list[str], n: int, m: int, col_deg: list[int],
+def _list_error(text: str, n: int, m: int, col_deg: list[int],
                 row_deg: list[int]) -> AlistError:
     """The first fault of the neighbor lists, read line by line: a missing
     line, a non-integer token, a wrong degree, an id out of range, a
     duplicate id, or else row and column lists that do not transpose."""
+    body = text.splitlines()[4:4 + n + m]
     for j in range(n + m):
         if j < n:
             what, i, deg, top, kind = "column", j, col_deg[j], m, "check"
@@ -218,13 +220,13 @@ def parse_alist(text: str | bytes) -> TannerGraph:
     declared maximum degrees must be the largest listed ones, and the column
     and row lists are cross-checked against each other.
 
-    The neighbor lists are checked in bulk, with builtins over whole
-    lists: the tokens are converted in one pass over the body, through
-    one table of ids shared by every list when all are canonical, degrees,
-    the id floor, row ids and row duplicates are compared list-wide, and
-    ``var_adj``, the transpose of the row lists, must equal the sorted
-    column lists.  Only when a bulk check fails are the lines read one by
-    one, to name the first fault and its line.
+    The neighbor lists are checked in bulk: each line is replaced, in
+    place, by the sorted tuple of its ids that the graph keeps, so lines
+    and tuples are never all alive at once; degrees, the id floor, row
+    ids and row duplicates are compared list-wide; and the lists
+    transpose iff every row entry (v, c) is in column v and the columns
+    hold as many entries as the rows.  Only when a bulk check fails are
+    the lines split again and read one by one, to name the first fault.
     """
     if isinstance(text, bytes):
         try:
@@ -267,37 +269,31 @@ def parse_alist(text: str | bytes) -> TannerGraph:
     # token (leading zeros, a sign, underscores, out of range) takes int()
     ids = {str(t): t - 1 for t in range(max(n, m) + 1)}.__getitem__
     try:
-        lists = [list(map(ids, line.split())) for line in body]
+        for j, line in enumerate(body):
+            body[j] = tuple(sorted(map(ids, line.split())))
     except KeyError:
+        body = text.splitlines()[4:4 + n + m]
         dec = (-1).__add__
         try:
-            lists = [list(map(dec, map(int, line.split()))) for line in body]
+            for j, line in enumerate(body):
+                body[j] = tuple(sorted(map(dec, map(int, line.split()))))
         except ValueError:
-            raise _list_error(body, n, m, col_deg, row_deg) from None
+            raise _list_error(text, n, m, col_deg, row_deg) from None
     del ids
-    flat = chain.from_iterable
-    low = min(flat(lists), default=0)
+    # each list is sorted: its first and last ids are its extremes
+    low = min(map(itemgetter(0), filter(None, body)), default=0)
     if low == -1:
-        lists = [list(filter((-1).__ne__, ids)) for ids in lists]
-        low = min(flat(lists), default=0)
-    cols, rows = lists[:n], lists[n:]
-    var_adj = None
-    if (list(map(len, lists)) == col_deg + row_deg and low >= 0
-            and max(flat(rows), default=0) < n
-            and list(map(len, map(set, rows))) == row_deg):
-        # in-range, duplicate-free rows transpose into ascending lists of
-        # check ids below m, which the sorted column lists must equal; that
-        # also rules out column ids out of range and duplicates in columns
-        var_adj = _transpose(rows, n)
-        if var_adj != list(map(sorted, cols)):
-            var_adj = None
-    if var_adj is None:
-        raise _list_error(body, n, m, col_deg, row_deg)
-    # drop the lines and the column lists before building the tuples
-    del body, cols
-    chk_adj = tuple(map(tuple, map(sorted, rows)))
-    del lists, rows
-    return TannerGraph(n, m, chk_adj, tuple(map(tuple, var_adj)))
+        for j, ids in enumerate(body):
+            body[j] = tuple(filter((-1).__ne__, ids))
+        low = min(map(itemgetter(0), filter(None, body)), default=0)
+    cols, rows = body[:n], body[n:]
+    if not (list(map(len, body)) == col_deg + row_deg and low >= 0
+            and max(map(itemgetter(-1), filter(None, rows)), default=0) < n
+            and list(map(len, map(set, rows))) == row_deg
+            and sum(col_deg) == sum(row_deg)
+            and all(c in cols[v] for c, row in enumerate(rows) for v in row)):
+        raise _list_error(text, n, m, col_deg, row_deg)
+    return TannerGraph(n, m, tuple(rows), tuple(cols))
 
 
 def serialize_alist(g: TannerGraph) -> str:

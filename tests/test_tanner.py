@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -259,6 +260,34 @@ def test_parse_alist_matches_line_by_line_reference():
             assert got[0] == "AlistError"
             refused += 1
     assert accepted > 500 and refused > 1200
+
+
+def test_parse_alist_peak_memory():
+    # each line gives way to its sorted id tuple as it is read, and the
+    # id table goes once the body is read.  Seed-1 SC L=160 peaks near
+    # 165 KB; holding the lines, the table and every id list, then a
+    # transpose and sorted copies, at once took 386 KB
+    g = generate_sc_ldpc(ScLdpcParams(3, 4, 160, 2, var_degree=3, seed=1))
+    data = serialize_alist(g).encode()
+    tracemalloc.start()
+    try:
+        assert parse_alist(data) == g
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 240 * 1024, peak
+
+
+def test_records_are_immutable_named_tuples():
+    g = TannerGraph.from_matrix(H23)
+    p = ScLdpcParams(3, 4, 10, 2, var_degree=3, seed=5)
+    for obj, field in ((g, "n_var"), (g, "var_masks"), (p, "seed")):
+        with pytest.raises(AttributeError):
+            setattr(obj, field, 0)
+    assert g.var_masks == (1, 3, 2) and g.chk_masks == (3, 6)
+    assert hash(g) == hash(TannerGraph.from_check_adj(3, 2, [[1, 0], [2, 1]]))
+    assert p == ScLdpcParams(3, 4, 10, 2, 3, 5) and hash(p) == hash(tuple(p))
+    assert p._fields[-1] == "seed" and ScLdpcParams(3, 4, 10, 2, 3).seed == 0
 
 
 def test_serialize_minimal_and_degenerate():
