@@ -1,20 +1,28 @@
 """Tree decompositions of Tanner graphs and their rooted nice form.
 
 Plain decompositions carry bags in the combined node namespace (variables
-0..n-1, checks n..n+m-1).  The nice form lays the rooted tree out as flat
-post-order columns (children precede parents): per node a kind byte, the
-element it introduces or forgets in its own namespace, that element's
-bag-local slot and its children.  Bags are not stored; each is a pair of
-slot layouts, one per namespace, that the columns determine.
+0..n-1, checks n..n+m-1).  Every builder here and ``parse_td`` makes each
+bag a sorted tuple of distinct ids, with one int object per id shared by
+all the bags (and tree edges) of one call, so a bag costs a tuple slot per
+member.  ``validate`` and ``make_nice`` read a bag only by its length,
+iteration and membership, so they take any bags of that kind, frozensets
+included.
+
+The nice form lays the rooted tree out as flat post-order columns
+(children precede parents): per node a kind byte, the element it
+introduces or forgets in its own namespace, that element's bag-local slot
+and its children.  Bags are not stored; each is a pair of slot layouts,
+one per namespace, that the columns determine.
 """
 
 from __future__ import annotations
 
 import heapq
 from array import array
+from bisect import bisect_left
 from collections import Counter
 from itertools import chain
-from typing import NamedTuple
+from typing import Collection, NamedTuple
 
 from trapgraph.tanner import ScLdpcParams, TannerGraph
 
@@ -52,10 +60,17 @@ class InvalidDecompositionError(ValueError):
 
 class TreeDecomposition(NamedTuple):
     """Bags over the combined namespace plus an undirected tree on bag
-    indices; an immutable named tuple, so ``td._replace(root=r)`` re-roots."""
+    indices; an immutable named tuple, so ``td._replace(root=r)`` re-roots.
+
+    The builders and ``parse_td`` make each bag a sorted tuple of distinct
+    ids, so two decompositions with the same bags and edges compare equal.
+    Bags built by hand may be any collection of ids read by length,
+    iteration and membership, a frozenset for one; ``validate`` reports an
+    id listed twice in one bag.
+    """
 
     n_nodes: int
-    bags: tuple[frozenset[int], ...]
+    bags: tuple[Collection[int], ...]
     edges: tuple[tuple[int, int], ...]
     root: int | None = None
 
@@ -144,18 +159,23 @@ def validate(g: TannerGraph, td: TreeDecomposition) -> ValidationReport:
     """Check the decomposition conditions; violations become report entries.
 
     The report lists, in this order: a node count that differs from the
-    graph's, every out-of-range bag entry, a tree-structure fault or a
-    ``td.root`` out of range (which ends the report), every node in no
-    bag, every edge covered by no bag and every node whose bags are
-    disconnected.  The tree shape is checked by one walk that also roots
-    the tree, at ``td.root`` or else at the smallest-index bag of
-    tree-degree at most one; the report carries the rooted tree whenever
-    the shape is valid.  The other conditions are checked in bulk:
-    occurrences come from one ``Counter`` over all bags, a check's
+    graph's, every out-of-range bag entry, every node listed twice in one
+    bag, a tree-structure fault or a ``td.root`` out of range (which ends
+    the report), every node in no bag, every edge covered by no bag and
+    every node whose bags are disconnected.  The last is not checked when a
+    bag lists a node twice, as its counts would take the repeat twice.  The
+    tree shape is checked by one walk that also roots the tree, at
+    ``td.root`` or else at the smallest-index bag of tree-degree at most
+    one; the report carries the rooted tree whenever the shape is valid.
+
+    A bag is read only by its length, iteration and membership, so sorted
+    tuples and frozensets alike are checked as they are.  The other
+    conditions are checked in bulk: occurrences come from one ``Counter``
+    over all bags, repeats from the bags' distinct sizes, a check's
     uncovered edges from one set difference with the bags that hold it,
-    and the running intersection from one ``Counter`` over the
-    intersections of adjacent bags.  Entries are listed one by one only
-    for a condition that fails.
+    and the running intersection from one ``Counter`` over the members of
+    each bag found in its tree neighbour.  Entries are listed one by one
+    only for a condition that fails.
     """
     n, total = g.n_var, g.n_var + g.n_chk
     bags = td.bags
@@ -165,6 +185,7 @@ def validate(g: TannerGraph, td: TreeDecomposition) -> ValidationReport:
                           f"graph has {total}")
 
     occurrences = Counter(chain.from_iterable(bags))
+    entries = sum(occurrences.values())
     stray = bool(occurrences) and (min(occurrences) < 0
                                    or max(occurrences) >= total)
     if stray:
@@ -172,6 +193,11 @@ def validate(g: TannerGraph, td: TreeDecomposition) -> ValidationReport:
             for x in bag:
                 if not 0 <= x < total:
                     violations.append(f"bag {i}: node id {x} out of range")
+    repeated = sum(map(len, map(set, bags))) != entries
+    if repeated:
+        for i, bag in enumerate(bags):
+            violations.extend(f"bag {i}: node {x} listed twice"
+                              for x, k in Counter(bag).items() if k > 1)
 
     tree = _walk_tree(len(bags), td.edges, td.root)
     if isinstance(tree, str):
@@ -182,7 +208,7 @@ def validate(g: TannerGraph, td: TreeDecomposition) -> ValidationReport:
         violations.extend(f"node {x} appears in no bag"
                           for x in range(total) if x not in occurrences)
 
-    holding: list[list[frozenset[int]]] = [[] for _ in range(g.n_chk)]
+    holding: list[list[Collection[int]]] = [[] for _ in range(g.n_chk)]
     checks = set(range(n, total))
     for bag in bags:
         for x in checks.intersection(bag):
@@ -195,9 +221,9 @@ def validate(g: TannerGraph, td: TreeDecomposition) -> ValidationReport:
 
     # each node's bags are connected iff they span one edge fewer than
     # their number; they never span more, as the tree has no cycle
-    inside = Counter(chain.from_iterable(bags[i] & bags[j]
+    inside = Counter(chain.from_iterable(filter(bags[j].__contains__, bags[i])
                                          for i, j in td.edges))
-    if sum(occurrences.values()) != sum(inside.values()) + len(occurrences):
+    if not repeated and entries != sum(inside.values()) + len(occurrences):
         violations.extend(f"node {x}: occurrence bags are disconnected"
                           for x in range(total) if x in occurrences
                           and occurrences[x] != inside[x] + 1)
@@ -209,11 +235,13 @@ def parse_td(text: str | bytes) -> TreeDecomposition:
     """Parse the PACE-2017 .td exchange format (1-indexed, combined namespace).
 
     Every bag needs its own ``b`` line that lists no node twice, and the
-    header's max-bag field must be the size of the largest bag.  A tree
-    edge that is a self-loop or repeats an earlier edge fails at its line,
-    with the file's 1-based bag ids, and a number of edges other than the
-    bags' less one at the header line; edges that then fail to connect the
-    bags fail with no line.
+    header's max-bag field must be the size of the largest bag.  Each bag
+    becomes a sorted tuple of 0-based ids, one int object per id shared by
+    every bag and tree edge of the file.  A tree edge that is a self-loop
+    or repeats an earlier edge fails at its line, with the file's 1-based
+    bag ids, and a number of edges other than the bags' less one at the
+    header line; edges that then fail to connect the bags fail with no
+    line.
     """
     if isinstance(text, bytes):
         try:
@@ -222,8 +250,11 @@ def parse_td(text: str | bytes) -> TreeDecomposition:
             raise TdFormatError(f"non-ASCII byte 0x{text[exc.start]:02x}",
                                 text.count(b"\n", 0, exc.start) + 1) from None
     header = None
-    bags: dict[int, frozenset[int]] = {}
+    bags: dict[int, tuple[int, ...]] = {}
     edges: list[tuple[int, int]] = []
+    # share(x, x) returns the first int equal to x it was given, so each id
+    # is one object however often the file lists it
+    share = {}.setdefault
     seen_edges: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -259,16 +290,16 @@ def parse_td(text: str | bytes) -> TreeDecomposition:
                 if not 1 <= x <= header[2]:
                     raise TdFormatError(f"bag {bag_id}: node id {x} out of range",
                                         lineno)
-            bag = frozenset(x - 1 for x in contents)
-            if len(bag) != len(contents):
+            if len(set(contents)) != len(contents):
                 repeated = next(x for i, x in enumerate(contents)
                                 if x in contents[:i])
                 raise TdFormatError(f"bag {bag_id}: node {repeated} listed "
                                     "twice", lineno)
-            if len(bag) > header[1]:
-                raise TdFormatError(f"bag {bag_id} has {len(bag)} nodes, the "
-                                    f"header allows {header[1]}", lineno)
-            bags[bag_id - 1] = bag
+            if len(contents) > header[1]:
+                raise TdFormatError(f"bag {bag_id} has {len(contents)} nodes, "
+                                    f"the header allows {header[1]}", lineno)
+            bag = sorted(map((-1).__add__, contents))
+            bags[bag_id - 1] = tuple(map(share, bag, bag))
         else:
             if header is None:
                 raise TdFormatError("edge line before header", lineno)
@@ -286,7 +317,8 @@ def parse_td(text: str | bytes) -> TreeDecomposition:
                 raise TdFormatError(f"tree edge ({i},{j}) repeats an earlier "
                                     "edge", lineno)
             seen_edges.add(key)
-            edges.append((i - 1, j - 1))
+            i, j = i - 1, j - 1
+            edges.append((share(i, i), share(j, j)))
     if header is None:
         raise TdFormatError("missing 's td' header")
     num_bags = header[0]
@@ -426,17 +458,20 @@ class NiceTreeDecomposition:
         return max(node.bag_size for node in self.nodes) - 1
 
     def as_tree_decomposition(self) -> TreeDecomposition:
-        """Combined-namespace view, e.g. for re-validation."""
+        """Combined-namespace view, e.g. for re-validation, with sorted
+        tuple bags."""
+        n = self.n_var
+        ids = list(range(max(n + self.n_chk, len(self.kind))))
         bags = []
         edges = []
         for i, node in enumerate(self.nodes):
-            bag = {v for v in node.var_at if v >= 0}
-            bag |= {self.n_var + c for c in node.chk_at if c >= 0}
-            bags.append(frozenset(bag))
+            bag = sorted([ids[v] for v in node.var_at if v >= 0]) \
+                + sorted([ids[n + c] for c in node.chk_at if c >= 0])
+            bags.append(tuple(bag))
             for ch in node.children:
-                edges.append((ch, i))
-        return TreeDecomposition(self.n_var + self.n_chk, tuple(bags),
-                                 tuple(edges), root=self.root)
+                edges.append((ids[ch], ids[i]))
+        return TreeDecomposition(n + self.n_chk, tuple(bags), tuple(edges),
+                                 root=self.root)
 
 
 def _layout(ntd: NiceTreeDecomposition) -> int:
@@ -492,10 +527,13 @@ def make_nice(g: TannerGraph, td: TreeDecomposition) -> NiceTreeDecomposition:
     follows that tree's breadth-first order and ascending children from the
     report, with no second walk.  Multi-child bags become binary join
     cascades; adjacent differing bags are bridged by forget-then-introduce
-    chains in ascending id order.  Each chain is appended to the columns in
-    one go, then ``_layout`` writes every introduce's and forget's slot (see
-    ``NiceTreeDecomposition``); no per-node object is made.  Raises
-    ``InvalidDecompositionError`` when ``validate`` finds violations.
+    chains in ascending id order, found by merging the two bags read in
+    ascending order (``sorted``: a short copy, already in order for tuple
+    bags) rather than by set differences.  Each chain is appended to the
+    columns in one go, then ``_layout`` writes every introduce's and
+    forget's slot (see ``NiceTreeDecomposition``); no per-node object is
+    made.  Raises ``InvalidDecompositionError`` when ``validate`` finds
+    violations.
     """
     report = validate(g, td)
     if not report.ok:
@@ -504,6 +542,7 @@ def make_nice(g: TannerGraph, td: TreeDecomposition) -> NiceTreeDecomposition:
     order, children = report.tree
     root = order[0]
     n = g.n_var
+    end = n + g.n_chk                     # above every id
     kind = bytearray()
     elem, child, child2 = array("i"), array("i"), array("i")
     # per combined-namespace id: its id in its own namespace, and the kind
@@ -512,11 +551,25 @@ def make_nice(g: TannerGraph, td: TreeDecomposition) -> NiceTreeDecomposition:
     forget_kind = bytes([K_FORGET_VAR]) * n + bytes([K_FORGET_CHK]) * g.n_chk
     intro_kind = bytes([K_INTRO_VAR]) * n + bytes([K_INTRO_CHK]) * g.n_chk
 
-    def bridge(idx: int, cur: frozenset[int], target: frozenset[int]) -> int:
+    def bridge(idx: int, cur: list[int], target: list[int]) -> int:
         """Bridge node ``idx``, holding bag ``cur``, to bag ``target`` with
-        forgets (ascending id) then introduces, one element per node."""
-        steps = sorted(cur - target)
-        new = sorted(target - cur)
+        forgets (ascending id) then introduces, one element per node; both
+        bags ascending, merged in one pass."""
+        steps: list[int] = []
+        new: list[int] = []
+        rest = iter(target)
+        y = next(rest, end)
+        for x in cur:
+            while y < x:
+                new.append(y)
+                y = next(rest, end)
+            if y == x:
+                y = next(rest, end)
+            else:
+                steps.append(x)
+        if y != end:
+            new.append(y)
+            new += rest
         kind.extend(map(forget_kind.__getitem__, steps))
         kind.extend(map(intro_kind.__getitem__, new))
         steps += new
@@ -529,18 +582,24 @@ def make_nice(g: TannerGraph, td: TreeDecomposition) -> NiceTreeDecomposition:
         child2.extend(_ABSENT * len(steps))
         return len(child) - 1
 
+    # every nice bag is a subset of an input bag, so the input bags give
+    # the slot counts
+    var_slots = chk_slots = 0
     top: dict[int, int] = {}
     for x in reversed(order):              # post-order over original bags
-        bag = td.bags[x]
+        bag = sorted(td.bags[x])
+        n_vars = bisect_left(bag, n)
+        var_slots = max(var_slots, n_vars)
+        chk_slots = max(chk_slots, len(bag) - n_vars)
         kids = children[x]
         if not kids:
             kind.append(K_LEAF)
             elem.append(-1)
             child.append(-1)
             child2.append(-1)
-            top[x] = bridge(len(kind) - 1, frozenset(), bag)
+            top[x] = bridge(len(kind) - 1, [], bag)
             continue
-        tops = [bridge(top[k], td.bags[k], bag) for k in kids]
+        tops = [bridge(top[k], sorted(td.bags[k]), bag) for k in kids]
         idx = tops[0]
         for other in tops[1:]:
             kind.append(K_JOIN)
@@ -550,12 +609,7 @@ def make_nice(g: TannerGraph, td: TreeDecomposition) -> NiceTreeDecomposition:
             idx = len(kind) - 1
         top[x] = idx
 
-    bridge(top[root], td.bags[root], frozenset())
-    # every nice bag is a subset of an input bag, so the input bags give
-    # the slot counts
-    n_vars = list(map(len, map(set(range(n)).intersection, td.bags)))
-    var_slots = max(n_vars)
-    chk_slots = max(map(int.__sub__, map(len, td.bags), n_vars))
+    bridge(top[root], sorted(td.bags[root]), [])
     ntd = NiceTreeDecomposition(n, g.n_chk, bytes(kind), elem,
                                 _ABSENT * len(kind), child, child2,
                                 var_slots, chk_slots)
@@ -570,7 +624,9 @@ def sc_path_decomposition(g: TannerGraph, p: ScLdpcParams) -> TreeDecomposition:
     """Sliding-window path decomposition for a spatially coupled code.
 
     Bag t holds check block t together with the variable blocks of its
-    coupling window; rooted at bag 0 so the nice form is join-free.
+    coupling window; rooted at bag 0 so the nice form is join-free.  Each
+    bag is two slices of one list of ids, its variables then its checks,
+    so it is sorted and shares the id objects with every other bag.
     """
     if g.n_var != p.n_var or g.n_chk != p.n_chk:
         raise ValueError(
@@ -584,14 +640,13 @@ def sc_path_decomposition(g: TannerGraph, p: ScLdpcParams) -> TreeDecomposition:
                 raise ValueError(
                     f"check {chk} (block {t}) adjacent to variable {v} "
                     "outside its coupling window")
-    bags = []
-    for t in range(L + w - 1):
-        bag = {g.n_var + r * t + i for i in range(r)}
-        for j in range(max(0, t - w + 1), min(t, L - 1) + 1):
-            bag |= {j * c + i for i in range(c)}
-        bags.append(frozenset(bag))
-    edges = tuple((t, t + 1) for t in range(len(bags) - 1))
-    return TreeDecomposition(g.n_var + g.n_chk, tuple(bags), edges, root=0)
+    n = g.n_var
+    ids = list(range(n + g.n_chk))
+    bags = tuple((*ids[max(0, t - w + 1) * c:(min(t, L - 1) + 1) * c],
+                  *ids[n + r * t:n + r * (t + 1)])
+                 for t in range(L + w - 1))
+    edges = tuple(zip(ids[:len(bags) - 1], ids[1:len(bags)]))
+    return TreeDecomposition(n + g.n_chk, bags, edges, root=0)
 
 
 def heuristic_decomposition(g: TannerGraph) -> TreeDecomposition:
@@ -608,6 +663,9 @@ def heuristic_decomposition(g: TannerGraph) -> TreeDecomposition:
     set is dropped with its step.  No width guarantee (Bodlaender & Koster,
     "Treewidth computations I. Upper bounds", Inf. Comput. 2010).
 
+    Each bag is a sorted tuple; adjacency sets, bags and tree edges share
+    one int object per id.
+
     Every fill-in is kept exact by incremental updates instead of being
     recounted.  A Tanner graph is bipartite, so no two neighbours of a node
     start out adjacent and its initial fill-in is deg * (deg - 1) / 2.
@@ -620,12 +678,15 @@ def heuristic_decomposition(g: TannerGraph) -> TreeDecomposition:
     """
     total = g.n_var + g.n_chk
     if total == 0:
-        return TreeDecomposition(0, (frozenset(),), ())
+        return TreeDecomposition(0, ((),), ())
+    # the ids, which also number the bags: bag i is the i-th elimination
+    ids = list(range(total))
     adj: list[set[int] | None] = [set() for _ in range(total)]
     for c, vs in enumerate(g.chk_adj):
+        cid = ids[g.n_var + c]
+        adj[cid].update(map(ids.__getitem__, vs))
         for v in vs:
-            adj[v].add(g.n_var + c)
-            adj[g.n_var + c].add(v)
+            adj[v].add(cid)
 
     # the graph is bipartite: every pair of a node's neighbours is missing
     fill = [len(nbrs) * (len(nbrs) - 1) // 2 for nbrs in adj]
@@ -637,16 +698,18 @@ def heuristic_decomposition(g: TannerGraph) -> TreeDecomposition:
     heap = list(current)
     heapq.heapify(heap)
     position = [-1] * total
-    bags: list[frozenset[int]] = []
+    bags: list[tuple[int, ...]] = []
     while heap:
         k = heapq.heappop(heap)
         x = k % total
         if position[x] >= 0 or k != current[x]:
             continue
-        position[x] = len(bags)
+        position[x] = ids[len(bags)]
         nbrs = adj[x]
         adj[x] = None                 # the set dies with this step's nbrs
-        bags.append(frozenset(nbrs | {x}))
+        bag = [*nbrs, ids[x]]
+        bag.sort()
+        bags.append(tuple(bag))
         for a in nbrs:
             na = adj[a]
             na.discard(x)
@@ -673,7 +736,7 @@ def heuristic_decomposition(g: TannerGraph) -> TreeDecomposition:
                 heapq.heappush(heap, k)
 
     edges, parentless = [], []
-    for i, bag in enumerate(bags):
+    for i, bag in zip(ids, bags):
         if len(bag) > 1:
             edges.append((i, min(p for p in map(position.__getitem__, bag)
                                  if p > i)))

@@ -288,7 +288,7 @@ def parse_alist(text: str | bytes) -> TannerGraph:
         low = min(map(itemgetter(0), filter(None, body)), default=0)
     cols, rows = body[:n], body[n:]
     if not (list(map(len, body)) == col_deg + row_deg and low >= 0
-            and max(map(itemgetter(-1), filter(None, rows)), default=0) < n
+            and max(map(itemgetter(-1), filter(None, rows)), default=-1) < n
             and list(map(len, map(set, rows))) == row_deg
             and sum(col_deg) == sum(row_deg)
             and all(c in cols[v] for c, row in enumerate(rows) for v in row)):

@@ -100,13 +100,13 @@ def min_fill_reference(g: TannerGraph) -> TreeDecomposition:
 
     The oracle for ``decomp.heuristic_decomposition``, which keeps its
     fill-ins by incremental updates: the same rule (eliminate the smallest
-    (fill-in, current degree, id)), the same bags, order and edges.  After
-    each elimination it recounts every node the step can have changed, the
-    eliminated node's neighbours and theirs.
+    (fill-in, current degree, id)), the same sorted-tuple bags, order and
+    edges.  After each elimination it recounts every node the step can
+    have changed, the eliminated node's neighbours and theirs.
     """
     total = g.n_var + g.n_chk
     if total == 0:
-        return TreeDecomposition(0, (frozenset(),), ())
+        return TreeDecomposition(0, ((),), ())
     adj: list[set[int]] = [set() for _ in range(total)]
     for c, vs in enumerate(g.chk_adj):
         for v in vs:
@@ -124,7 +124,7 @@ def min_fill_reference(g: TannerGraph) -> TreeDecomposition:
     heap = list(current)
     heapq.heapify(heap)
     position = [-1] * total
-    bags: list[frozenset[int]] = []
+    bags: list[tuple[int, ...]] = []
     eliminated_nbrs: list[set[int]] = []
     while heap:
         k = heapq.heappop(heap)
@@ -133,7 +133,7 @@ def min_fill_reference(g: TannerGraph) -> TreeDecomposition:
             continue
         position[x] = len(bags)
         nbrs = adj[x]
-        bags.append(frozenset(nbrs | {x}))
+        bags.append(tuple(sorted(nbrs | {x})))
         eliminated_nbrs.append(nbrs)
         for a in nbrs:
             adj[a] |= nbrs
@@ -584,6 +584,13 @@ def validate_reference(g: TannerGraph,
         for x in bag:
             if not 0 <= x < total:
                 violations.append(f"bag {i}: node id {x} out of range")
+    repeated = False
+    for i, bag in enumerate(td.bags):
+        listed = list(bag)
+        for k, x in enumerate(listed):
+            if x not in listed[:k] and x in listed[k + 1:]:
+                violations.append(f"bag {i}: node {x} listed twice")
+                repeated = True
 
     tree_err = _tree_ok_reference(len(td.bags), td.edges)
     if tree_err is None and td.root is not None \
@@ -610,8 +617,11 @@ def validate_reference(g: TannerGraph,
                 violations.append(f"edge (v{v}, c{c}) is covered by no bag")
 
     # connectivity of each node's occurrence set: a subforest of a tree is
-    # connected iff #bags == #edges-within + 1
-    inside = Counter(x for i, j in td.edges for x in td.bags[i] & td.bags[j])
+    # connected iff #bags == #edges-within + 1; a repeat would count twice
+    if repeated:
+        return ValidationReport(tuple(violations))
+    inside = Counter(x for i, j in td.edges
+                     for x in set(td.bags[i]) & set(td.bags[j]))
     for x in range(total):
         occ = occurrence[x]
         if occ and len(occ) != inside[x] + 1:

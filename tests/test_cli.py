@@ -32,6 +32,24 @@ def test_analyze_hamming_json(hamming_alist, capsys):
     assert (r["b"], r["a_min"], r["count"]) == (0, 3, "7")
 
 
+@pytest.mark.parametrize("text", ["0 0\n0 0\n\n\n",
+                                  "0 2\n0 0\n\n0 0\n\n\n"])
+def test_commands_accept_a_code_without_variables(tmp_path, text, capsys):
+    alist, td, nice = (str(tmp_path / f) for f in ("e.alist", "e.td",
+                                                     "n.td"))
+    Path(alist).write_text(text)
+    assert main(["analyze", "--alist", alist, "--b", "0,1", "--witness",
+                 "--no-timing"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert [r["a_min"] for r in results] == [None, None]
+    assert main(["decomp", "heuristic", "--alist", alist, "--out", td]) == 0
+    assert main(["decomp", "nice", "--alist", alist, "--td", td,
+                 "--out", nice]) == 0
+    for path in (td, nice):
+        assert main(["decomp", "validate", "--alist", alist,
+                     "--td", path]) == 0
+
+
 def test_analyze_text_with_witness(hamming_alist, capsys):
     rc = main(["analyze", "--alist", hamming_alist, "--b", "0,1",
                "--witness", "--text"])

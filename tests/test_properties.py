@@ -13,6 +13,10 @@ min-degree routes.  Random elimination
 decompositions are join-heavy, so they exercise the slots a join hands to
 both children.  The search is derandomized and bounded, so the module runs
 the same examples in the same short time on every run.
+
+The exchange formats round-trip exactly: ``parse_td`` gives back the
+sorted-tuple bags that both builders make, and any decomposition of such
+bags, and ``parse_alist`` any graph, down to no variables or no checks.
 """
 
 import random
@@ -21,9 +25,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trapgraph.decomp import (
+    TreeDecomposition,
     heuristic_decomposition,
     make_nice,
+    parse_td,
     sc_path_decomposition,
+    serialize_td,
 )
 from trapgraph.dpcore import run_dp
 from trapgraph.oracle import brute_force_spectrum
@@ -32,6 +39,8 @@ from trapgraph.tanner import (
     TannerGraph,
     gamma_odd,
     generate_sc_ldpc,
+    parse_alist,
+    serialize_alist,
 )
 from trapgraph.witness import extract_witness
 from helpers import (
@@ -132,3 +141,67 @@ def test_capped_dp_agrees_with_trellis_on_sc_codes(route, length):
     for b in range(4):
         root = run_dp(g, ntd, b).root_table
         assert [root.answer(d) for d in range(b + 1)] == expected[:b + 1]
+
+
+@st.composite
+def any_tanner_graphs(draw):
+    """Graphs of 0..8 variables and 0..6 checks, isolated nodes allowed."""
+    n_var = draw(st.integers(0, 8))
+    n_chk = draw(st.integers(0, 6))
+    rows = draw(st.lists(st.lists(st.booleans(), min_size=n_var,
+                                  max_size=n_var),
+                         min_size=n_chk, max_size=n_chk))
+    return TannerGraph.from_check_adj(
+        n_var, n_chk, [[v for v, on in enumerate(row) if on] for row in rows])
+
+
+@st.composite
+def sorted_tuple_decompositions(draw):
+    """1..8 bags of sorted distinct ids, some empty, on a random tree with
+    shuffled bag labels, edge orientations and edge order; valid for no
+    graph in particular."""
+    n_nodes = draw(st.integers(0, 10))
+    bags = draw(st.lists(st.lists(st.booleans(), min_size=n_nodes,
+                                  max_size=n_nodes), min_size=1, max_size=8))
+    bags = tuple(tuple(x for x, on in enumerate(bag) if on) for bag in bags)
+    label = draw(st.permutations(range(len(bags))))
+    edges = []
+    for i in range(1, len(bags)):
+        edge = (label[i], label[draw(st.integers(0, i - 1))])
+        edges.append(edge[::-1] if draw(st.booleans()) else edge)
+    edges = draw(st.permutations(edges))
+    return TreeDecomposition(n_nodes, bags, tuple(edges))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(g=any_tanner_graphs())
+def test_alist_round_trip_is_exact(g):
+    text = serialize_alist(g)
+    assert parse_alist(text) == g
+    assert serialize_alist(parse_alist(text)) == text
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(td=sorted_tuple_decompositions())
+def test_td_round_trip_is_exact(td):
+    assert parse_td(serialize_td(td)) == td
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(g=any_tanner_graphs())
+def test_min_fill_td_round_trip_is_exact(g):
+    td = heuristic_decomposition(g)
+    assert parse_td(serialize_td(td)) == td
+
+
+@settings(max_examples=50, derandomize=True, database=None, deadline=None)
+@given(shape=st.tuples(st.integers(1, 3), st.integers(1, 4),
+                       st.integers(1, 6), st.integers(1, 3)),
+       seed=st.integers(0, 2**32 - 1))
+def test_path_td_round_trip_is_exact(shape, seed):
+    r, c, length, w = shape
+    params = ScLdpcParams(r, c, length, w, var_degree=min(3, r * w),
+                          seed=seed)
+    td = sc_path_decomposition(generate_sc_ldpc(params), params)
+    # a .td file carries no root
+    assert parse_td(serialize_td(td)) == td._replace(root=None)

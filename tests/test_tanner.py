@@ -299,6 +299,17 @@ def test_serialize_minimal_and_degenerate():
     assert lines0[2] == "0 0" and lines0[3] == "0"
 
 
+@pytest.mark.parametrize("n_chk, text", [(0, "0 0\n0 0\n\n\n"),
+                                          (2, "0 2\n0 0\n\n0 0\n\n\n")])
+def test_alist_round_trip_without_variables(n_chk, text):
+    # with no variables every row is empty, and the bound on row ids must
+    # hold when there is no id at all
+    g = TannerGraph.from_check_adj(0, n_chk, [[]] * n_chk)
+    assert serialize_alist(g) == text
+    assert parse_alist(text) == g == parse_alist_reference(text)
+    assert serialize_alist(parse_alist(text)) == text
+
+
 def test_alist_round_trip_fuzz():
     rng = random.Random(42)
     for _ in range(200):
