@@ -164,16 +164,6 @@ def gamma_odd(g: TannerGraph, s: Iterable[int],
     return set(bit_ids(x))
 
 
-def gamma_odd_mask(var_masks, q_mask: int, restrict_mask: int) -> int:
-    """Bitmask variant of :func:`gamma_odd`."""
-    x = 0
-    while q_mask:
-        low = q_mask & -q_mask
-        x ^= var_masks[low.bit_length() - 1]
-        q_mask ^= low
-    return x & restrict_mask
-
-
 def bit_ids(mask: int):
     """Ids of the set bits of ``mask``, in increasing order."""
     while mask:

@@ -33,13 +33,25 @@ from trapgraph.decomp import (
     TreeDecomposition,
     ValidationReport,
 )
-from trapgraph.tanner import AlistError, TannerGraph, gamma_odd_mask
+from trapgraph.tanner import AlistError, TannerGraph
 
 HAMMING_74 = [
     [1, 0, 1, 0, 1, 0, 1],
     [0, 1, 1, 0, 0, 1, 1],
     [0, 0, 0, 1, 1, 1, 1],
 ]
+
+
+def gamma_odd_mask(var_masks, q_mask: int, restrict_mask: int) -> int:
+    """Checks of ``restrict_mask`` with an odd number of neighbours among
+    the variables of ``q_mask``, as a mask: ``tanner.gamma_odd`` over
+    bitmasks, with ``var_masks`` the graph's per-variable check masks."""
+    x = 0
+    while q_mask:
+        low = q_mask & -q_mask
+        x ^= var_masks[low.bit_length() - 1]
+        q_mask ^= low
+    return x & restrict_mask
 
 
 def random_graph(rng: random.Random, max_var=14, max_chk=10) -> TannerGraph:

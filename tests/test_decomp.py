@@ -22,6 +22,8 @@ from trapgraph.decomp import (
     validate,
     width,
 )
+from trapgraph.dpcore import run_dp
+from trapgraph.oracle import brute_force_spectrum
 from trapgraph.tanner import (
     ScLdpcParams,
     TannerGraph,
@@ -430,6 +432,70 @@ def test_make_nice_rejects_invalid():
     with pytest.raises(InvalidDecompositionError, match="invalid") as exc:
         make_nice(g, bad)
     assert exc.value.violations == validate(g, bad).violations
+
+
+def fold_case(bags, edges):
+    """The nice form of hand-built bags over the chain code c0 = {v0, v1},
+    c1 = {v1, v2} (ids v0..v2 = 0..2, c0 = 3, c1 = 4), rooted at bag 0,
+    checked for structure and against brute force at b = 0..2."""
+    g = TannerGraph.from_check_adj(3, 2, [[0, 1], [1, 2]])
+    td = TreeDecomposition(5, bags, edges, root=0)
+    ntd = make_nice(g, td)
+    check_nice_structure(g, td, ntd)
+    check_slot_layout(ntd)
+    whole = make_nice(g, single_bag_td(g))
+    for b in (0, 1, 2):
+        res = run_dp(g, ntd, b)
+        assert ((res.a_min, res.count) if res.found else None) == \
+            brute_force_spectrum(g, b)
+        assert res.root_table.answer(b) == \
+            run_dp(g, whole, b).root_table.answer(b)
+    return ntd
+
+
+def test_make_nice_folds_a_leaf_that_fits():
+    # leaf (v0, c0) adds v0 beside its parent (v1, c0), within the largest
+    # bag (v1, v2, c1); that other leaf does not fit and starts the chain,
+    # and v0 is introduced and forgotten after its bridge, so no join is
+    # left
+    ntd = fold_case(((1, 3), (0, 3), (1, 2, 4)), ((1, 0), (2, 0)))
+    assert [n.kind for n in ntd.nodes] == [
+        LEAF, INTRO_VAR, INTRO_VAR, INTRO_CHK,          # up to (v1, v2, c1)
+        FORGET_VAR, FORGET_CHK, INTRO_CHK,              # on to (v1, c0)
+        INTRO_VAR, FORGET_VAR,                          # the folded v0
+        FORGET_VAR, FORGET_CHK]                         # the empty root
+    assert ntd.width() == 2
+
+
+def test_make_nice_keeps_a_leaf_that_does_not_fit():
+    # the parent (v1, c0, c1) is a largest bag, so neither leaf's extra
+    # member fits beside it: both keep their branch, joined once
+    ntd = fold_case(((1, 3, 4), (0, 3), (2, 4)), ((1, 0), (2, 0)))
+    kinds = [n.kind for n in ntd.nodes]
+    assert kinds.count(LEAF) == 2 and kinds.count(JOIN) == 1
+    assert ntd.width() == 2
+
+
+def test_make_nice_folds_a_leaf_without_extra_members_into_nothing():
+    # leaf (v0, c0) lies inside its parent (v0, v1, c0): the nice form is
+    # the one of the bags without it
+    ntd = fold_case(((0, 1, 3), (0, 3), (1, 2, 4)), ((1, 0), (2, 0)))
+    bare = make_nice(TannerGraph.from_check_adj(3, 2, [[0, 1], [1, 2]]),
+                     TreeDecomposition(5, ((0, 1, 3), (1, 2, 4)), ((1, 0),),
+                                       root=0))
+    for column in ("kind", "elem", "slot", "child", "child2"):
+        assert getattr(ntd, column) == getattr(bare, column)
+
+
+def test_make_nice_starts_the_chain_with_the_first_leaf_when_all_fit():
+    # both leaves of (v1, c0) fit below the largest bag, so the first,
+    # (v0, c0), keeps its branch and the second, inside the parent, adds
+    # nothing
+    ntd = fold_case(((1, 2, 3, 4), (1, 3), (0, 3), (1, 3)),
+                    ((1, 0), (2, 1), (3, 1)))
+    kinds = [n.kind for n in ntd.nodes]
+    assert kinds.count(LEAF) == 1 and JOIN not in kinds
+    assert kinds[:3] == [LEAF, INTRO_VAR, INTRO_CHK]
 
 
 def check_slot_layout(ntd):

@@ -9,6 +9,7 @@ from trapgraph.decomp import (
     FORGET_VAR,
     INTRO_CHK,
     INTRO_VAR,
+    K_JOIN,
     LEAF,
     NiceTreeDecomposition,
     heuristic_decomposition,
@@ -29,11 +30,11 @@ from trapgraph.oracle import brute_force_spectrum
 from trapgraph.tanner import (
     ScLdpcParams,
     TannerGraph,
-    gamma_odd_mask,
     generate_sc_ldpc,
 )
 from helpers import (
     HAMMING_74,
+    gamma_odd_mask,
     min_weight_and_count,
     random_graph,
     random_td,
@@ -697,6 +698,23 @@ def test_path_route_counts_per_variable_stay_flat(monkeypatch):
         assert nodes0 / 1.05 <= nodes <= nodes0 * 1.05
         assert entries0 / 1.25 <= entries <= entries0 * 1.25
         assert peak <= peak0 * 1.5
+
+
+def test_min_fill_route_counts_per_variable_stay_flat():
+    # make_nice folds the leaf bags that fit into their parent's chain, so
+    # the default route keeps about 4.2 nice nodes and 0.11-0.12 joins per
+    # variable from L = 160 to L = 1280 (without the fold: 8.0 and 0.72)
+    per_var = []
+    for length in (160, 320, 640, 1280):
+        g = generate_sc_ldpc(ScLdpcParams(3, 4, length, 2, var_degree=3,
+                                          seed=1))
+        ntd = make_nice(g, heuristic_decomposition(g))
+        per_var.append((len(ntd.kind) / g.n_var,
+                        ntd.kind.count(K_JOIN) / g.n_var))
+    nodes0 = per_var[0][0]
+    for nodes, joins in per_var:
+        assert nodes0 / 1.05 <= nodes <= nodes0 * 1.05 and nodes < 4.5
+        assert joins < 0.15
 
 
 def test_leaf_and_introduce_tables_keep_every_answer():
