@@ -15,6 +15,7 @@ from trapgraph.decomp import (
     TdFormatError,
     TreeDecomposition,
     heuristic_decomposition,
+    heuristic_nice,
     make_nice,
     parse_td,
     sc_path_decomposition,
@@ -49,6 +50,7 @@ __all__ = [
     "gamma_odd",
     "generate_sc_ldpc",
     "heuristic_decomposition",
+    "heuristic_nice",
     "make_nice",
     "parse_alist",
     "parse_td",

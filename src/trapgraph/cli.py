@@ -103,16 +103,18 @@ def cmd_analyze(args) -> int:
             raise SystemExit(str(exc))
         source = f"sc-params:{args.sc_params}"
     else:
-        td = decomp.heuristic_decomposition(g)
+        td = None                     # the elimination goes straight to nice
         source = "heuristic"
 
     try:
-        ntd = decomp.make_nice(g, td)
+        if td is None:
+            ntd, tw = decomp.heuristic_nice(g)
+        else:
+            ntd, tw = decomp.make_nice(g, td), decomp.width(td)
     except decomp.InvalidDecompositionError as exc:
         for v in exc.violations:
             print(f"invalid decomposition: {v}", file=sys.stderr)
         return 2
-    tw = decomp.width(td)
     del td                            # the DP reads only the nice form
 
     # one pass at the largest b answers every smaller b from its root table

@@ -22,7 +22,7 @@ from array import array
 from bisect import bisect_left
 from collections import Counter
 from itertools import chain
-from typing import Collection, NamedTuple
+from typing import Collection, NamedTuple, Sequence
 
 from trapgraph.tanner import ScLdpcParams, TannerGraph
 
@@ -168,14 +168,15 @@ def validate(g: TannerGraph, td: TreeDecomposition) -> ValidationReport:
     ``td.root`` or else at the smallest-index bag of tree-degree at most
     one; the report carries the rooted tree whenever the shape is valid.
 
-    A bag is read only by its length, iteration and membership, so sorted
-    tuples and frozensets alike are checked as they are.  The other
-    conditions are checked in bulk: occurrences come from one ``Counter``
-    over all bags, repeats from the bags' distinct sizes, a check's
-    uncovered edges from one set difference with the bags that hold it,
-    and the running intersection from one ``Counter`` over the members of
-    each bag found in its tree neighbour.  Entries are listed one by one
-    only for a condition that fails.
+    A bag is read only by its length and iteration, so sorted tuples and
+    frozensets alike are checked as they are; no membership test scans a
+    tuple.  The other conditions are checked in bulk: occurrences come
+    from one ``Counter`` over all bags, repeats from the bags' distinct
+    sizes, a check's uncovered edges from removing each bag that holds it
+    from the set of its neighbours while any is left, and the running
+    intersection from the total size of the tree neighbours' common
+    members.  Entries are listed one by one only for a condition that
+    fails.
     """
     n, total = g.n_var, g.n_var + g.n_chk
     bags = td.bags
@@ -208,25 +209,36 @@ def validate(g: TannerGraph, td: TreeDecomposition) -> ValidationReport:
         violations.extend(f"node {x} appears in no bag"
                           for x in range(total) if x not in occurrences)
 
-    holding: list[list[Collection[int]]] = [[] for _ in range(g.n_chk)]
+    # per check held by a bag, its neighbours in no bag seen yet that holds
+    # it: a set only while some are left, so few sets are alive at once
+    missed: list = [None] * g.n_chk
     checks = set(range(n, total))
     for bag in bags:
         for x in checks.intersection(bag):
-            holding[x - n].append(bag)
-    for c, (vs, held) in enumerate(zip(g.chk_adj, holding)):
-        missed = set(vs).difference(*held)
-        if missed:
+            left = missed[x - n]
+            if left is None:
+                missed[x - n] = set(g.chk_adj[x - n]).difference(bag) or ()
+            elif left:
+                left.difference_update(bag)
+                if not left:
+                    missed[x - n] = ()
+    missed = [vs if left is None else left
+              for vs, left in zip(g.chk_adj, missed)]
+    if any(missed):
+        for c, (vs, left) in enumerate(zip(g.chk_adj, missed)):
             violations.extend(f"edge (v{v}, c{c}) is covered by no bag"
-                              for v in vs if v in missed)
+                              for v in vs if v in left)
 
     # each node's bags are connected iff they span one edge fewer than
-    # their number; they never span more, as the tree has no cycle
-    inside = Counter(chain.from_iterable(filter(bags[j].__contains__, bags[i])
-                                         for i, j in td.edges))
-    if not repeated and entries != sum(inside.values()) + len(occurrences):
+    # their number; they never span more, as the tree has no cycle, so one
+    # total tells, and the count per node is taken only when it fails
+    def shared():
+        return (set(bags[i]).intersection(bags[j]) for i, j in td.edges)
+    if not repeated and entries != sum(map(len, shared())) + len(occurrences):
+        spans = Counter(chain.from_iterable(shared()))
         violations.extend(f"node {x}: occurrence bags are disconnected"
                           for x in range(total) if x in occurrences
-                          and occurrences[x] != inside[x] + 1)
+                          and occurrences[x] != spans[x] + 1)
 
     return ValidationReport(tuple(violations), tree)
 
@@ -474,7 +486,7 @@ class NiceTreeDecomposition:
                                  root=self.root)
 
 
-def _layout(ntd: NiceTreeDecomposition) -> int:
+def _layout(ntd: NiceTreeDecomposition, g: TannerGraph | None = None) -> int:
     """Write every introduce's and forget's slot, top-down from the empty
     root, and return the width.
 
@@ -484,16 +496,32 @@ def _layout(ntd: NiceTreeDecomposition) -> int:
     direction, the same for variables and checks.  Each namespace's layout
     is one list, updated in place along a path.  The width comes from the
     fewest free slots of any bag.
+
+    Given the graph, the walk also checks the columns against it for
+    ``check_nice_columns``, raising ``InvalidDecompositionError`` at the
+    first fault.
     """
     kinds, elems, slots = ntd.kind, ntd.elem, ntd.slot
     child, child2 = ntd.child, ntd.child2
     fewest = ntd.var_slots + ntd.chk_slots
+    # per namespace, a flag per element once a forget of it is read
+    forgot = () if g is None else (bytearray(g.n_var), bytearray(g.n_chk))
+    covered = 0
     stack = [(ntd.root, [-1] * ntd.var_slots, [-1] * ntd.chk_slots, fewest)]
     while stack:
         x, var_at, chk_at, free = stack.pop()
         while True:
             code = kinds[x]
             if code == K_FORGET_VAR or code == K_FORGET_CHK:
+                if g is not None:
+                    chk, e = code == K_FORGET_CHK, elems[x]
+                    if forgot[chk][e]:
+                        raise InvalidDecompositionError((
+                            f"{'vc'[chk]}{e} is forgotten twice",))
+                    forgot[chk][e] = 1
+                    nbrs = g.chk_adj[e] if chk else g.var_adj[e]
+                    other = var_at if chk else chk_at
+                    covered += sum(map(other.__contains__, nbrs))
                 layout = var_at if code == K_FORGET_VAR else chk_at
                 s = layout.index(-1)
                 layout[s] = elems[x]
@@ -506,6 +534,10 @@ def _layout(ntd: NiceTreeDecomposition) -> int:
                 if free < fewest:
                     fewest = free
                 layout = var_at if code == K_INTRO_VAR else chk_at
+                if g is not None and elems[x] not in layout:
+                    raise InvalidDecompositionError((
+                        f"node {x} introduces {'vc'[code == K_INTRO_CHK]}"
+                        f"{elems[x]}, which no forget above it holds",))
                 s = layout.index(elems[x])
                 layout[s] = -1
                 slots[x] = s
@@ -513,9 +545,41 @@ def _layout(ntd: NiceTreeDecomposition) -> int:
             elif code == K_JOIN:
                 stack.append((child2[x], var_at[:], chk_at[:], free))
             else:
+                if g is not None and free != ntd.var_slots + ntd.chk_slots:
+                    raise InvalidDecompositionError((
+                        f"leaf {x} has a nonempty bag",))
                 break
             x = child[x]
+    for name, flags in zip("vc", forgot):
+        if 0 in flags:
+            raise InvalidDecompositionError((
+                f"{name}{flags.index(0)} is never forgotten",))
+    edges = 0 if g is None else sum(map(len, g.chk_adj))
+    if covered != edges:
+        raise InvalidDecompositionError((
+            f"Tanner edges in no nice bag: {edges - covered} of {edges}",))
     return ntd.var_slots + ntd.chk_slots - fewest - 1
+
+
+def check_nice_columns(g: TannerGraph, ntd: NiceTreeDecomposition,
+                       tw: int) -> None:
+    """Check in one walk over the columns, ``_layout``'s, that ``ntd`` is a
+    nice decomposition of ``g`` of width ``tw``, and write its slots;
+    raises ``InvalidDecompositionError`` naming the first fault.
+
+    Every variable and every check must be forgotten exactly once, every
+    introduce must find its element in the top-down layout (so the root
+    bag is empty) and every leaf an empty one, and every Tanner edge is
+    counted once: at the forget of its lower endpoint, the other endpoint
+    must be in the layout.  Then each element's bags are the subtree below
+    its forget, two elements share a bag iff the lower one's forget finds
+    the other, and the bags the DP reads are a valid decomposition.  Last,
+    the nice width must be ``tw``.
+    """
+    nice_width = _layout(ntd, g)
+    if nice_width != tw:
+        raise InvalidDecompositionError((
+            f"nice form has width {nice_width}, its bags {tw}",))
 
 
 def make_nice(g: TannerGraph, td: TreeDecomposition) -> NiceTreeDecomposition:
@@ -525,11 +589,33 @@ def make_nice(g: TannerGraph, td: TreeDecomposition) -> NiceTreeDecomposition:
     set, otherwise at the smallest-index bag of tree-degree at most one (for
     a path: an endpoint, which yields a join-free nice form); the nice form
     follows that tree's breadth-first order and ascending children from the
-    report, with no second walk.  Multi-child bags become binary join
-    cascades; adjacent differing bags are bridged by forget-then-introduce
-    chains in ascending id order, found by merging the two bags read in
-    ascending order (``sorted``: a short copy, already in order for tuple
-    bags) rather than by set differences.
+    report, with no second walk, through ``_nice_columns`` and then
+    ``_layout``.  Raises ``InvalidDecompositionError`` when ``validate``
+    finds violations.
+    """
+    report = validate(g, td)
+    if not report.ok:
+        raise InvalidDecompositionError(report.violations)
+    ntd = _nice_columns(g, td.bags, *report.tree)
+    nice_width = _layout(ntd)
+    if nice_width != width(td):
+        raise ValueError(f"nice form has width {nice_width}, "
+                         f"input has width {width(td)}")
+    return ntd
+
+
+def _nice_columns(g: TannerGraph, bags: Sequence[Collection[int]],
+                  order: Sequence[int],
+                  children: list[list[int]]) -> NiceTreeDecomposition:
+    """The nice columns of a valid decomposition whose tree is rooted at
+    ``order[0]``, ``reversed(order)`` listing every bag after its children;
+    the slots are left for ``_layout``.
+
+    Multi-child bags become binary join cascades; adjacent differing bags
+    are bridged by forget-then-introduce chains in ascending id order,
+    found by merging the two bags read in ascending order (``sorted``: a
+    short copy, already in order for tuple bags) rather than by set
+    differences.
 
     Each bag emits its leaf children, the bags with no children of their
     own.  A leaf whose members outside the bag fit beside it, within the
@@ -544,16 +630,9 @@ def make_nice(g: TannerGraph, td: TreeDecomposition) -> NiceTreeDecomposition:
     nodes and its joins from 920 to 150; the path route's one leaf never
     fits, so its nice form is unchanged.
 
-    Each chain is appended to the columns in one go, then ``_layout``
-    writes every introduce's and forget's slot (see
-    ``NiceTreeDecomposition``); no per-node object is made.  Raises
-    ``InvalidDecompositionError`` when ``validate`` finds violations.
+    Each chain is appended to the columns in one go; no per-node object is
+    made.
     """
-    report = validate(g, td)
-    if not report.ok:
-        raise InvalidDecompositionError(report.violations)
-
-    order, children = report.tree
     root = order[0]
     n = g.n_var
     end = n + g.n_chk                     # above every id
@@ -612,11 +691,11 @@ def make_nice(g: TannerGraph, td: TreeDecomposition) -> NiceTreeDecomposition:
     # every nice bag is an input bag or a parent bag widened by a folded
     # leaf's extra members, which holds that leaf's bag; so these give the
     # slot counts
-    largest = max(map(len, td.bags))
+    largest = max(map(len, bags))
     var_slots = chk_slots = 0
     top: dict[int, int] = {}
     for x in reversed(order):              # post-order over original bags
-        bag = sorted(td.bags[x])
+        bag = sorted(bags[x])
         n_vars = bisect_left(bag, n)
         var_slots = max(var_slots, n_vars)
         chk_slots = max(chk_slots, len(bag) - n_vars)
@@ -629,7 +708,7 @@ def make_nice(g: TannerGraph, td: TreeDecomposition) -> NiceTreeDecomposition:
         folds: list[list[int]] = []        # the folded leaves' extra members
         room = largest - len(bag)
         for k in kids:
-            kbag = sorted(td.bags[k])
+            kbag = sorted(bags[k])
             if children[k]:
                 tops.append(bridge(top[k], kbag, bag))
                 continue
@@ -639,7 +718,7 @@ def make_nice(g: TannerGraph, td: TreeDecomposition) -> NiceTreeDecomposition:
             else:
                 tops.append(bridge(branch(kbag), kbag, bag))
         if not tops:                        # the first leaf starts the chain
-            kbag = sorted(td.bags[kids[0]])
+            kbag = sorted(bags[kids[0]])
             tops.append(bridge(branch(kbag), kbag, bag))
             del folds[0]
         idx = tops[0]
@@ -663,15 +742,10 @@ def make_nice(g: TannerGraph, td: TreeDecomposition) -> NiceTreeDecomposition:
                             len(bag) - n_vars + len(extra) - extra_vars)
         top[x] = chain(idx, steps)
 
-    bridge(top[root], sorted(td.bags[root]), [])
-    ntd = NiceTreeDecomposition(n, g.n_chk, bytes(kind), elem,
-                                _ABSENT * len(kind), child, child2,
-                                var_slots, chk_slots)
-    nice_width = _layout(ntd)
-    if nice_width != width(td):
-        raise ValueError(f"nice form has width {nice_width}, "
-                         f"input has width {width(td)}")
-    return ntd
+    bridge(top[root], sorted(bags[root]), [])
+    return NiceTreeDecomposition(n, g.n_chk, bytes(kind), elem,
+                                 _ABSENT * len(kind), child, child2,
+                                 var_slots, chk_slots)
 
 
 def sc_path_decomposition(g: TannerGraph, p: ScLdpcParams) -> TreeDecomposition:
@@ -706,6 +780,46 @@ def sc_path_decomposition(g: TannerGraph, p: ScLdpcParams) -> TreeDecomposition:
 def heuristic_decomposition(g: TannerGraph) -> TreeDecomposition:
     """Greedy min-fill elimination decomposition; valid for any graph.
 
+    The bags and tree edges of ``_eliminate``, as a ``TreeDecomposition``
+    that ``serialize_td`` writes as the ``decomp heuristic`` text.
+    ``heuristic_nice`` reads the same record straight into nice form.
+    """
+    bags, edges = _eliminate(g)
+    return TreeDecomposition(g.n_var + g.n_chk, tuple(bags), tuple(edges))
+
+
+def heuristic_nice(g: TannerGraph) -> tuple[NiceTreeDecomposition, int]:
+    """The nice form of ``heuristic_decomposition(g)`` and its width, built
+    from the elimination record with no ``TreeDecomposition``, no
+    ``validate`` and no ``_walk_tree``.
+
+    Each bag's children are the bags that name it as parent, and the tree
+    is rooted at the last-eliminated bag and read in breadth-first order,
+    as ``make_nice`` reads a validated tree.  Each bridge is then "forget
+    the eliminated node, introduce the rest" and each fold adds one
+    element.  ``check_nice_columns`` takes ``validate``'s place.
+    (Ascending bag index is a bottom-up order too, but it leaves many
+    subtrees' tables pending at once: on seed-1 SC (3,4,320,2) the DP's
+    tracemalloc peak read 272 KB, against 73 KB.)
+    """
+    bags, edges = _eliminate(g)
+    children: list[list[int]] = [[] for _ in bags]
+    for i, p in edges:
+        children[p].append(i)
+    order = [len(bags) - 1]
+    for x in order:
+        order += children[x]
+    ntd = _nice_columns(g, bags, order, children)
+    tw = max(map(len, bags)) - 1
+    check_nice_columns(g, ntd, tw)
+    return ntd, tw
+
+
+def _eliminate(g: TannerGraph) -> tuple[list[tuple[int, ...]],
+                                        list[tuple[int, int]]]:
+    """Greedy min-fill elimination: its bags, in elimination order, and the
+    tree edges (child, parent) of its decomposition.
+
     Repeatedly eliminates the node with the smallest (fill-in, current
     degree, id), where fill-in counts the missing edges among its current
     neighbours, and turns that neighbourhood into a clique.  Node x
@@ -732,7 +846,7 @@ def heuristic_decomposition(g: TannerGraph) -> TreeDecomposition:
     """
     total = g.n_var + g.n_chk
     if total == 0:
-        return TreeDecomposition(0, ((),), ())
+        return [()], []
     # the ids, which also number the bags: bag i is the i-th elimination
     ids = list(range(total))
     adj: list[set[int] | None] = [set() for _ in range(total)]
@@ -791,10 +905,9 @@ def heuristic_decomposition(g: TannerGraph) -> TreeDecomposition:
 
     edges, parentless = [], []
     for i, bag in zip(ids, bags):
-        if len(bag) > 1:
-            edges.append((i, min(p for p in map(position.__getitem__, bag)
-                                 if p > i)))
+        if len(bag) > 1:               # i is the smallest position in bag i
+            edges.append((i, sorted(map(position.__getitem__, bag))[1]))
         else:
             parentless.append(i)
     edges.extend(zip(parentless, parentless[1:]))
-    return TreeDecomposition(total, tuple(bags), tuple(edges))
+    return bags, edges

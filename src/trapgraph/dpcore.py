@@ -24,15 +24,17 @@ since Q = 0 gives I = J; on the empty root bag it is the answer at b = d.
 No other key is translated.  Every table carries its graph: ``leaf_table``
 takes it and the other kernels read it from their child.
 
-There is one kernel per node kind.  The variable kernels
-(``introduce_variable``, ``forget_variable``) take a chain of nodes of their
-kind, each the child of the next, as the chain's elements and slots, and
-process it in one pass over the chain's child table; ``run_dp`` hands them
-every maximal such chain, as slices of the nice form's columns, so only
-the chain's last node gets a table.  The check kernels (``introduce_check``,
-``forget_check``) take one node.  On a tie in f the kernels keep the
-integer-smaller w, so every entry carries the integer-smallest minimizer of
-its state and a chain gives the same table in one pass as node by node.
+There is one kernel per node kind, and one for a pair.  The variable
+kernels (``introduce_variable``, ``forget_variable``) take a chain of nodes
+of their kind, each the child of the next, as the chain's elements and
+slots, and process it in one pass over the chain's child table; ``run_dp``
+hands them every maximal such chain, as slices of the nice form's columns,
+so only the chain's last node gets a table.  ``introduce_forget_variable``
+takes a one-variable introduce and the forget of it just above in one
+pass.  The check kernels (``introduce_check``, ``forget_check``) take one
+node.  On a tie in f the kernels keep the integer-smaller w, so every
+entry carries the integer-smallest minimizer of its state and a chain
+gives the same table in one pass as node by node.
 ``retain_tables=True`` hands the variable kernels one node at a time, so
 every node's table is kept.
 
@@ -46,12 +48,13 @@ set is left out of both.  Counting edge ends, |Gamma_odd(S)| is congruent
 to the sum of deg(v) over S (mod 2), so when every variable degree is
 even no odd b' has a set; an entry at an odd d = b is then pruned
 outright, since no b' >= d can have a set.  ``run_dp`` hands the per-d
-cap to the kernels that raise f (``introduce_variable`` and ``join``) or d
-(``forget_check`` and ``join``) as a list ``cap[0..b]``, from which they
-also read b, and they skip every entry above the cap at its d.  An
-introduce adds |S|, a join gives f1 + f2 - |Q| >= max(f1, f2) at
-d1 + d2, and a forget keeps f, so f and d never decrease toward the root,
-while cap[d] never increases in d and only tightens as the run goes on.
+cap to the kernels that raise f (``introduce_variable``,
+``introduce_forget_variable`` and ``join``) or d (``forget_check`` and
+``join``) as a list ``cap[0..b]``, from which they also read b, and they
+skip every entry above the cap at its d.  An introduce adds |S|, a join
+gives f1 + f2 - |Q| >= max(f1, f2) at d1 + d2, and a forget keeps f, so
+f and d never decrease toward the root, while cap[d] never increases in
+d and only tightens as the run goes on.
 A state at or below its cap is thus built only from states at or below
 theirs, and those are exact: f, count and minimizer.
 The root bag is empty, so the root table holds only the answers (0, 0, b')
@@ -220,6 +223,41 @@ def forget_variable(child: DPTable, elems: Sequence[int],
     return DPTable(child.g, var_at, chk_at, entries)
 
 
+def introduce_forget_variable(child: DPTable, v: int, slot: int,
+                              cap: Sequence[int]) -> DPTable:
+    """``forget_variable`` of ``introduce_variable``'s table for one
+    variable v, in one pass that never builds the introduce's table: the
+    child's entries, then each nonzero key with f below its cap adding
+    (f + 1, g, w | v) at the key with v's checks flipped in J, and the base
+    entry (1, 1, v) at v's checks alone when ``cap[0]`` is at least 1, all
+    merged by the usual rule."""
+    var_at, chk_at = child.var_at, child.chk_at
+    if var_at[slot] != -1 or v in var_at:
+        raise ValueError(f"introduce-variable bag mismatch for v{v}")
+    shift = len(chk_at) + len(var_at)
+    move = _slot_mask(chk_at, child.g.var_adj[v])
+    vb = 1 << v
+    entries = dict(child.entries)
+    get = entries.get
+    if cap[0] >= 1:
+        old = get(move)
+        if old is None or old[0] > 1:
+            entries[move] = (1, 1, vb)
+        elif old[0] == 1:
+            entries[move] = (1, old[1] + 1, min(vb, old[2]))
+    for k, (f, cnt, w) in child.entries.items():
+        if k and f < cap[k >> shift]:
+            k ^= move
+            f += 1
+            old = get(k)
+            if old is None or f < old[0]:
+                entries[k] = (f, cnt, w | vb)
+            elif f == old[0]:
+                w |= vb
+                entries[k] = (f, old[1] + cnt, w if w < old[2] else old[2])
+    return DPTable(child.g, var_at, chk_at, entries)
+
+
 def introduce_check(child: DPTable, c: int, slot: int) -> DPTable:
     # No neighbour of c is forgotten below its introduce (edge coverage), so
     # its J bit is 0 in every key and the entries carry over as they are.
@@ -367,24 +405,28 @@ def run_dp(g: TannerGraph, ntd: NiceTreeDecomposition, b: int,
     chain of introduce-variable nodes, and of forget-variable nodes, each
     the child of the next, runs as one pass over column slices of its
     elements and slots and leaves only its last node's table; with it, each
-    such chain is one node long and every table is kept.  Check nodes
-    always run one at a time.
+    such chain is one node long and every table is kept.  Without it, a
+    one-node introduce-variable chain whose parent forgets that variable,
+    as every one-variable leaf fold gives, runs with the forget as one
+    ``introduce_forget_variable`` pass.  Check nodes always run one at a
+    time.
 
     Without ``retain_tables`` the run also prunes: after each forget and
     join table it lowers U[d] to the f of ``table.answer(d)`` for
     d = 0..b, and passes ``cap[d] = max(U[d..b])``, or no cap at d while
-    any of U[d..b] is unknown, to ``introduce_variable``, ``forget_check``
-    and ``join``.  Other tables cannot lower U: a leaf table is empty, and
-    an introduce table keeps its child's keys with Q = 0 as they are and
-    adds only keys with Q bits, so its ``answer(d)`` is its child's.  The
-    root table is the one an uncapped run gives, w included.  If some
-    b' <= b has no trapping set, U[b'] stays unknown and cap[0..b'] never
-    engage, but the caps above b' still do, unless b' is odd and every
-    variable degree even: then b' provably has no set and is skipped, and
-    cap[d] = -1 where no b' >= d can have one (see ``_caps``).  On seed-1
-    SC (3,4,640,2) at b = 2 on the path route, the kernels other than
-    ``introduce_check`` output 142,187 entries, against 198,490 with one
-    cap max(U) for every d.
+    any of U[d..b] is unknown, to ``introduce_variable``,
+    ``introduce_forget_variable``, ``forget_check`` and ``join``.  Other
+    tables cannot lower U: a leaf table is empty, and an introduce table
+    keeps its child's keys with Q = 0 as they are and adds only keys with Q
+    bits, so its ``answer(d)`` is its child's.  The root table is the one
+    an uncapped run gives, w included.  If some b' <= b has no trapping
+    set, U[b'] stays unknown and cap[0..b'] never engage, but the caps
+    above b' still do, unless b' is odd and every variable degree even:
+    then b' provably has no set and is skipped, and cap[d] = -1 where no
+    b' >= d can have one (see ``_caps``).  On seed-1 SC (3,4,640,2) at
+    b = 2 on the path route, the kernels other than ``introduce_check``
+    output 142,187 entries, against 198,490 with one cap max(U) for every
+    d.
     """
     if b < 0:
         raise ValueError("b must be >= 0")
@@ -423,9 +465,19 @@ def run_dp(g: TannerGraph, ntd: NiceTreeDecomposition, b: int,
                     and child[end + 1] == end:
                 end += 1
             run = slice(idx, end + 1)
-            table = introduce_variable(tables[c1], elems[run], slots[run],
-                                       cap) if kind == K_INTRO_VAR \
-                else forget_variable(tables[c1], elems[run], slots[run])
+            if kind == K_FORGET_VAR:
+                table = forget_variable(tables[c1], elems[run], slots[run])
+            elif fuse and end == idx < last and child[end + 1] == end \
+                    and kinds[end + 1] == K_FORGET_VAR \
+                    and (elems[end + 1], slots[end + 1]) == (elems[idx],
+                                                             slots[idx]):
+                end += 1
+                kind = K_FORGET_VAR   # the pair's table is a forget's
+                table = introduce_forget_variable(tables[c1], elems[idx],
+                                                  slots[idx], cap)
+            else:
+                table = introduce_variable(tables[c1], elems[run],
+                                           slots[run], cap)
         else:
             raise ValueError(f"unknown node kind {kind}")
         tables[end] = table

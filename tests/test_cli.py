@@ -125,9 +125,61 @@ def test_bad_b_rejected_before_decomposition(hamming_alist, monkeypatch,
         raise AssertionError("decomposition built before --b was checked")
 
     monkeypatch.setattr(decomp, "heuristic_decomposition", fail)
+    monkeypatch.setattr(decomp, "heuristic_nice", fail)
     for bad in ("x", "-1", "0,,1"):
         assert main(["analyze", "--alist", hamming_alist, "--b", bad]) == 1
         assert "--b" in capsys.readouterr().err
+
+
+def test_default_route_skips_validate_and_make_nice(tmp_path, monkeypatch,
+                                                   capsys):
+    # the default route builds its nice form straight from the elimination,
+    # with no TreeDecomposition, and checks the columns instead; --td and
+    # --sc-params still reach validate through make_nice, with the same
+    # results
+    alist, td = str(tmp_path / "sc.alist"), str(tmp_path / "sc.td")
+    assert main(["generate", "--sc", "3,4,10,2", "--deg", "3", "--seed", "7",
+                 "--out", alist, "--emit-td", td]) == 0
+    real = {name: getattr(decomp, name)
+            for name in ("validate", "make_nice", "TreeDecomposition")}
+
+    def refuse(*args):
+        raise AssertionError("the default route called " + " or ".join(real))
+
+    for name in real:
+        monkeypatch.setattr(decomp, name, refuse)
+    args = ["--b", "0,1,2", "--witness", "--no-timing"]
+    assert main(["analyze", "--alist", alist, *args]) == 0
+    default = json.loads(capsys.readouterr().out)["results"]
+    validated = []
+
+    def counting(g, td):
+        validated.append(td)
+        return real["validate"](g, td)
+
+    for name in real:
+        monkeypatch.setattr(decomp, name, real[name])
+    monkeypatch.setattr(decomp, "validate", counting)
+    for flags in (["--td", td], ["--sc-params", "3,4,10,2"]):
+        assert main(["analyze", "--alist", alist, *flags, *args]) == 0
+        assert json.loads(capsys.readouterr().out)["results"] == default
+    assert len(validated) == 2
+
+
+def test_default_route_check_failure_exits_2(hamming_alist, monkeypatch,
+                                             capsys):
+    # an elimination record that misses the graph's edges fails the column
+    # check, which the default route reports as an invalid decomposition
+    eliminate = decomp._eliminate
+
+    def edgeless(g):
+        return eliminate(TannerGraph.from_check_adj(
+            g.n_var, g.n_chk, [[] for _ in g.chk_adj]))
+
+    monkeypatch.setattr(decomp, "_eliminate", edgeless)
+    assert main(["analyze", "--alist", hamming_alist]) == 2
+    assert "invalid decomposition: Tanner edges in no nice bag: 12 of 12" \
+        in capsys.readouterr().err
 
 
 def test_negative_validate_oracle_rejected_before_reading(tmp_path, capsys):

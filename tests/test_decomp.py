@@ -1,6 +1,7 @@
 import random
 import sys
 import tracemalloc
+from array import array
 
 import pytest
 
@@ -10,11 +11,17 @@ from trapgraph.decomp import (
     INTRO_CHK,
     INTRO_VAR,
     JOIN,
+    K_FORGET_VAR,
+    K_INTRO_VAR,
+    K_LEAF,
     LEAF,
     InvalidDecompositionError,
+    NiceTreeDecomposition,
     TdFormatError,
     TreeDecomposition,
+    check_nice_columns,
     heuristic_decomposition,
+    heuristic_nice,
     make_nice,
     parse_td,
     sc_path_decomposition,
@@ -795,3 +802,124 @@ def test_heuristic_decomposition_width_matches_networkx():
         # networkx stops once the rest is a clique and keeps it as one bag;
         # every bag it makes up to there is an elimination bag here too
         assert set(nx_tree.nodes) <= set(map(frozenset, td.bags))
+
+
+def nice_route_corpus():
+    """Graphs for the default route: the empty graph, isolated variables,
+    checks with no neighbour, disconnected random graphs and SC codes."""
+    rng = random.Random(47)
+    graphs = [TannerGraph.from_check_adj(0, 0, []),
+              TannerGraph.from_check_adj(3, 0, []),
+              TannerGraph.from_check_adj(0, 2, [[], []]),
+              TannerGraph.from_check_adj(4, 3, [[], [0, 2], []]),
+              TannerGraph.from_check_adj(4, 2, [[0, 1], [2, 3]])]
+    graphs += [random_graph(rng, max_var=10, max_chk=8) for _ in range(150)]
+    graphs += [generate_sc_ldpc(ScLdpcParams(3, 4, length, 2, var_degree=3,
+                                             seed=seed))
+               for seed in (1, 2, 3) for length in (40, 160)]
+    return graphs
+
+
+def test_heuristic_nice_equals_make_nice_of_the_decomposition():
+    # the default route reads the min-fill elimination straight into nice
+    # form: a valid nice form of the same width, whose root answers (f,
+    # count and minimizer) at b = 0..3 are those of make_nice on
+    # heuristic_decomposition
+    chained = 0
+    for g in nice_route_corpus():
+        td = heuristic_decomposition(g)
+        ntd, tw = heuristic_nice(g)
+        assert tw == width(td)
+        check_nice_structure(g, td, ntd)
+        got = run_dp(g, ntd, 3).root_table
+        want = run_dp(g, make_nice(g, td), 3).root_table
+        assert [got.answer(b) for b in range(4)] == \
+            [want.answer(b) for b in range(4)]
+        # a bag of one node has no parent: more than one, and the route
+        # chains them
+        chained += sum(len(bag) == 1 for bag in td.bags) > 1
+    assert chained > 20
+
+
+def nice_columns_with(ntd, kind=None, elem=None):
+    """A copy of the nice columns, with ``kind`` or ``elem`` replaced."""
+    return NiceTreeDecomposition(
+        ntd.n_var, ntd.n_chk, ntd.kind if kind is None else kind,
+        array("i", ntd.elem if elem is None else elem), array("i", ntd.slot),
+        ntd.child, ntd.child2, ntd.var_slots, ntd.chk_slots)
+
+
+def sc40():
+    return generate_sc_ldpc(ScLdpcParams(3, 4, 40, 2, var_degree=3, seed=1))
+
+
+def test_nice_columns_check_passes_the_route_and_catches_an_uncovered_edge():
+    g = sc40()
+    ntd, tw = heuristic_nice(g)
+    check_nice_columns(g, ntd, tw)
+    # one more edge, between the first variable and the last check, lies in
+    # no bag of the nice form, as validate confirms
+    adj = [list(vs) for vs in g.chk_adj]
+    adj[-1] = [0, *adj[-1]]
+    wider = TannerGraph.from_check_adj(g.n_var, g.n_chk, adj)
+    assert not validate(wider, ntd.as_tree_decomposition()).ok
+    with pytest.raises(InvalidDecompositionError) as exc:
+        check_nice_columns(wider, ntd, tw)
+    assert exc.value.violations == (
+        f"Tanner edges in no nice bag: 1 of {sum(map(len, adj))}",)
+    with pytest.raises(InvalidDecompositionError, match="width"):
+        check_nice_columns(g, ntd, tw + 1)
+
+
+def test_nice_columns_check_catches_an_element_forgotten_twice():
+    g = sc40()
+    ntd, tw = heuristic_nice(g)
+    x1, x2 = [x for x, k in enumerate(ntd.kind) if k == K_FORGET_VAR][:2]
+    v1, v2 = ntd.elem[x1], ntd.elem[x2]
+    elem = list(ntd.elem)
+    elem[x2] = v1
+    with pytest.raises(InvalidDecompositionError) as exc:
+        check_nice_columns(g, nice_columns_with(ntd, elem=elem), tw)
+    assert exc.value.violations == (f"v{v1} is forgotten twice",)
+
+
+def test_nice_columns_check_catches_an_element_never_forgotten():
+    # v1 is in no bag of the columns leaf, intro v0, forget v0
+    g = TannerGraph.from_check_adj(2, 0, [])
+    ntd = NiceTreeDecomposition(2, 0, bytes([K_LEAF, K_INTRO_VAR,
+                                             K_FORGET_VAR]),
+                                array("i", [-1, 0, 0]), array("i", [-1] * 3),
+                                array("i", [-1, 0, 1]), array("i", [-1] * 3),
+                                1, 0)
+    with pytest.raises(InvalidDecompositionError) as exc:
+        check_nice_columns(g, ntd, 0)
+    assert exc.value.violations == ("v1 is never forgotten",)
+
+
+def test_nice_columns_check_catches_an_introduce_with_no_forget_above():
+    g = sc40()
+    ntd, tw = heuristic_nice(g)
+    forget_at = {ntd.elem[x]: x for x, k in enumerate(ntd.kind)
+                 if k == K_FORGET_VAR}
+    # an introduce of a variable forgotten below it, so on no path above
+    x = next(x for x, k in enumerate(ntd.kind) if k == K_INTRO_VAR
+             and any(f < x for f in forget_at.values()))
+    u = next(v for v, f in forget_at.items() if f < x)
+    elem = list(ntd.elem)
+    elem[x] = u
+    with pytest.raises(InvalidDecompositionError) as exc:
+        check_nice_columns(g, nice_columns_with(ntd, elem=elem), tw)
+    assert exc.value.violations == (
+        f"node {x} introduces v{u}, which no forget above it holds",)
+
+
+def test_nice_columns_check_catches_a_forget_with_no_introduce_below():
+    # a leaf under the forget of v0 holds v0, read from the root down
+    g = TannerGraph.from_check_adj(1, 0, [])
+    ntd = NiceTreeDecomposition(1, 0, bytes([K_LEAF, K_FORGET_VAR]),
+                                array("i", [-1, 0]), array("i", [-1, -1]),
+                                array("i", [-1, 0]), array("i", [-1, -1]),
+                                1, 0)
+    with pytest.raises(InvalidDecompositionError, match="leaf 0 has a "
+                       "nonempty bag"):
+        check_nice_columns(g, ntd, 0)

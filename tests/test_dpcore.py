@@ -13,6 +13,7 @@ from trapgraph.decomp import (
     LEAF,
     NiceTreeDecomposition,
     heuristic_decomposition,
+    heuristic_nice,
     make_nice,
     sc_path_decomposition,
 )
@@ -760,7 +761,8 @@ def test_freed_run_caps_equal_reading_every_table(monkeypatch):
 
     for name, at in (("leaf_table", None), ("introduce_variable", 3),
                      ("forget_variable", None), ("introduce_check", None),
-                     ("forget_check", 3), ("join", 2)):
+                     ("forget_check", 3), ("join", 2),
+                     ("introduce_forget_variable", 3)):
         monkeypatch.setattr(dpcore, name,
                             recording(getattr(dpcore, name), at))
     rng = random.Random(89)
@@ -903,3 +905,46 @@ def test_answer_is_the_empty_state_of_every_table():
                         assert t.answer(d) == by_state.get((0, 0, d))
                         hits += t.answer(d) is not None
     assert hits > 1000
+
+
+def test_fold_pass_matches_the_two_kernels_and_a_retained_run(monkeypatch):
+    # run_dp gives each one-variable introduce whose parent forgets that
+    # variable one introduce_forget_variable pass: its table is the one the
+    # two kernels give under the same cap, and the root tables equal a
+    # retained run's, which goes node by node
+    passes = []
+    fold = dpcore.introduce_forget_variable
+
+    def checked(child, v, slot, cap):
+        table = fold(child, v, slot, cap)
+        two = forget_variable(introduce_variable(child, [v], [slot], cap),
+                              [v], [slot])
+        assert table.entries == two.entries
+        assert (table.var_at, table.chk_at) == (two.var_at, two.chk_at)
+        passes.append(v)
+        return table
+
+    monkeypatch.setattr(dpcore, "introduce_forget_variable", checked)
+    rng = random.Random(97)
+    cases = []
+    for _ in range(60):
+        g = random_graph(rng, max_var=10, max_chk=8)
+        cases += [(g, heuristic_nice(g)[0], rng.randint(0, 3)),
+                  (g, make_nice(g, random_td(g, rng)), rng.randint(0, 3))]
+    g = generate_sc_ldpc(ScLdpcParams(3, 4, 160, 2, var_degree=3, seed=1))
+    cases.append((g, heuristic_nice(g)[0], 2))
+    for g, ntd, b in cases:
+        retained = run_dp(g, ntd, b, retain_tables=True).root_table
+        n = len(passes)
+        assert run_dp(g, ntd, b).root_table.entries == retained.entries
+        assert len(passes) > n or g.n_var < 160
+    assert len(passes) > 100
+
+
+def test_fold_pass_bag_mismatch():
+    g = TannerGraph.from_matrix([[1, 1]])
+    child = table(g, (0, -1), (0,))
+    for v, slot in ((0, 1), (1, 0)):
+        with pytest.raises(ValueError,
+                           match="introduce-variable bag mismatch"):
+            dpcore.introduce_forget_variable(child, v, slot, uncapped(1))
