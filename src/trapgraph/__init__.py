@@ -19,6 +19,7 @@ from trapgraph.decomp import (
     make_nice,
     parse_td,
     sc_path_decomposition,
+    sc_path_nice,
     serialize_td,
     validate,
     width,
@@ -56,6 +57,7 @@ __all__ = [
     "parse_td",
     "run_dp",
     "sc_path_decomposition",
+    "sc_path_nice",
     "serialize_alist",
     "serialize_td",
     "validate",

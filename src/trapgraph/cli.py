@@ -91,31 +91,27 @@ def cmd_analyze(args) -> int:
 
     g = _load_graph(args.alist)
 
-    if args.td:
-        td = _load_td(args.td)
-        source = f"td:{args.td}"
-    elif args.sc_params:
-        r, c, L, w = _parse_sc_flag(args.sc_params)
-        try:
-            params = tanner.ScLdpcParams(r, c, L, w, var_degree=1)
-            td = decomp.sc_path_decomposition(g, params)
-        except ValueError as exc:
-            raise SystemExit(str(exc))
-        source = f"sc-params:{args.sc_params}"
-    else:
-        td = None                     # the elimination goes straight to nice
-        source = "heuristic"
-
+    # only a .td file is validated; the built-in routes check their columns
     try:
-        if td is None:
-            ntd, tw = decomp.heuristic_nice(g)
-        else:
+        if args.td:
+            source = f"td:{args.td}"
+            td = _load_td(args.td)
             ntd, tw = decomp.make_nice(g, td), decomp.width(td)
+            del td                    # the DP reads only the nice form
+        elif args.sc_params:
+            source = f"sc-params:{args.sc_params}"
+            params = tanner.ScLdpcParams(*_parse_sc_flag(args.sc_params),
+                                         var_degree=1)
+            ntd, tw = decomp.sc_path_nice(g, params)
+        else:
+            source = "heuristic"
+            ntd, tw = decomp.heuristic_nice(g)
     except decomp.InvalidDecompositionError as exc:
         for v in exc.violations:
             print(f"invalid decomposition: {v}", file=sys.stderr)
         return 2
-    del td                            # the DP reads only the nice form
+    except ValueError as exc:         # the SC parameters or their window
+        raise SystemExit(str(exc))
 
     # one pass at the largest b answers every smaller b from its root table
     t0 = time.perf_counter()

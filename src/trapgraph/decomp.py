@@ -10,9 +10,11 @@ included.
 
 The nice form lays the rooted tree out as flat post-order columns
 (children precede parents): per node a kind byte, the element it
-introduces or forgets in its own namespace, that element's bag-local slot
-and its children.  Bags are not stored; each is a pair of slot layouts,
-one per namespace, that the columns determine.
+introduces or forgets in its own namespace, that element's bag-local slot,
+a forget's key mask for the DP and its children.  Bags are not stored;
+each is a pair of slot layouts, one per namespace, that the columns
+determine.  Every builder of the columns ends with one top-down walk,
+``check_nice_columns``, that writes the slots and masks and checks them.
 """
 
 from __future__ import annotations
@@ -410,12 +412,18 @@ class NiceTreeDecomposition:
     of a join share the join's layouts.  ``var_slots`` and ``chk_slots``
     are the largest variable and check counts of any bag.
 
+    ``mask[x]`` is a forget's bits of the DP's packed key (see ``dpcore``)
+    in the child's bag: a variable's Q bit and its checks' J bits, or a
+    check's J bit and its variables' Q bits; 0 for other kinds.  It spans
+    up to var_slots + chk_slots bits, so the column is a list of ints.
+    ``check_nice_columns`` writes the slots and masks.
+
     No bag is stored.  ``nodes`` rebuilds every node with its slot layouts
     from the columns on first read and keeps them, for readers off the hot
     path (tests, ``as_tree_decomposition``); the DP reads the columns only.
     """
 
-    __slots__ = ("n_var", "n_chk", "kind", "elem", "slot", "child",
+    __slots__ = ("n_var", "n_chk", "kind", "elem", "slot", "mask", "child",
                  "child2", "var_slots", "chk_slots", "_nodes")
 
     def __init__(self, n_var: int, n_chk: int, kind: bytes, elem: array,
@@ -426,6 +434,7 @@ class NiceTreeDecomposition:
         self.kind = kind
         self.elem = elem
         self.slot = slot
+        self.mask = [0] * len(kind)
         self.child = child
         self.child2 = child2
         self.var_slots = var_slots
@@ -486,46 +495,63 @@ class NiceTreeDecomposition:
                                  root=self.root)
 
 
-def _layout(ntd: NiceTreeDecomposition, g: TannerGraph | None = None) -> int:
-    """Write every introduce's and forget's slot, top-down from the empty
-    root, and return the width.
+def check_nice_columns(g: TannerGraph, ntd: NiceTreeDecomposition,
+                       tw: int) -> None:
+    """Lay out the columns of ``ntd`` and check them against ``g`` in one
+    top-down walk from the empty root, writing every introduce's and
+    forget's slot and every forget's mask; every builder of the nice form
+    ends with it.  Raises ``InvalidDecompositionError`` at the first fault.
 
     Read downward, a forget puts its element in the lowest free slot of its
-    namespace's layout, an introduce frees its element's slot there, and a
-    join hands a copy of both layouts to its second child: one rule per
-    direction, the same for variables and checks.  Each namespace's layout
-    is one list, updated in place along a path.  The width comes from the
-    fewest free slots of any bag.
+    namespace's layout (one list per namespace, updated in place along a
+    path and copied for a join's second child), and an introduce frees the
+    slot its element's forget wrote.  A forget's mask is its own key bit
+    plus those of its neighbours in the layouts.
 
-    Given the graph, the walk also checks the columns against it for
-    ``check_nice_columns``, raising ``InvalidDecompositionError`` at the
-    first fault.
+    Every element must be forgotten exactly once, every introduce must find
+    its element in the layout (so the root bag is empty) and every leaf an
+    empty one.  A Tanner edge sets one mask bit, at the forget of its lower
+    endpoint, so the masks' bits less one per forget must count every edge.
+    Then each element's bags are the subtree below its forget, and the bags
+    the DP reads are a valid decomposition.  Last, the width, from the
+    fewest free slots of any bag, must be ``tw``.
     """
-    kinds, elems, slots = ntd.kind, ntd.elem, ntd.slot
+    kinds, elems, slots, masks = ntd.kind, ntd.elem, ntd.slot, ntd.mask
     child, child2 = ntd.child, ntd.child2
-    fewest = ntd.var_slots + ntd.chk_slots
-    # per namespace, a flag per element once a forget of it is read
-    forgot = () if g is None else (bytearray(g.n_var), bytearray(g.n_chk))
-    covered = 0
-    stack = [(ntd.root, [-1] * ntd.var_slots, [-1] * ntd.chk_slots, fewest)]
+    kv, kc = ntd.var_slots, ntd.chk_slots
+    fewest = kv + kc
+    var_adj, chk_adj = g.var_adj, g.chk_adj
+    # per element its slot, or before its forget is read the index past the
+    # layout's end, where -2 matches no element and the key bit is 0
+    var_slot, chk_slot = [kv] * g.n_var, [kc] * g.n_chk
+    q_bit = [1 << s for s in range(kc, kc + kv)] + [0]
+    j_bit = [1 << s for s in range(kc)] + [0]
+    stack = [(ntd.root, [-1] * kv + [-2], [-1] * kc + [-2], fewest)]
     while stack:
         x, var_at, chk_at, free = stack.pop()
         while True:
             code = kinds[x]
             if code == K_FORGET_VAR or code == K_FORGET_CHK:
-                if g is not None:
-                    chk, e = code == K_FORGET_CHK, elems[x]
-                    if forgot[chk][e]:
-                        raise InvalidDecompositionError((
-                            f"{'vc'[chk]}{e} is forgotten twice",))
-                    forgot[chk][e] = 1
-                    nbrs = g.chk_adj[e] if chk else g.var_adj[e]
-                    other = var_at if chk else chk_at
-                    covered += sum(map(other.__contains__, nbrs))
-                layout = var_at if code == K_FORGET_VAR else chk_at
-                s = layout.index(-1)
-                layout[s] = elems[x]
-                slots[x] = s
+                e = elems[x]
+                if code == K_FORGET_VAR:
+                    at, where, bit, nbrs = var_at, var_slot, q_bit, var_adj[e]
+                    other, other_at, other_bit = chk_slot, chk_at, j_bit
+                else:
+                    at, where, bit, nbrs = chk_at, chk_slot, j_bit, chk_adj[e]
+                    other, other_at, other_bit = var_slot, var_at, q_bit
+                if at[where[e]] != -2:      # a forget gave it a slot
+                    raise InvalidDecompositionError((
+                        f"{'vc'[code == K_FORGET_CHK]}{e} is forgotten "
+                        "twice",))
+                s = at.index(-1)
+                at[s] = e
+                where[e] = slots[x] = s
+                mask = bit[s]
+                for y in nbrs:
+                    t = other[y]
+                    if other_at[t] == y:
+                        mask |= other_bit[t]
+                masks[x] = mask
                 free -= 1
             elif code == K_INTRO_VAR or code == K_INTRO_CHK:
                 # only an introduce's bag can be the fullest: a forget's
@@ -533,53 +559,36 @@ def _layout(ntd: NiceTreeDecomposition, g: TannerGraph | None = None) -> int:
                 # own bag
                 if free < fewest:
                     fewest = free
-                layout = var_at if code == K_INTRO_VAR else chk_at
-                if g is not None and elems[x] not in layout:
+                e = elems[x]
+                at, s = (var_at, var_slot[e]) if code == K_INTRO_VAR \
+                    else (chk_at, chk_slot[e])
+                if at[s] != e:
                     raise InvalidDecompositionError((
                         f"node {x} introduces {'vc'[code == K_INTRO_CHK]}"
-                        f"{elems[x]}, which no forget above it holds",))
-                s = layout.index(elems[x])
-                layout[s] = -1
+                        f"{e}, which no forget above it holds",))
+                at[s] = -1
                 slots[x] = s
                 free += 1
             elif code == K_JOIN:
                 stack.append((child2[x], var_at[:], chk_at[:], free))
             else:
-                if g is not None and free != ntd.var_slots + ntd.chk_slots:
+                if free != kv + kc:
                     raise InvalidDecompositionError((
                         f"leaf {x} has a nonempty bag",))
                 break
             x = child[x]
-    for name, flags in zip("vc", forgot):
-        if 0 in flags:
+    for name, where, past in (("v", var_slot, kv), ("c", chk_slot, kc)):
+        if past in where:
             raise InvalidDecompositionError((
-                f"{name}{flags.index(0)} is never forgotten",))
-    edges = 0 if g is None else sum(map(len, g.chk_adj))
+                f"{name}{where.index(past)} is never forgotten",))
+    edges = sum(map(len, g.chk_adj))
+    covered = sum(map(int.bit_count, masks)) - g.n_var - g.n_chk
     if covered != edges:
         raise InvalidDecompositionError((
             f"Tanner edges in no nice bag: {edges - covered} of {edges}",))
-    return ntd.var_slots + ntd.chk_slots - fewest - 1
-
-
-def check_nice_columns(g: TannerGraph, ntd: NiceTreeDecomposition,
-                       tw: int) -> None:
-    """Check in one walk over the columns, ``_layout``'s, that ``ntd`` is a
-    nice decomposition of ``g`` of width ``tw``, and write its slots;
-    raises ``InvalidDecompositionError`` naming the first fault.
-
-    Every variable and every check must be forgotten exactly once, every
-    introduce must find its element in the top-down layout (so the root
-    bag is empty) and every leaf an empty one, and every Tanner edge is
-    counted once: at the forget of its lower endpoint, the other endpoint
-    must be in the layout.  Then each element's bags are the subtree below
-    its forget, two elements share a bag iff the lower one's forget finds
-    the other, and the bags the DP reads are a valid decomposition.  Last,
-    the nice width must be ``tw``.
-    """
-    nice_width = _layout(ntd, g)
-    if nice_width != tw:
+    if kv + kc - fewest - 1 != tw:
         raise InvalidDecompositionError((
-            f"nice form has width {nice_width}, its bags {tw}",))
+            f"nice form has width {kv + kc - fewest - 1}, its bags {tw}",))
 
 
 def make_nice(g: TannerGraph, td: TreeDecomposition) -> NiceTreeDecomposition:
@@ -590,17 +599,14 @@ def make_nice(g: TannerGraph, td: TreeDecomposition) -> NiceTreeDecomposition:
     a path: an endpoint, which yields a join-free nice form); the nice form
     follows that tree's breadth-first order and ascending children from the
     report, with no second walk, through ``_nice_columns`` and then
-    ``_layout``.  Raises ``InvalidDecompositionError`` when ``validate``
-    finds violations.
+    ``check_nice_columns``.  Raises ``InvalidDecompositionError`` when
+    ``validate`` finds violations.
     """
     report = validate(g, td)
     if not report.ok:
         raise InvalidDecompositionError(report.violations)
     ntd = _nice_columns(g, td.bags, *report.tree)
-    nice_width = _layout(ntd)
-    if nice_width != width(td):
-        raise ValueError(f"nice form has width {nice_width}, "
-                         f"input has width {width(td)}")
+    check_nice_columns(g, ntd, width(td))
     return ntd
 
 
@@ -609,7 +615,7 @@ def _nice_columns(g: TannerGraph, bags: Sequence[Collection[int]],
                   children: list[list[int]]) -> NiceTreeDecomposition:
     """The nice columns of a valid decomposition whose tree is rooted at
     ``order[0]``, ``reversed(order)`` listing every bag after its children;
-    the slots are left for ``_layout``.
+    the slots and masks are left for ``check_nice_columns``.
 
     Multi-child bags become binary join cascades; adjacent differing bags
     are bridged by forget-then-introduce chains in ascending id order,
@@ -625,10 +631,8 @@ def _nice_columns(g: TannerGraph, bags: Sequence[Collection[int]],
     intersection those members lie in no other bag, so the result is a
     nice form of the same width.  A leaf with no extra members adds no
     node; a leaf that does not fit keeps its branch, and when every child
-    would fold, the first still starts the chain.  On seed-1 SC
-    (3,4,320,2) from min-fill this takes the nice form from 10,246 to 5,419
-    nodes and its joins from 920 to 150; the path route's one leaf never
-    fits, so its nice form is unchanged.
+    would fold, the first still starts the chain.  A path's one leaf never
+    fits.
 
     Each chain is appended to the columns in one go; no per-node object is
     made.
@@ -748,14 +752,10 @@ def _nice_columns(g: TannerGraph, bags: Sequence[Collection[int]],
                                  var_slots, chk_slots)
 
 
-def sc_path_decomposition(g: TannerGraph, p: ScLdpcParams) -> TreeDecomposition:
-    """Sliding-window path decomposition for a spatially coupled code.
-
-    Bag t holds check block t together with the variable blocks of its
-    coupling window; rooted at bag 0 so the nice form is join-free.  Each
-    bag is two slices of one list of ids, its variables then its checks,
-    so it is sorted and shares the id objects with every other bag.
-    """
+def check_window(g: TannerGraph, p: ScLdpcParams) -> None:
+    """Raise ValueError unless ``g`` has the shape of ``p`` and every check
+    of block t meets only variables of blocks t - w + 1 .. t, its coupling
+    window; on such a graph both window builders below are valid."""
     if g.n_var != p.n_var or g.n_chk != p.n_chk:
         raise ValueError(
             f"graph is {g.n_var}x{g.n_chk}, parameters say {p.n_var}x{p.n_chk}")
@@ -768,6 +768,18 @@ def sc_path_decomposition(g: TannerGraph, p: ScLdpcParams) -> TreeDecomposition:
                 raise ValueError(
                     f"check {chk} (block {t}) adjacent to variable {v} "
                     "outside its coupling window")
+
+
+def sc_path_decomposition(g: TannerGraph, p: ScLdpcParams) -> TreeDecomposition:
+    """Sliding-window path decomposition for a spatially coupled code.
+
+    Bag t holds check block t together with the variable blocks of its
+    coupling window; rooted at bag 0 so the nice form is join-free.  Each
+    bag is two slices of one list of ids, its variables then its checks,
+    so it is sorted and shares the id objects with every other bag.
+    """
+    check_window(g, p)
+    r, c, L, w = p.base_rows, p.base_cols, p.coupling_len, p.coupling_width
     n = g.n_var
     ids = list(range(n + g.n_chk))
     bags = tuple((*ids[max(0, t - w + 1) * c:(min(t, L - 1) + 1) * c],
@@ -775,6 +787,45 @@ def sc_path_decomposition(g: TannerGraph, p: ScLdpcParams) -> TreeDecomposition:
                  for t in range(L + w - 1))
     edges = tuple(zip(ids[:len(bags) - 1], ids[1:len(bags)]))
     return TreeDecomposition(n + g.n_chk, bags, edges, root=0)
+
+
+def sc_path_nice(g: TannerGraph,
+                 p: ScLdpcParams) -> tuple[NiceTreeDecomposition, int]:
+    """The nice form of ``sc_path_decomposition(g, p)`` and its width,
+    written straight from the window that ``check_window`` proves valid:
+    the columns ``make_nice`` writes, with no ``TreeDecomposition``, no
+    ``validate`` and no bag merges.  One chain runs from a leaf that
+    introduces the last bag, L + w - 2, to the root; from each bag t to
+    t - 1 it forgets variable block t (when t < L) and check block t, then
+    introduces variable block t - w (when t >= w) and check block t - 1,
+    each in ascending id, and at the root it forgets bag 0.
+    """
+    check_window(g, p)
+    r, c, L, w = p.base_rows, p.base_cols, p.coupling_len, p.coupling_width
+    kinds, elems = [K_LEAF], [-1]
+
+    def put(code: int, block: int, size: int) -> None:
+        kinds.extend([code] * size)
+        elems.extend(range(block * size, block * size + size))
+
+    put(K_INTRO_VAR, L - 1, c)        # the last bag, L + w - 2
+    put(K_INTRO_CHK, L + w - 2, r)
+    for t in range(L + w - 2, -1, -1):    # bag t to t - 1, or to the root
+        if t < L:
+            put(K_FORGET_VAR, t, c)
+        put(K_FORGET_CHK, t, r)
+        if t >= w:
+            put(K_INTRO_VAR, t - w, c)
+        if t:
+            put(K_INTRO_CHK, t - 1, r)
+    size = len(kinds)
+    ntd = NiceTreeDecomposition(g.n_var, g.n_chk, bytes(kinds),
+                                array("i", elems), _ABSENT * size,
+                                array("i", range(-1, size - 1)),
+                                _ABSENT * size, min(w, L) * c, r)
+    tw = min(w, L) * c + r - 1
+    check_nice_columns(g, ntd, tw)
+    return ntd, tw
 
 
 def heuristic_decomposition(g: TannerGraph) -> TreeDecomposition:
@@ -797,10 +848,8 @@ def heuristic_nice(g: TannerGraph) -> tuple[NiceTreeDecomposition, int]:
     is rooted at the last-eliminated bag and read in breadth-first order,
     as ``make_nice`` reads a validated tree.  Each bridge is then "forget
     the eliminated node, introduce the rest" and each fold adds one
-    element.  ``check_nice_columns`` takes ``validate``'s place.
-    (Ascending bag index is a bottom-up order too, but it leaves many
-    subtrees' tables pending at once: on seed-1 SC (3,4,320,2) the DP's
-    tracemalloc peak read 272 KB, against 73 KB.)
+    element.  ``check_nice_columns`` takes ``validate``'s place as it lays
+    the columns out.
     """
     bags, edges = _eliminate(g)
     children: list[list[int]] = [[] for _ in bags]

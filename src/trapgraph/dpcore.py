@@ -7,7 +7,7 @@ partial-set size, g the exact count of minimizers and w the variable bitmask
 of one minimizer, so the root entry carries a witness.  Absent states mean
 (+inf, 0).  Counts are Python ints, so arbitrary precision.
 
-Table keys are bag-local: ``make_nice`` gives every bag element a small
+Table keys are bag-local: the nice form gives every bag element a small
 slot number (the ``slot`` column), and a key packs J over the check slots, Q
 over the variable slots above them and d above both, into one int below
 2^(kc+kv)*(b+1), where kc and kv are the decomposition's check and variable
@@ -21,20 +21,27 @@ cost of a key operation does not grow with the code length; only the
 carried minimizer w is a global-id bitmask.  ``DPTable.answer(d)`` reads
 the state (0, 0, d), whose packed key is the same under either reading
 since Q = 0 gives I = J; on the empty root bag it is the answer at b = d.
-No other key is translated.  Every table carries its graph: ``leaf_table``
-takes it and the other kernels read it from their child.
+No other key is translated.
 
-There is one kernel per node kind, and one for a pair.  The variable
-kernels (``introduce_variable``, ``forget_variable``) take a chain of nodes
-of their kind, each the child of the next, as the chain's elements and
-slots, and process it in one pass over the chain's child table; ``run_dp``
-hands them every maximal such chain, as slices of the nice form's columns,
-so only the chain's last node gets a table.  ``introduce_forget_variable``
-takes a one-variable introduce and the forget of it just above in one
-pass.  The check kernels (``introduce_check``, ``forget_check``) take one
-node.  On a tie in f the kernels keep the integer-smaller w, so every
-entry carries the integer-smallest minimizer of its state and a chain
-gives the same table in one pass as node by node.
+A table holds no graph and no slot layout.  The nice form's column walk
+(``decomp.check_nice_columns``) writes each forget's key bits into the
+``mask`` column and checks the columns, so the kernels check no bag: a
+forgotten variable's mask is its Q bit and the J bits of its bag checks,
+the bits its forget moves, and a forgotten check's mask is its J bit and
+the Q bits of its bag variables, whose parity says whether it is odd.
+
+There is one kernel per node kind, and one for a pair.
+``introduce_variable`` takes a chain of introduce-variable nodes, each the
+child of the next, as their variables and slots, and ``forget_variable``
+a chain of forget-variable nodes as their masks, each in one pass over
+the chain's child table; ``run_dp`` hands them every maximal such chain as
+column slices, so only the chain's last node gets a table.
+``introduce_forget_variable`` takes a one-variable introduce and the
+forget of it just above in one pass, ``forget_check`` one node's mask, and
+``introduce_check`` returns its child's table, as introducing a check
+changes no key.  On a tie in f the kernels keep the integer-smaller w, so
+every entry carries the integer-smallest minimizer of its state and a
+chain gives the same table in one pass as node by node.
 ``retain_tables=True`` hands the variable kernels one node at a time, so
 every node's table is kept.
 
@@ -88,27 +95,24 @@ Entry = tuple[int, int, int]        # (f, g, w)
 
 
 class DPTable:
-    """Sparse table of one nice node of graph ``g``: packed key -> (f, g, w).
+    """Sparse table of one nice node: packed key -> (f, g, w).
 
-    ``var_at[s]`` and ``chk_at[s]`` are the variable and check at slot s, or
-    -1 for a free slot.  A key is ``J | Q << kc | d << (kc + kv)`` with J
-    and Q over slots, kc = len(chk_at) and kv = len(var_at); J holds the
-    bag checks made odd by the forgotten members alone, not the odd bag
-    checks I = J xor (Gamma_odd(Q) within the bag).  The key with J = Q = 0
-    means the same under either reading, and ``answer`` reads it.
+    A key is ``J | Q << kc | d << (kc + kv)`` with J over the kc check
+    slots and Q over the kv variable slots, the nice form's ``chk_slots``
+    and ``var_slots``; J holds the bag checks made odd by the forgotten
+    members alone, not the odd bag checks I = J xor (Gamma_odd(Q) within
+    the bag).  The key with J = Q = 0 means the same under either reading,
+    and ``answer`` reads it.
 
-    ``entries`` may be the very dict of the child table (``introduce_check``
-    shares it), so a table's entries are read-only once it is built.
+    ``introduce_check`` returns its child's very table, so a table's
+    entries are read-only once it is built.
     """
 
-    __slots__ = ("g", "var_at", "chk_at", "entries")
+    __slots__ = ("kc", "kv", "entries")
 
-    def __init__(self, g: TannerGraph, var_at: tuple[int, ...],
-                 chk_at: tuple[int, ...],
+    def __init__(self, kc: int, kv: int,
                  entries: dict[int, Entry] | None = None):
-        self.g = g
-        self.var_at = var_at
-        self.chk_at = chk_at
+        self.kc, self.kv = kc, kv
         self.entries = entries if entries is not None else {}
 
     def answer(self, d: int) -> Entry | None:
@@ -120,24 +124,7 @@ class DPTable:
         inside the node's subtree: no bag check is odd and every member is
         forgotten, so all its checks are.
         """
-        return self.entries.get(d << (len(self.chk_at) + len(self.var_at)))
-
-
-# The nice form stores no layouts: kernels derive each output layout from the
-# child table and the node's (elem, slot), and their bag-mismatch errors check
-# every introduce and forget against the child's layout.
-def _set_slot(layout: tuple[int, ...], slot: int, x: int) -> tuple[int, ...]:
-    return layout[:slot] + (x,) + layout[slot + 1:]
-
-
-def _slot_mask(layout: tuple[int, ...], adj: tuple[int, ...],
-               offset: int = 0) -> int:
-    """Bit ``offset + s`` for every slot s whose element is in ``adj``."""
-    mask = 0
-    for s, x in enumerate(layout, offset):
-        if x in adj:
-            mask |= 1 << s
-    return mask
+        return self.entries.get(d << (self.kc + self.kv))
 
 
 # The merging kernels inline one rule: keep the strict f-minimum, add counts
@@ -147,9 +134,9 @@ def _slot_mask(layout: tuple[int, ...], adj: tuple[int, ...],
 # the integer-smallest minimizer of its state, whatever order the entries
 # merge in: a chain gives the same table in one pass as node by node.
 
-def leaf_table(var_slots: int, chk_slots: int, g: TannerGraph) -> DPTable:
+def leaf_table(kc: int, kv: int) -> DPTable:
     """Empty table: every state is implicitly (+inf, 0)."""
-    return DPTable(g, (-1,) * var_slots, (-1,) * chk_slots)
+    return DPTable(kc, kv)
 
 
 def introduce_variable(child: DPTable, elems: Sequence[int],
@@ -162,18 +149,15 @@ def introduce_variable(child: DPTable, elems: Sequence[int],
     state (key 0) is not extended.  No two of these keys collide.  No entry
     at d with f larger than ``cap[d]`` is written (see ``run_dp``).
     """
-    var_at, kc = child.var_at, len(child.chk_at)
+    kc, kv = child.kc, child.kv
     subsets = []                      # (Q bits, |S|, w bits) of nonempty S
     for v, slot in zip(elems, slots):
-        if var_at[slot] != -1 or v in var_at:
-            raise ValueError(f"introduce-variable bag mismatch for v{v}")
-        var_at = _set_slot(var_at, slot, v)
         qb, vb = 1 << (kc + slot), 1 << v
         subsets += [(q | qb, n + 1, w | vb) for q, n, w in subsets]
         subsets.append((qb, 1, vb))
     # by size, so the subsets that fit under the cap are a prefix
     subsets.sort(key=itemgetter(1))
-    shift = kc + len(var_at)
+    shift = kc + kv
     entries = dict(child.entries)
     for k, (f, cnt, w) in child.entries.items():
         room = cap[k >> shift] - f
@@ -187,27 +171,20 @@ def introduce_variable(child: DPTable, elems: Sequence[int],
         if n > room:
             break
         entries[q] = (n, 1, ws)
-    return DPTable(child.g, var_at, child.chk_at, entries)
+    return DPTable(kc, kv, entries)
 
 
-def forget_variable(child: DPTable, elems: Sequence[int],
-                    slots: Sequence[int]) -> DPTable:
+def forget_variable(child: DPTable, masks: Sequence[int]) -> DPTable:
     """One pass for a chain of forget-variable nodes, each the child of the
-    next, given as the variables they forget and their slots in the child
-    bags: every forgotten member moves its parity into J.
+    next, given as their masks: each forgotten member moves its parity to J.
     """
-    var_at, chk_at = child.var_at, child.chk_at
-    kc = len(chk_at)
+    kc = child.kc
     # flip[s]: the Q bits s cleared and their parities moved into J, for
     # every subset s of the run's forgotten Q bits fq
     flip = {0: 0}
     fq = 0
-    for v, slot in zip(elems, slots):
-        if var_at[slot] != v:
-            raise ValueError(f"forget-variable bag mismatch for v{v}")
-        var_at = _set_slot(var_at, slot, -1)
-        qb = 1 << (kc + slot)
-        move = qb | _slot_mask(chk_at, child.g.var_adj[v])
+    for move in masks:
+        qb = move >> kc << kc         # the mask's one Q bit
         flip.update([(s | qb, m ^ move) for s, m in flip.items()])
         fq |= qb
     entries: dict[int, Entry] = {}
@@ -220,22 +197,20 @@ def forget_variable(child: DPTable, elems: Sequence[int],
         elif ent[0] == old[0]:
             w, w_old = ent[2], old[2]
             entries[k] = (old[0], old[1] + ent[1], w if w < w_old else w_old)
-    return DPTable(child.g, var_at, chk_at, entries)
+    return DPTable(kc, child.kv, entries)
 
 
-def introduce_forget_variable(child: DPTable, v: int, slot: int,
+def introduce_forget_variable(child: DPTable, v: int, mask: int,
                               cap: Sequence[int]) -> DPTable:
     """``forget_variable`` of ``introduce_variable``'s table for one
-    variable v, in one pass that never builds the introduce's table: the
-    child's entries, then each nonzero key with f below its cap adding
-    (f + 1, g, w | v) at the key with v's checks flipped in J, and the base
-    entry (1, 1, v) at v's checks alone when ``cap[0]`` is at least 1, all
-    merged by the usual rule."""
-    var_at, chk_at = child.var_at, child.chk_at
-    if var_at[slot] != -1 or v in var_at:
-        raise ValueError(f"introduce-variable bag mismatch for v{v}")
-    shift = len(chk_at) + len(var_at)
-    move = _slot_mask(chk_at, child.g.var_adj[v])
+    variable v, given the forget's mask, in one pass that never builds the
+    introduce's table: the child's entries, then each nonzero key with f
+    below its cap adding (f + 1, g, w | v) at the key with v's checks
+    flipped in J, and the base entry (1, 1, v) at v's checks alone when
+    ``cap[0]`` is at least 1, all merged by the usual rule."""
+    kc, kv = child.kc, child.kv
+    shift = kc + kv
+    move = mask & ((1 << kc) - 1)     # v's J bits; its Q bit ends up clear
     vb = 1 << v
     entries = dict(child.entries)
     get = entries.get
@@ -255,37 +230,29 @@ def introduce_forget_variable(child: DPTable, v: int, slot: int,
             elif f == old[0]:
                 w |= vb
                 entries[k] = (f, old[1] + cnt, w if w < old[2] else old[2])
-    return DPTable(child.g, var_at, chk_at, entries)
+    return DPTable(kc, kv, entries)
 
 
-def introduce_check(child: DPTable, c: int, slot: int) -> DPTable:
-    # No neighbour of c is forgotten below its introduce (edge coverage), so
-    # its J bit is 0 in every key and the entries carry over as they are.
-    var_at, chk_at = child.var_at, child.chk_at
-    if chk_at[slot] != -1 or c in chk_at:
-        raise ValueError(f"introduce-check bag mismatch for c{c}")
-    return DPTable(child.g, var_at, _set_slot(chk_at, slot, c), child.entries)
+def introduce_check(child: DPTable) -> DPTable:
+    """The child's table: no neighbour of the new check is forgotten below
+    its introduce (edge coverage), so its J bit is 0 in every key."""
+    return child
 
 
-def forget_check(child: DPTable, c: int, slot: int,
-                 cap: Sequence[int]) -> DPTable:
-    """Forget check c; an entry whose c is odd moves to d + 1, and is
-    dropped when that exceeds b = len(cap) - 1 or its f exceeds
-    ``cap[d + 1]`` (see ``run_dp``)."""
-    var_at, chk_at = child.var_at, child.chk_at
-    if chk_at[slot] != c:
-        raise ValueError(f"forget-check bag mismatch for c{c}")
-    cb = 1 << slot
-    keep = ~cb
-    shift = len(chk_at) + len(var_at)
+def forget_check(child: DPTable, mask: int, cap: Sequence[int]) -> DPTable:
+    """Forget the check of ``mask``; an entry whose check is odd moves to
+    d + 1, and is dropped when that exceeds b = len(cap) - 1 or its f
+    exceeds ``cap[d + 1]`` (see ``run_dp``)."""
+    keep = ~(mask & -mask)            # all but the mask's one J bit
+    shift = child.kc + child.kv
     step = 1 << shift
     full = (len(cap) - 1) << shift    # keys at or above it have d == b
-    # c is odd iff its J bit and its bag members' Q bits have odd parity
-    parity = cb | _slot_mask(var_at, child.g.chk_adj[c], len(chk_at))
     entries: dict[int, Entry] = {}
     get = entries.get
     for k, ent in child.entries.items():
-        if (k & parity).bit_count() & 1:
+        # the check is odd iff its J bit and its bag members' Q bits have
+        # odd parity
+        if (k & mask).bit_count() & 1:
             if k >= full:
                 continue
             k = (k & keep) + step
@@ -299,18 +266,15 @@ def forget_check(child: DPTable, c: int, slot: int,
         elif ent[0] == old[0]:
             w, w_old = ent[2], old[2]
             entries[k] = (old[0], old[1] + ent[1], w if w < w_old else w_old)
-    return DPTable(child.g, var_at, _set_slot(chk_at, slot, -1), entries)
+    return DPTable(child.kc, child.kv, entries)
 
 
 def join(left: DPTable, right: DPTable, cap: Sequence[int]) -> DPTable:
     """Combine the two children's tables; no combined entry at d above
     b = len(cap) - 1, or with f larger than ``cap[d]``, is written (see
     ``run_dp``)."""
-    var_at, chk_at = left.var_at, left.chk_at
-    if (right.var_at, right.chk_at) != (var_at, chk_at):
-        raise ValueError("join children disagree on the bag")
-    kc = len(chk_at)
-    shift = kc + len(var_at)
+    kc, kv = left.kc, left.kv
+    shift = kc + kv
     j_bits = (1 << kc) - 1
     q_bits = ((1 << shift) - 1) ^ j_bits
     over = len(cap) << shift          # keys at or above it have d > b
@@ -354,7 +318,7 @@ def join(left: DPTable, right: DPTable, cap: Sequence[int]) -> DPTable:
                 w, w_old = ent[2], old[2]
                 entries[k] = (old[0], old[1] + ent[1],
                               w if w < w_old else w_old)
-    return DPTable(left.g, var_at, chk_at, entries)
+    return DPTable(kc, kv, entries)
 
 
 class DPResult(NamedTuple):
@@ -403,37 +367,29 @@ def run_dp(g: TannerGraph, ntd: NiceTreeDecomposition, b: int,
     ``retain_tables`` is set, which only serves to inspect them: the witness
     is carried in the root table either way.  Without it, every maximal
     chain of introduce-variable nodes, and of forget-variable nodes, each
-    the child of the next, runs as one pass over column slices of its
-    elements and slots and leaves only its last node's table; with it, each
-    such chain is one node long and every table is kept.  Without it, a
-    one-node introduce-variable chain whose parent forgets that variable,
-    as every one-variable leaf fold gives, runs with the forget as one
-    ``introduce_forget_variable`` pass.  Check nodes always run one at a
-    time.
+    the child of the next, runs as one kernel pass that leaves only its
+    last node's table, and a one-node introduce-variable chain whose parent
+    forgets that variable, as every one-variable leaf fold gives, runs with
+    the forget as one ``introduce_forget_variable`` pass; with it, every
+    node runs alone and every table is kept.
 
-    Without ``retain_tables`` the run also prunes: after each forget and
-    join table it lowers U[d] to the f of ``table.answer(d)`` for
-    d = 0..b, and passes ``cap[d] = max(U[d..b])``, or no cap at d while
-    any of U[d..b] is unknown, to ``introduce_variable``,
-    ``introduce_forget_variable``, ``forget_check`` and ``join``.  Other
-    tables cannot lower U: a leaf table is empty, and an introduce table
-    keeps its child's keys with Q = 0 as they are and adds only keys with Q
-    bits, so its ``answer(d)`` is its child's.  The root table is the one
-    an uncapped run gives, w included.  If some b' <= b has no trapping
-    set, U[b'] stays unknown and cap[0..b'] never engage, but the caps
-    above b' still do, unless b' is odd and every variable degree even:
-    then b' provably has no set and is skipped, and cap[d] = -1 where no
-    b' >= d can have one (see ``_caps``).  On seed-1 SC (3,4,640,2) at
-    b = 2 on the path route, the kernels other than ``introduce_check``
-    output 142,187 entries, against 198,490 with one cap max(U) for every
-    d.
+    Without ``retain_tables`` the run also prunes (see the module
+    docstring): after each forget and join table it lowers U[d] to the f of
+    ``table.answer(d)`` for d = 0..b and hands ``_caps`` of U to the
+    kernels that take a cap.  Other tables cannot lower U: a leaf table is
+    empty, and an introduce table keeps its child's keys with Q = 0 as they
+    are and adds only keys with Q bits, so its ``answer(d)`` is its child's.
+    The root table is the one an uncapped run gives, w included.  On seed-1
+    SC (3,4,640,2) at b = 2 on the path route, the kernels other than
+    ``introduce_check`` output 142,187 entries, against 198,490 with one
+    cap max(U) for every d.
     """
     if b < 0:
         raise ValueError("b must be >= 0")
     if ntd.n_var != g.n_var or ntd.n_chk != g.n_chk:
         raise ValueError("decomposition does not match the graph")
 
-    kinds, elems, slots = ntd.kind, ntd.elem, ntd.slot
+    kinds, elems, slots, masks = ntd.kind, ntd.elem, ntd.slot, ntd.mask
     child, child2 = ntd.child, ntd.child2
     last = len(kinds) - 1
     fuse = not retain_tables
@@ -453,28 +409,27 @@ def run_dp(g: TannerGraph, ntd: NiceTreeDecomposition, b: int,
         end = idx
         c1 = child[idx]
         if kind == K_LEAF:
-            table = leaf_table(ntd.var_slots, ntd.chk_slots, g)
+            table = leaf_table(ntd.chk_slots, ntd.var_slots)
         elif kind == K_JOIN:
             table = join(tables[c1], tables[child2[idx]], cap)
         elif kind == K_INTRO_CHK:
-            table = introduce_check(tables[c1], elems[idx], slots[idx])
+            table = introduce_check(tables[c1])
         elif kind == K_FORGET_CHK:
-            table = forget_check(tables[c1], elems[idx], slots[idx], cap)
+            table = forget_check(tables[c1], masks[idx], cap)
         elif kind == K_INTRO_VAR or kind == K_FORGET_VAR:
             while fuse and end < last and kinds[end + 1] == kind \
                     and child[end + 1] == end:
                 end += 1
             run = slice(idx, end + 1)
             if kind == K_FORGET_VAR:
-                table = forget_variable(tables[c1], elems[run], slots[run])
+                table = forget_variable(tables[c1], masks[run])
             elif fuse and end == idx < last and child[end + 1] == end \
                     and kinds[end + 1] == K_FORGET_VAR \
-                    and (elems[end + 1], slots[end + 1]) == (elems[idx],
-                                                             slots[idx]):
+                    and elems[end + 1] == elems[idx]:
                 end += 1
                 kind = K_FORGET_VAR   # the pair's table is a forget's
                 table = introduce_forget_variable(tables[c1], elems[idx],
-                                                  slots[idx], cap)
+                                                  masks[end], cap)
             else:
                 table = introduce_variable(tables[c1], elems[run],
                                            slots[run], cap)
@@ -497,7 +452,5 @@ def run_dp(g: TannerGraph, ntd: NiceTreeDecomposition, b: int,
                     cap = _caps(best, even_only)
 
     root_table = tables[ntd.root]
-    root_entry = root_table.answer(b)
-    if root_entry is None:
-        return DPResult(None, None, root_table, tables)
-    return DPResult(root_entry[0], root_entry[1], root_table, tables)
+    a_min, count, _ = root_table.answer(b) or (None, None, None)
+    return DPResult(a_min, count, root_table, tables)

@@ -6,7 +6,9 @@ spaces, ``run_dp_b0`` is a separate d-free dynamic program,
 ``trellis_spectrum`` sweeps the variables in index order with no tree
 decomposition at all, ``min_fill_reference`` recounts every min-fill
 score from scratch, ``nice_nodes_reference`` lays every nice bag out as
-tuples where the library keeps one slot column, ``parse_alist_reference``
+tuples where the library keeps one slot column, ``forget_mask_reference``
+rebuilds a forget's key mask from those layouts and the graph's global
+bitmasks, ``parse_alist_reference``
 and ``validate_reference`` read their input one line, or one membership,
 at a time where the library checks it in bulk, and
 ``rooted_tree_reference`` roots the bag tree with a queue and a parent per
@@ -19,6 +21,8 @@ import heapq
 import itertools
 import random
 from collections import Counter, deque
+
+from array import array
 
 from trapgraph.decomp import (
     INTRO_CHK,
@@ -371,6 +375,50 @@ def nice_nodes_reference(ntd: NiceTreeDecomposition) -> tuple[NiceNode, ...]:
                 break
             x = c1
     return tuple(out)
+
+
+def forget_mask_reference(g: TannerGraph, kind: str, elem: int,
+                          var_at: tuple[int, ...],
+                          chk_at: tuple[int, ...]) -> int:
+    """The key mask of forgetting ``elem`` from the bag laid out as
+    ``var_at`` and ``chk_at``, from the graph's global bitmasks: the
+    element's own key bit (J for a check, Q for a variable) and the key
+    bits of its neighbours in the bag."""
+    kc = len(chk_at)
+    if kind == FORGET_VAR:
+        nbrs = g.var_masks[elem]
+        return 1 << (kc + var_at.index(elem)) | sum(
+            1 << s for s, c in enumerate(chk_at) if c >= 0 and nbrs >> c & 1)
+    assert kind == FORGET_CHK
+    nbrs = g.chk_masks[elem]
+    return 1 << chk_at.index(elem) | sum(
+        1 << s for s, v in enumerate(var_at, kc) if v >= 0 and nbrs >> v & 1)
+
+
+def check_masks(g: TannerGraph, ntd: NiceTreeDecomposition) -> None:
+    """Every forget's mask is the one rebuilt from its child's layouts and
+    the graph's global bitmasks, and every other node's is 0."""
+    nodes = ntd.nodes
+    for x, node in enumerate(nodes):
+        if node.kind in (FORGET_VAR, FORGET_CHK):
+            below = nodes[node.children[0]]
+            assert ntd.mask[x] == forget_mask_reference(
+                g, node.kind, node.elem, below.var_at, below.chk_at)
+        else:
+            assert ntd.mask[x] == 0
+
+
+def hand_nice(g: TannerGraph, nodes, var_slots: int,
+              chk_slots: int) -> NiceTreeDecomposition:
+    """Nice columns built by hand from ``(kind code, element, children)``
+    per node in post-order; the slots and masks are left for the walk."""
+    size = len(nodes)
+    children = [tuple(ch) + (-1, -1) for _, _, ch in nodes]
+    return NiceTreeDecomposition(
+        g.n_var, g.n_chk, bytes(code for code, _, _ in nodes),
+        array("i", [e for _, e, _ in nodes]), array("i", [-1] * size),
+        array("i", [ch[0] for ch in children]),
+        array("i", [ch[1] for ch in children]), var_slots, chk_slots)
 
 
 # ---------------------------------------------------------------------------

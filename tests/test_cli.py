@@ -133,10 +133,10 @@ def test_bad_b_rejected_before_decomposition(hamming_alist, monkeypatch,
 
 def test_default_route_skips_validate_and_make_nice(tmp_path, monkeypatch,
                                                    capsys):
-    # the default route builds its nice form straight from the elimination,
-    # with no TreeDecomposition, and checks the columns instead; --td and
-    # --sc-params still reach validate through make_nice, with the same
-    # results
+    # the default and --sc-params routes build their nice forms straight
+    # from the elimination and the window, with no TreeDecomposition, and
+    # check the columns instead; --td still reaches validate, once, through
+    # make_nice, and all three routes give the same results
     alist, td = str(tmp_path / "sc.alist"), str(tmp_path / "sc.td")
     assert main(["generate", "--sc", "3,4,10,2", "--deg", "3", "--seed", "7",
                  "--out", alist, "--emit-td", td]) == 0
@@ -144,13 +144,15 @@ def test_default_route_skips_validate_and_make_nice(tmp_path, monkeypatch,
             for name in ("validate", "make_nice", "TreeDecomposition")}
 
     def refuse(*args):
-        raise AssertionError("the default route called " + " or ".join(real))
+        raise AssertionError("a built-in route called " + " or ".join(real))
 
     for name in real:
         monkeypatch.setattr(decomp, name, refuse)
     args = ["--b", "0,1,2", "--witness", "--no-timing"]
-    assert main(["analyze", "--alist", alist, *args]) == 0
-    default = json.loads(capsys.readouterr().out)["results"]
+    results = []
+    for flags in ([], ["--sc-params", "3,4,10,2"]):
+        assert main(["analyze", "--alist", alist, *flags, *args]) == 0
+        results.append(json.loads(capsys.readouterr().out)["results"])
     validated = []
 
     def counting(g, td):
@@ -160,10 +162,22 @@ def test_default_route_skips_validate_and_make_nice(tmp_path, monkeypatch,
     for name in real:
         monkeypatch.setattr(decomp, name, real[name])
     monkeypatch.setattr(decomp, "validate", counting)
-    for flags in (["--td", td], ["--sc-params", "3,4,10,2"]):
-        assert main(["analyze", "--alist", alist, *flags, *args]) == 0
-        assert json.loads(capsys.readouterr().out)["results"] == default
-    assert len(validated) == 2
+    assert main(["analyze", "--alist", alist, "--td", td, *args]) == 0
+    results.append(json.loads(capsys.readouterr().out)["results"])
+    assert len(validated) == 1
+    assert results[0] == results[1] == results[2]
+
+
+def test_sc_params_out_of_window_check_exits_1(tmp_path, capsys):
+    # check 0 (block 0) meets variable 2 (block 2), outside a window of 2
+    g = TannerGraph.from_check_adj(3, 4, [[0, 2], [0, 1], [1, 2], [2]])
+    alist = tmp_path / "bad.alist"
+    alist.write_text(serialize_alist(g))
+    assert main(["analyze", "--alist", str(alist),
+                 "--sc-params", "1,1,3,2"]) == 1
+    assert capsys.readouterr().err == (
+        "check 0 (block 0) adjacent to variable 2 outside its coupling "
+        "window\n")
 
 
 def test_default_route_check_failure_exits_2(hamming_alist, monkeypatch,

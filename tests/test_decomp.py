@@ -25,6 +25,7 @@ from trapgraph.decomp import (
     make_nice,
     parse_td,
     sc_path_decomposition,
+    sc_path_nice,
     serialize_td,
     validate,
     width,
@@ -38,6 +39,7 @@ from trapgraph.tanner import (
     generate_sc_ldpc,
 )
 from helpers import (
+    check_masks,
     min_fill_reference,
     nice_nodes_reference,
     random_graph,
@@ -723,11 +725,52 @@ def test_sc_path_decomposition_fuzz_valid():
 
 
 def test_sc_path_decomposition_rejects_mismatch():
+    # both window builders share the shape and coupling-window checks
     p = ScLdpcParams(3, 4, 10, 2, var_degree=3, seed=2)
     g = generate_sc_ldpc(p)
     other = ScLdpcParams(3, 4, 9, 2, var_degree=3, seed=2)
-    with pytest.raises(ValueError):
-        sc_path_decomposition(g, other)
+    # check 0 (block 0) meets variable 2 (block 2), outside a window of 2
+    outside = TannerGraph.from_check_adj(3, 4, [[0, 2], [0, 1], [1, 2], [2]])
+    for build in (sc_path_decomposition, sc_path_nice):
+        with pytest.raises(ValueError, match="parameters say"):
+            build(g, other)
+        with pytest.raises(ValueError, match="check 0 \\(block 0\\) adjacent "
+                           "to variable 2 outside its coupling window"):
+            build(outside, ScLdpcParams(1, 1, 3, 2, var_degree=1))
+
+
+def window_sweep():
+    """SC codes over base shapes (r, c) in {(3,4), (2,5), (1,1)}, coupling
+    lengths L in {1, 2, 3, 7} and widths w in 1..4, so w > L, L = 1 and
+    r = c = 1 are all covered, plus the benchmark's L = 640."""
+    for r, c in ((3, 4), (2, 5), (1, 1)):
+        for L in (1, 2, 3, 7):
+            for w in range(1, 5):
+                p = ScLdpcParams(r, c, L, w, var_degree=min(3, r * w),
+                                 seed=L + w)
+                yield p, generate_sc_ldpc(p)
+    p = ScLdpcParams(3, 4, 640, 2, var_degree=3, seed=1)
+    yield p, generate_sc_ldpc(p)
+
+
+def test_sc_path_nice_equals_make_nice_of_the_window():
+    # the window emitter writes make_nice's columns, slots and masks with
+    # no TreeDecomposition, and the window it skips validates
+    shapes = 0
+    for p, g in window_sweep():
+        td = sc_path_decomposition(g, p)
+        assert validate(g, td).ok
+        want = make_nice(g, td)
+        got, tw = sc_path_nice(g, p)
+        assert tw == width(td) == got.width() == want.width()
+        for column in ("kind", "elem", "slot", "mask", "child", "child2",
+                       "var_slots", "chk_slots"):
+            assert getattr(got, column) == getattr(want, column), column
+        if p.coupling_len < 640:
+            check_nice_structure(g, td, got)
+            check_masks(g, got)
+        shapes += 1
+    assert shapes == 49
 
 
 def test_heuristic_decomposition_tree_graph():
@@ -849,38 +892,46 @@ def nice_columns_with(ntd, kind=None, elem=None):
         ntd.child, ntd.child2, ntd.var_slots, ntd.chk_slots)
 
 
+SC40 = ScLdpcParams(3, 4, 40, 2, var_degree=3, seed=1)
+
+
 def sc40():
-    return generate_sc_ldpc(ScLdpcParams(3, 4, 40, 2, var_degree=3, seed=1))
+    return generate_sc_ldpc(SC40)
+
+
+def sc40_routes(g):
+    """The nice forms and widths of both built-in routes on ``sc40()``."""
+    return heuristic_nice(g), sc_path_nice(g, SC40)
 
 
 def test_nice_columns_check_passes_the_route_and_catches_an_uncovered_edge():
     g = sc40()
-    ntd, tw = heuristic_nice(g)
-    check_nice_columns(g, ntd, tw)
     # one more edge, between the first variable and the last check, lies in
-    # no bag of the nice form, as validate confirms
+    # no bag of either route's nice form, as validate confirms
     adj = [list(vs) for vs in g.chk_adj]
     adj[-1] = [0, *adj[-1]]
     wider = TannerGraph.from_check_adj(g.n_var, g.n_chk, adj)
-    assert not validate(wider, ntd.as_tree_decomposition()).ok
-    with pytest.raises(InvalidDecompositionError) as exc:
-        check_nice_columns(wider, ntd, tw)
-    assert exc.value.violations == (
-        f"Tanner edges in no nice bag: 1 of {sum(map(len, adj))}",)
-    with pytest.raises(InvalidDecompositionError, match="width"):
-        check_nice_columns(g, ntd, tw + 1)
+    for ntd, tw in sc40_routes(g):
+        check_nice_columns(g, ntd, tw)
+        assert not validate(wider, ntd.as_tree_decomposition()).ok
+        with pytest.raises(InvalidDecompositionError) as exc:
+            check_nice_columns(wider, ntd, tw)
+        assert exc.value.violations == (
+            f"Tanner edges in no nice bag: 1 of {sum(map(len, adj))}",)
+        with pytest.raises(InvalidDecompositionError, match="width"):
+            check_nice_columns(g, ntd, tw + 1)
 
 
 def test_nice_columns_check_catches_an_element_forgotten_twice():
     g = sc40()
-    ntd, tw = heuristic_nice(g)
-    x1, x2 = [x for x, k in enumerate(ntd.kind) if k == K_FORGET_VAR][:2]
-    v1, v2 = ntd.elem[x1], ntd.elem[x2]
-    elem = list(ntd.elem)
-    elem[x2] = v1
-    with pytest.raises(InvalidDecompositionError) as exc:
-        check_nice_columns(g, nice_columns_with(ntd, elem=elem), tw)
-    assert exc.value.violations == (f"v{v1} is forgotten twice",)
+    for ntd, tw in sc40_routes(g):
+        x1, x2 = [x for x, k in enumerate(ntd.kind) if k == K_FORGET_VAR][:2]
+        v1 = ntd.elem[x1]
+        elem = list(ntd.elem)
+        elem[x2] = v1
+        with pytest.raises(InvalidDecompositionError) as exc:
+            check_nice_columns(g, nice_columns_with(ntd, elem=elem), tw)
+        assert exc.value.violations == (f"v{v1} is forgotten twice",)
 
 
 def test_nice_columns_check_catches_an_element_never_forgotten():
@@ -898,19 +949,19 @@ def test_nice_columns_check_catches_an_element_never_forgotten():
 
 def test_nice_columns_check_catches_an_introduce_with_no_forget_above():
     g = sc40()
-    ntd, tw = heuristic_nice(g)
-    forget_at = {ntd.elem[x]: x for x, k in enumerate(ntd.kind)
-                 if k == K_FORGET_VAR}
-    # an introduce of a variable forgotten below it, so on no path above
-    x = next(x for x, k in enumerate(ntd.kind) if k == K_INTRO_VAR
-             and any(f < x for f in forget_at.values()))
-    u = next(v for v, f in forget_at.items() if f < x)
-    elem = list(ntd.elem)
-    elem[x] = u
-    with pytest.raises(InvalidDecompositionError) as exc:
-        check_nice_columns(g, nice_columns_with(ntd, elem=elem), tw)
-    assert exc.value.violations == (
-        f"node {x} introduces v{u}, which no forget above it holds",)
+    for ntd, tw in sc40_routes(g):
+        forget_at = {ntd.elem[x]: x for x, k in enumerate(ntd.kind)
+                     if k == K_FORGET_VAR}
+        # an introduce of a variable forgotten below it, so on no path above
+        x = next(x for x, k in enumerate(ntd.kind) if k == K_INTRO_VAR
+                 and any(f < x for f in forget_at.values()))
+        u = next(v for v, f in forget_at.items() if f < x)
+        elem = list(ntd.elem)
+        elem[x] = u
+        with pytest.raises(InvalidDecompositionError) as exc:
+            check_nice_columns(g, nice_columns_with(ntd, elem=elem), tw)
+        assert exc.value.violations == (
+            f"node {x} introduces v{u}, which no forget above it holds",)
 
 
 def test_nice_columns_check_catches_a_forget_with_no_introduce_below():

@@ -9,13 +9,21 @@ from trapgraph.decomp import (
     FORGET_VAR,
     INTRO_CHK,
     INTRO_VAR,
+    K_FORGET_CHK,
+    K_FORGET_VAR,
+    K_INTRO_CHK,
+    K_INTRO_VAR,
     K_JOIN,
+    K_LEAF,
     LEAF,
+    InvalidDecompositionError,
     NiceTreeDecomposition,
+    check_nice_columns,
     heuristic_decomposition,
     heuristic_nice,
     make_nice,
     sc_path_decomposition,
+    sc_path_nice,
 )
 from trapgraph.dpcore import (
     DPTable,
@@ -35,7 +43,10 @@ from trapgraph.tanner import (
 )
 from helpers import (
     HAMMING_74,
+    check_masks,
+    forget_mask_reference,
     gamma_odd_mask,
+    hand_nice,
     min_weight_and_count,
     random_graph,
     random_td,
@@ -51,8 +62,10 @@ def nice_for(g):
 
 # The kernel tests read tables as global-id (I, Q, d) states.  The packed
 # key is ``J | Q << kc | d << (kc + kv)`` over the slots, with
-# I = J ^ Gamma_odd(Q) within the bag; the helpers below translate through
-# the graph's global var_masks, independently of the engine's slot masks.
+# I = J ^ Gamma_odd(Q) within the bag.  A table holds no layout, so each
+# test names the slot layouts its keys are read through, and the helpers
+# below translate through the graph's global var_masks, independently of
+# the engine's slots and masks.
 def ids(layout):
     """Global-id bitmask of the elements in a slot layout."""
     return sum(1 << x for x in layout if x >= 0)
@@ -70,8 +83,9 @@ def pack(var_at, chk_at, j, q, d):
 
 
 def table(g, var_at, chk_at, states=()):
-    """A DPTable with the given slot layout and global-id (I, Q, d) states."""
-    t = DPTable(g, var_at, chk_at)
+    """A DPTable over the given slot layout with global-id (I, Q, d)
+    states."""
+    t = DPTable(len(chk_at), len(var_at))
     for (i, q, d), ent in dict(states).items():
         j = i ^ gamma_odd_mask(g.var_masks, q, ids(chk_at))
         assert j & ~ids(chk_at) == 0 and q & ~ids(var_at) == 0
@@ -79,16 +93,29 @@ def table(g, var_at, chk_at, states=()):
     return t
 
 
-def states(t):
-    """The table's entries keyed by global-id (I, Q, d)."""
-    kc = len(t.chk_at)
+def states(t, g, var_at, chk_at):
+    """The table's entries keyed by global-id (I, Q, d), read through the
+    given slot layout, whose slot counts must be the table's."""
+    kc = len(chk_at)
+    assert (t.kc, t.kv) == (kc, len(var_at))
     out = {}
     for k, ent in t.entries.items():
-        j = sum(1 << c for s, c in enumerate(t.chk_at) if k >> s & 1)
-        q = sum(1 << v for s, v in enumerate(t.var_at, kc) if k >> s & 1)
-        i = j ^ gamma_odd_mask(t.g.var_masks, q, ids(t.chk_at))
-        out[i, q, k >> (kc + len(t.var_at))] = ent
+        j = sum(1 << c for s, c in enumerate(chk_at) if k >> s & 1)
+        q = sum(1 << v for s, v in enumerate(var_at, kc) if k >> s & 1)
+        assert j & ~ids(chk_at) == 0 and q & ~ids(var_at) == 0
+        i = j ^ gamma_odd_mask(g.var_masks, q, ids(chk_at))
+        out[i, q, k >> (kc + len(var_at))] = ent
     return out
+
+
+def var_mask(g, var_at, chk_at, v):
+    """The mask of forgetting variable v from the bag (var_at, chk_at)."""
+    return forget_mask_reference(g, FORGET_VAR, v, var_at, chk_at)
+
+
+def chk_mask(g, var_at, chk_at, c):
+    """The mask of forgetting check c from the bag (var_at, chk_at)."""
+    return forget_mask_reference(g, FORGET_CHK, c, var_at, chk_at)
 
 
 def uncapped(b):
@@ -102,15 +129,18 @@ def intro_v(child, v, slot):
     return introduce_variable(child, [v], [slot], uncapped(0))
 
 
-def forget_v(child, v, slot):
-    """forget_variable on a one-node run."""
-    return forget_variable(child, [v], [slot])
+def walk_fault(g, nodes, var_slots, chk_slots):
+    """The violations the column walk raises on hand-built columns."""
+    ntd = hand_nice(g, nodes, var_slots, chk_slots)
+    with pytest.raises(InvalidDecompositionError) as exc:
+        check_nice_columns(g, ntd, var_slots + chk_slots - 1)
+    return exc.value.violations
 
 
 def test_leaf_table_is_empty():
-    t = leaf_table(2, 1, TannerGraph.from_matrix([[1, 1]]))
+    t = leaf_table(1, 2)
     assert t.entries == {}
-    assert (t.var_at, t.chk_at) == ((-1, -1), (-1,))
+    assert (t.kc, t.kv) == (1, 2)
     assert t.answer(0) is None
 
 
@@ -122,8 +152,7 @@ def test_introduce_variable_base_case():
     # packed key: Q slot 0 sits above the one check slot, whose J bit is 0
     # since nothing is forgotten
     assert t.entries == {0b10: (1, 1, 0b1)}
-    assert states(t) == {(0b1, 0b1, 0): (1, 1, 0b1)}
-    assert t.var_at == (0,)
+    assert states(t, g, (0,), (0,)) == {(0b1, 0b1, 0): (1, 1, 0b1)}
 
 
 def test_introduce_variable_keeps_and_extends():
@@ -131,7 +160,7 @@ def test_introduce_variable_keeps_and_extends():
     child = table(g, (-1, 1), (0,), {(0b1, 0b10, 0): (1, 1, 0b10)})
     t = intro_v(child, 0, 0)
     # kept entry, extension with xor of shared check, and the base entry
-    assert states(t) == {
+    assert states(t, g, (0, 1), (0,)) == {
         (0b1, 0b10, 0): (1, 1, 0b10),
         (0b0, 0b11, 0): (2, 1, 0b11),
         (0b1, 0b01, 0): (1, 1, 0b01),
@@ -143,18 +172,25 @@ def test_introduce_variable_skips_forgotten_codeword_state():
     child = table(g, (-1,), (0,), {(0, 0, 0): (4, 7, 0b11110)})
     t = intro_v(child, 0, 0)
     # (0,0,0) survives but is not extended; only {v} realizes the base key
-    assert states(t) == {(0, 0, 0): (4, 7, 0b11110),
-                         (0b1, 0b1, 0): (1, 1, 0b1)}
+    assert states(t, g, (0,), (0,)) == {(0, 0, 0): (4, 7, 0b11110),
+                                        (0b1, 0b1, 0): (1, 1, 0b1)}
 
 
 def test_introduce_variable_bag_mismatch():
+    # the column walk, not the kernel, refuses a variable introduced into a
+    # bag that already holds it, and a forget of a variable that its
+    # child's bag does not hold, which leaves the variable in the leaf
     g = TannerGraph.from_matrix([[1, 1]])
-    with pytest.raises(ValueError, match="mismatch"):
-        intro_v(table(g, (0, -1), ()), 0, 1)  # already in bag
-    with pytest.raises(ValueError, match="mismatch"):
-        intro_v(table(g, (1,), ()), 0, 0)  # slot taken
-    with pytest.raises(ValueError, match="mismatch"):
-        forget_v(table(g, (1,), ()), 0, 0)  # not at slot
+    assert walk_fault(g, [(K_LEAF, -1, ()), (K_INTRO_VAR, 0, (0,)),
+                          (K_INTRO_VAR, 0, (1,)), (K_FORGET_VAR, 0, (2,)),
+                          (K_INTRO_VAR, 1, (3,)), (K_FORGET_VAR, 1, (4,)),
+                          (K_INTRO_CHK, 0, (5,)), (K_FORGET_CHK, 0, (6,))],
+                      1, 1) == (
+        "node 1 introduces v0, which no forget above it holds",)
+    assert walk_fault(g, [(K_LEAF, -1, ()), (K_INTRO_VAR, 1, (0,)),
+                          (K_FORGET_VAR, 0, (1,)), (K_FORGET_VAR, 1, (2,)),
+                          (K_INTRO_CHK, 0, (3,)), (K_FORGET_CHK, 0, (4,))],
+                      2, 1) == ("leaf 0 has a nonempty bag",)
 
 
 def test_forget_variable_merges_counts():
@@ -163,10 +199,11 @@ def test_forget_variable_merges_counts():
     g = TannerGraph.from_matrix([[1]])
     smaller = ((0b1, 0b1, 0), (3, 2, 0b111))
     larger = ((0b1, 0b0, 0), (3, 5, 0b1110))
+    mask = var_mask(g, (0,), (0,), 0)
+    assert mask == 0b11               # v0's Q bit and its check's J bit
     for order in ([smaller, larger], [larger, smaller]):
-        t = forget_v(table(g, (0,), (0,), order), 0, 0)
-        assert states(t) == {(0b1, 0, 0): (3, 7, 0b111)}
-        assert t.var_at == (-1,)
+        t = forget_variable(table(g, (0,), (0,), order), [mask])
+        assert states(t, g, (-1,), (0,)) == {(0b1, 0, 0): (3, 7, 0b111)}
 
 
 def test_forget_variable_strict_minimum():
@@ -175,8 +212,8 @@ def test_forget_variable_strict_minimum():
         (0b1, 0b0, 0): (5, 9, 0b111110),
         (0b1, 0b1, 0): (2, 1, 0b11),
     })
-    t = forget_v(child, 0, 0)
-    assert states(t) == {(0b1, 0, 0): (2, 1, 0b11)}
+    t = forget_variable(child, [var_mask(g, (0,), (0,), 0)])
+    assert states(t, g, (-1,), (0,)) == {(0b1, 0, 0): (2, 1, 0b11)}
 
 
 def test_introduce_check_parity_cases():
@@ -186,10 +223,10 @@ def test_introduce_check_parity_cases():
         (0, 0b011, 0): (2, 1, 0b011),       # adjacent to both: even
         (0, 0b000, 1): (3, 4, 0b111000),    # empty Q: always even
     })
-    t = introduce_check(child, 0, 0)
+    t = introduce_check(child)
     # no entry is touched: the new check's J bit is 0 in every key
-    assert t.entries is child.entries
-    assert states(t) == {
+    assert t is child
+    assert states(t, g, (0, 1, 2), (0,)) == {
         (0b1, 0b001, 0): (1, 1, 0b001),
         (0, 0b011, 0): (2, 1, 0b011),
         (0, 0b000, 1): (3, 4, 0b111000),
@@ -199,38 +236,42 @@ def test_introduce_check_parity_cases():
 def test_forget_check_drops_when_budget_exhausted():
     g = TannerGraph.from_matrix([[1]])
     child = table(g, (0,), (0,), {(0b1, 0b1, 0): (1, 1, 0b1)})
-    t = forget_check(child, 0, 0, uncapped(0))
+    t = forget_check(child, chk_mask(g, (0,), (0,), 0), uncapped(0))
     assert t.entries == {}
 
 
 def test_forget_check_increments_d_and_merges():
     g = TannerGraph.from_matrix([[1]])
+    mask = chk_mask(g, (0,), (0,), 0)
+    assert mask == 0b11               # c0's J bit and its variable's Q bit
     child = table(g, (0,), (0,), {(0b1, 0b1, 0): (1, 1, 0b1)})
-    t = forget_check(child, 0, 0, uncapped(1))
-    assert states(t) == {(0, 0b1, 1): (1, 1, 0b1)}
+    t = forget_check(child, mask, uncapped(1))
+    assert states(t, g, (0,), (-1,)) == {(0, 0b1, 1): (1, 1, 0b1)}
     child2 = table(g, (0,), (0,), {
         (0b1, 0b1, 0): (4, 2, 0b1111),
         (0b0, 0b1, 1): (4, 3, 0b11101),
     })
-    t2 = forget_check(child2, 0, 0, uncapped(1))
-    assert states(t2) == {(0, 0b1, 1): (4, 5, 0b1111)}
+    t2 = forget_check(child2, mask, uncapped(1))
+    assert states(t2, g, (0,), (-1,)) == {(0, 0b1, 1): (4, 5, 0b1111)}
 
 
 def chain(child, kind, run, b):
-    """The variable run of (element, slot) pairs applied one node at a time,
-    as one-node runs, on keys at d <= b."""
+    """The variable run applied one node at a time, as one-node runs, on
+    keys at d <= b: (element, slot) pairs to introduce, or masks to
+    forget."""
     t = child
-    for v, slot in run:
-        t = forget_variable(t, [v], [slot]) if kind == FORGET_VAR \
-            else introduce_variable(t, [v], [slot], uncapped(b))
+    for step in run:
+        t = forget_variable(t, [step]) if kind == FORGET_VAR \
+            else introduce_variable(t, [step[0]], [step[1]], uncapped(b))
     return t
 
 
 def fused(child, kind, run, b):
-    """The variable run of (element, slot) pairs in one kernel call."""
+    """The variable run in one kernel call."""
+    if kind == FORGET_VAR:
+        return forget_variable(child, run)
     elems, slots = zip(*run)
-    return forget_variable(child, elems, slots) if kind == FORGET_VAR \
-        else introduce_variable(child, elems, slots, uncapped(b))
+    return introduce_variable(child, elems, slots, uncapped(b))
 
 
 def random_entries(rng, bits, b, n):
@@ -249,17 +290,21 @@ RUN_GRAPH = TannerGraph.from_check_adj(4, 3, [[0, 1, 2], [0, 2], [1]])
 def test_forget_run_equals_chain(length):
     # v0, v2 and v1 leave a bag that keeps all three checks, cut to the
     # first ``length`` of them
-    run = [(0, 1), (2, 0), (1, 2)][:length]
+    var_at, chk_at = (2, 0, 1), (1, 0, 2)
+    run = [var_mask(RUN_GRAPH, var_at, chk_at, v) for v in (0, 2, 1)]
+    # v0 at slot 1 meets c0 and c1 at slots 1 and 0, above the 3 J bits
+    assert run[0] == 1 << 4 | 0b011
+    run = run[:length]
     rng = random.Random(length)
     for b in range(3):
         for _ in range(20):
-            child = DPTable(RUN_GRAPH, (2, 0, 1), (1, 0, 2))
+            child = DPTable(3, 3)
             child.entries.update(random_entries(rng, 6, b, 40))
             child.entries[0] = (2, 3, 0b1000)
             one = fused(child, FORGET_VAR, run, b)
             ref = chain(child, FORGET_VAR, run, b)
             assert one.entries == ref.entries
-            assert (one.var_at, one.chk_at) == (ref.var_at, ref.chk_at)
+            assert (one.kc, one.kv) == (ref.kc, ref.kv) == (3, 3)
 
 
 @pytest.mark.parametrize("length", [1, 2, 3])
@@ -269,7 +314,7 @@ def test_introduce_run_equals_chain(length):
     run = [(0, 0), (2, 2), (1, 3)][:length]
     rng = random.Random(length)
     for _ in range(20):
-        child = DPTable(RUN_GRAPH, (-1, 3, -1, -1), (-1, 1))
+        child = DPTable(2, 4)
         # keys over c1's J bit, v3's Q bit and d <= 1
         child.entries.update({k & 0b1010 | k & 0b1000000: ent for k, ent in
                               random_entries(rng, 7, 0, 6).items()})
@@ -278,37 +323,35 @@ def test_introduce_run_equals_chain(length):
         ref = chain(child, INTRO_VAR, run, 1)
         assert one.entries == ref.entries
         assert one.entries[0] == (2, 3, 0b1000)
-        assert (one.var_at, one.chk_at) == (ref.var_at, ref.chk_at)
+        assert (one.kc, one.kv) == (ref.kc, ref.kv) == (2, 4)
 
 
 def test_run_kernels_bag_mismatch():
-    child = DPTable(RUN_GRAPH, (2, 0, -1), (1, -1, -1))
-    bad_forgets = [
-        [(0, 1), (0, 1)],             # already gone
-        [(2, 1)],                     # not at slot
-        [(2, 0), (0, 0)],             # slot emptied
-    ]
-    for run in bad_forgets:
-        with pytest.raises(ValueError, match="mismatch"):
-            fused(child, FORGET_VAR, run, 0)
-    bad_intros = [
-        [(1, 2), (3, 2)],             # slot taken
-        [(2, 2)],                     # already in bag
-        [(1, 2), (1, 1)],             # introduced twice
-    ]
-    for run in bad_intros:
-        with pytest.raises(ValueError, match="mismatch"):
-            fused(child, INTRO_VAR, run, 0)
+    # variable chains that the column walk refuses: a chain forgetting v0
+    # twice, and one introducing v1 twice
+    g = RUN_GRAPH
+    tail = [(K_INTRO_CHK, 0, (2,)), (K_FORGET_CHK, 0, (3,))]
+    assert walk_fault(g, [(K_LEAF, -1, ()), (K_INTRO_VAR, 0, (0,)),
+                          (K_FORGET_VAR, 0, (1,)), (K_FORGET_VAR, 0, (2,))],
+                      1, 0) == ("v0 is forgotten twice",)
+    assert walk_fault(g, [(K_LEAF, -1, ()), (K_INTRO_VAR, 1, (0,)),
+                          (K_INTRO_VAR, 1, (1,)), (K_FORGET_VAR, 1, (2,)),
+                          *tail], 1, 1) == (
+        "node 1 introduces v1, which no forget above it holds",)
 
 
 def test_check_kernels_bag_mismatch():
-    child = DPTable(RUN_GRAPH, (2, 0, -1), (1, -1, -1))
-    with pytest.raises(ValueError, match="mismatch"):
-        introduce_check(child, 1, 1)                       # already in bag
-    with pytest.raises(ValueError, match="mismatch"):
-        introduce_check(child, 0, 0)                       # slot taken
-    with pytest.raises(ValueError, match="mismatch"):
-        forget_check(child, 0, 0, uncapped(1))             # not at slot
+    # a check introduced into a bag that already holds it, and a check
+    # forgotten from a bag that does not, which leaves it in the leaf
+    g = TannerGraph.from_check_adj(0, 2, [[], []])
+    assert walk_fault(g, [(K_LEAF, -1, ()), (K_INTRO_CHK, 1, (0,)),
+                          (K_INTRO_CHK, 1, (1,)), (K_FORGET_CHK, 1, (2,)),
+                          (K_INTRO_CHK, 0, (3,)), (K_FORGET_CHK, 0, (4,))],
+                      0, 1) == (
+        "node 1 introduces c1, which no forget above it holds",)
+    assert walk_fault(g, [(K_LEAF, -1, ()), (K_INTRO_CHK, 1, (0,)),
+                          (K_FORGET_CHK, 0, (1,)), (K_FORGET_CHK, 1, (2,))],
+                      0, 2) == ("leaf 0 has a nonempty bag",)
 
 
 def test_run_dp_rejects_unknown_node_kind():
@@ -317,6 +360,7 @@ def test_run_dp_rejects_unknown_node_kind():
     bogus = NiceTreeDecomposition(
         ntd.n_var, ntd.n_chk, ntd.kind[:-1] + bytes([99]), ntd.elem,
         ntd.slot, ntd.child, ntd.child2, ntd.var_slots, ntd.chk_slots)
+    bogus.mask = ntd.mask
     with pytest.raises(ValueError, match="unknown node kind 99"):
         run_dp(g, bogus, 0)
 
@@ -326,14 +370,14 @@ def test_join_shared_members_counted_once():
     left = table(g, (0,), (0,), {(0b1, 0b1, 0): (1, 1, 0b1)})
     right = table(g, (0,), (0,), {(0b1, 0b1, 0): (1, 1, 0b1)})
     t = join(left, right, uncapped(0))
-    assert states(t) == {(0b1, 0b1, 0): (1, 1, 0b1)}
+    assert states(t, g, (0,), (0,)) == {(0b1, 0b1, 0): (1, 1, 0b1)}
 
 
 def test_join_single_side_codeword_survives():
     g = TannerGraph.from_matrix([[1]])
     left = table(g, (), (), {(0, 0, 0): (4, 7, 0b11110)})
     t = join(left, table(g, (), ()), uncapped(0))
-    assert states(t) == {(0, 0, 0): (4, 7, 0b11110)}
+    assert states(t, g, (), ()) == {(0, 0, 0): (4, 7, 0b11110)}
 
 
 def test_join_tie_keeps_smaller_minimizer():
@@ -346,19 +390,30 @@ def test_join_tie_keeps_smaller_minimizer():
                  uncapped(0))
         # two pairs meet in each state: {v0,v1}+{v0,v3} and {v0,v2}+{v0,v4}
         # at I = {c0}, {v0,v1}+{v0,v4} and {v0,v2}+{v0,v3} at I = {}
-        assert states(t) == {(0b1, 0b1, 0): (3, 2, 0b01011),
-                             (0, 0b1, 0): (3, 2, 0b01101)}
+        assert states(t, g, (0,), (0,)) == {(0b1, 0b1, 0): (3, 2, 0b01011),
+                                            (0, 0b1, 0): (3, 2, 0b01101)}
     # a set living in one subtree: the right side's smaller one wins
     empty_left = table(g, (-1,), (-1,), {(0, 0, 0): (2, 1, 0b11000)})
     empty_right = table(g, (-1,), (-1,), {(0, 0, 0): (2, 4, 0b00110)})
     t = join(empty_left, empty_right, uncapped(0))
-    assert states(t) == {(0, 0, 0): (2, 5, 0b00110)}
+    assert states(t, g, (-1,), (-1,)) == {(0, 0, 0): (2, 5, 0b00110)}
 
 
 def test_join_requires_matching_bags():
+    # the column walk hands a join's bag to both children, so children
+    # whose bags differ leave an element in one child's leaf or introduce
+    # one the join's bag does not hold
     g = TannerGraph.from_matrix([[1]])
-    with pytest.raises(ValueError, match="bag"):
-        join(table(g, (0,), ()), table(g, (-1,), ()), uncapped(0))
+    left = [(K_LEAF, -1, ()), (K_INTRO_VAR, 0, (0,))]
+    right = [(K_LEAF, -1, ())]
+    top = [(K_FORGET_VAR, 0, (3,)), (K_INTRO_CHK, 0, (4,)),
+           (K_FORGET_CHK, 0, (5,))]
+    assert walk_fault(g, [*left, *right, (K_JOIN, -1, (1, 2)), *top],
+                      1, 1) == ("leaf 2 has a nonempty bag",)
+    top = [(K_INTRO_CHK, 0, (3,)), (K_FORGET_CHK, 0, (4,))]
+    assert walk_fault(g, [*left, *right, (K_JOIN, -1, (1, 2)), *top],
+                      1, 1) == (
+        "node 1 introduces v0, which no forget above it holds",)
 
 
 def test_join_with_empty_table_is_identity_on_codeword_states():
@@ -434,7 +489,7 @@ def test_b0_tables_never_carry_positive_d():
     ntd = make_nice(g, random_td(g, rng))
     res = run_dp(g, ntd, 0, retain_tables=True)
     for table in res.tables:
-        shift = len(table.chk_at) + len(table.var_at)
+        shift = table.kc + table.kv
         assert all(k >> shift == 0 for k in table.entries)
 
 
@@ -488,23 +543,33 @@ def test_every_sc_path_entry_realized_by_its_minimizer():
     assert_entries_realized_by_minimizers(g, ntd, 2)
 
 
-def assert_tables_carry_node_layouts(g, ntd):
-    """Each retained table's slot layout is the one its node stores."""
+def assert_tables_and_masks_match_nodes(g, ntd):
+    """Each retained table's key widths are the nice form's slot counts,
+    and each forget's mask, which the kernels read in place of a layout,
+    is the one rebuilt from its child's layouts and the graph."""
     res = run_dp(g, ntd, 1, retain_tables=True)
-    for node, t in zip(ntd.nodes, res.tables):
-        assert (t.var_at, t.chk_at) == (node.var_at, node.chk_at)
+    assert len(res.tables) == len(ntd.nodes)
+    for t in res.tables:
+        assert (t.kc, t.kv) == (ntd.chk_slots, ntd.var_slots)
+    check_masks(g, ntd)
 
 
-def test_retained_table_layouts_match_nodes():
+def test_retained_tables_and_masks_match_nodes():
+    # on make_nice of random and min-fill decompositions and on both
+    # built-in routes
     rng = random.Random(84)
     for _ in range(60):
         g = random_graph(rng, max_var=10, max_chk=8)
-        for td in (random_td(g, rng), heuristic_decomposition(g)):
-            assert_tables_carry_node_layouts(g, make_nice(g, td))
+        for ntd in (make_nice(g, random_td(g, rng)),
+                    make_nice(g, heuristic_decomposition(g)),
+                    heuristic_nice(g)[0]):
+            assert_tables_and_masks_match_nodes(g, ntd)
     params = ScLdpcParams(3, 4, 40, 2, var_degree=3, seed=1)
     g = generate_sc_ldpc(params)
-    for td in (sc_path_decomposition(g, params), heuristic_decomposition(g)):
-        assert_tables_carry_node_layouts(g, make_nice(g, td))
+    for ntd in (make_nice(g, sc_path_decomposition(g, params)),
+                make_nice(g, heuristic_decomposition(g)),
+                sc_path_nice(g, params)[0], heuristic_nice(g)[0]):
+        assert_tables_and_masks_match_nodes(g, ntd)
 
 
 def test_sc_routes_agree_beyond_brute_force():
@@ -526,9 +591,9 @@ def count_runs(monkeypatch):
     runs = []
 
     def recording(kernel):
-        def call(child, elems, *rest):
-            runs.append(elems)
-            return kernel(child, elems, *rest)
+        def call(child, run, *rest):
+            runs.append(run)
+            return kernel(child, run, *rest)
         return call
 
     for name in ("forget_variable", "introduce_variable"):
@@ -546,7 +611,7 @@ def assert_fused_equals_per_node(g, ntd, b, runs):
     del runs[n:]
     fused = run_dp(g, ntd, b).root_table
     assert fused.entries == per_node.entries
-    assert (fused.var_at, fused.chk_at) == (per_node.var_at, per_node.chk_at)
+    assert (fused.kc, fused.kv) == (per_node.kc, per_node.kv)
 
 
 def test_fused_runs_match_per_node_kernels(monkeypatch):
@@ -588,7 +653,7 @@ def record_kernels(monkeypatch):
         return call
 
     for name, at in (("introduce_variable", 3), ("join", 2),
-                     ("forget_variable", None), ("forget_check", 3)):
+                     ("forget_variable", None), ("forget_check", 2)):
         monkeypatch.setattr(dpcore, name,
                             recording(getattr(dpcore, name), at))
     return caps, sizes
@@ -631,11 +696,11 @@ def test_per_d_cap_engages_without_codewords(monkeypatch):
     # root table is the retained run's, minimizers included
     drops = checked = 0
 
-    def capped_forget_check(child, c, slot, cap):
+    def capped_forget_check(child, mask, cap):
         nonlocal drops
-        table = forget_check(child, c, slot, cap)
-        full = forget_check(child, c, slot, uncapped(len(cap) - 1))
-        shift = len(child.chk_at) + len(child.var_at)
+        table = forget_check(child, mask, cap)
+        full = forget_check(child, mask, uncapped(len(cap) - 1))
+        shift = child.kc + child.kv
         for k, ent in full.entries.items():
             if ent[0] <= cap[k >> shift]:
                 assert table.entries[k] == ent
@@ -761,7 +826,7 @@ def test_freed_run_caps_equal_reading_every_table(monkeypatch):
 
     for name, at in (("leaf_table", None), ("introduce_variable", 3),
                      ("forget_variable", None), ("introduce_check", None),
-                     ("forget_check", 3), ("join", 2),
+                     ("forget_check", 2), ("join", 2),
                      ("introduce_forget_variable", 3)):
         monkeypatch.setattr(dpcore, name,
                             recording(getattr(dpcore, name), at))
@@ -899,8 +964,9 @@ def test_answer_is_the_empty_state_of_every_table():
                    heuristic_decomposition(g)):
             ntd = make_nice(g, td)
             for b in range(4):
-                for t in run_dp(g, ntd, b, retain_tables=True).tables:
-                    by_state = states(t)
+                tables = run_dp(g, ntd, b, retain_tables=True).tables
+                for node, t in zip(ntd.nodes, tables):
+                    by_state = states(t, g, node.var_at, node.chk_at)
                     for d in range(-1, b + 2):
                         assert t.answer(d) == by_state.get((0, 0, d))
                         hits += t.answer(d) is not None
@@ -915,12 +981,13 @@ def test_fold_pass_matches_the_two_kernels_and_a_retained_run(monkeypatch):
     passes = []
     fold = dpcore.introduce_forget_variable
 
-    def checked(child, v, slot, cap):
-        table = fold(child, v, slot, cap)
+    def checked(child, v, mask, cap):
+        table = fold(child, v, mask, cap)
+        slot = (mask >> child.kc).bit_length() - 1
         two = forget_variable(introduce_variable(child, [v], [slot], cap),
-                              [v], [slot])
+                              [mask])
         assert table.entries == two.entries
-        assert (table.var_at, table.chk_at) == (two.var_at, two.chk_at)
+        assert (table.kc, table.kv) == (two.kc, two.kv)
         passes.append(v)
         return table
 
@@ -942,9 +1009,12 @@ def test_fold_pass_matches_the_two_kernels_and_a_retained_run(monkeypatch):
 
 
 def test_fold_pass_bag_mismatch():
+    # a one-variable fold, introduce v0 then forget it, inside a bag that
+    # already holds v0: the walk finds v0 forgotten twice
     g = TannerGraph.from_matrix([[1, 1]])
-    child = table(g, (0, -1), (0,))
-    for v, slot in ((0, 1), (1, 0)):
-        with pytest.raises(ValueError,
-                           match="introduce-variable bag mismatch"):
-            dpcore.introduce_forget_variable(child, v, slot, uncapped(1))
+    assert walk_fault(g, [(K_LEAF, -1, ()), (K_INTRO_VAR, 0, (0,)),
+                          (K_INTRO_VAR, 0, (1,)), (K_FORGET_VAR, 0, (2,)),
+                          (K_FORGET_VAR, 0, (3,)), (K_INTRO_VAR, 1, (4,)),
+                          (K_FORGET_VAR, 1, (5,)), (K_INTRO_CHK, 0, (6,)),
+                          (K_FORGET_CHK, 0, (7,))], 2, 1) == (
+        "v0 is forgotten twice",)
