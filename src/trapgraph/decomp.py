@@ -13,7 +13,7 @@ The nice form lays the rooted tree out as flat post-order columns
 introduces or forgets in its own namespace, that element's bag-local slot,
 a forget's key mask for the DP and its children.  Bags are not stored;
 each is a pair of slot layouts, one per namespace, that the columns
-determine.  Every builder of the columns ends with one top-down walk,
+determine.  The nice form's constructor ends with one top-down walk,
 ``check_nice_columns``, that writes the slots and masks and checks them.
 """
 
@@ -416,7 +416,9 @@ class NiceTreeDecomposition:
     in the child's bag: a variable's Q bit and its checks' J bits, or a
     check's J bit and its variables' Q bits; 0 for other kinds.  It spans
     up to var_slots + chk_slots bits, so the column is a list of ints.
-    ``check_nice_columns`` writes the slots and masks.
+    The constructor takes the graph, the other columns and the width ``tw``
+    of the bags they came from, and ends with ``check_nice_columns``, so
+    every instance is laid out and checked.
 
     No bag is stored.  ``nodes`` rebuilds every node with its slot layouts
     from the columns on first read and keeps them, for readers off the hot
@@ -426,20 +428,21 @@ class NiceTreeDecomposition:
     __slots__ = ("n_var", "n_chk", "kind", "elem", "slot", "mask", "child",
                  "child2", "var_slots", "chk_slots", "_nodes")
 
-    def __init__(self, n_var: int, n_chk: int, kind: bytes, elem: array,
-                 slot: array, child: array, child2: array, var_slots: int,
-                 chk_slots: int):
-        self.n_var = n_var
-        self.n_chk = n_chk
+    def __init__(self, g: TannerGraph, kind: bytes, elem: array,
+                 child: array, child2: array, var_slots: int, chk_slots: int,
+                 tw: int):
+        self.n_var = g.n_var
+        self.n_chk = g.n_chk
         self.kind = kind
         self.elem = elem
-        self.slot = slot
+        self.slot = _ABSENT * len(kind)
         self.mask = [0] * len(kind)
         self.child = child
         self.child2 = child2
         self.var_slots = var_slots
         self.chk_slots = chk_slots
         self._nodes: tuple[NiceNode, ...] | None = None
+        check_nice_columns(g, self, tw)
 
     @property
     def root(self) -> int:
@@ -499,8 +502,11 @@ def check_nice_columns(g: TannerGraph, ntd: NiceTreeDecomposition,
                        tw: int) -> None:
     """Lay out the columns of ``ntd`` and check them against ``g`` in one
     top-down walk from the empty root, writing every introduce's and
-    forget's slot and every forget's mask; every builder of the nice form
-    ends with it.  Raises ``InvalidDecompositionError`` at the first fault.
+    forget's slot and every forget's mask; the ``NiceTreeDecomposition``
+    constructor ends with it.  Raises ``InvalidDecompositionError`` at the
+    first fault, naming the node for a column fault: a kind byte none of
+    the six, an element id or child index out of range, or a bag over
+    ``var_slots`` or ``chk_slots``.
 
     Read downward, a forget puts its element in the lowest free slot of its
     namespace's layout (one list per namespace, updated in place along a
@@ -527,56 +533,72 @@ def check_nice_columns(g: TannerGraph, ntd: NiceTreeDecomposition,
     q_bit = [1 << s for s in range(kc, kc + kv)] + [0]
     j_bit = [1 << s for s in range(kc)] + [0]
     stack = [(ntd.root, [-1] * kv + [-2], [-1] * kc + [-2], fewest)]
-    while stack:
-        x, var_at, chk_at, free = stack.pop()
-        while True:
-            code = kinds[x]
-            if code == K_FORGET_VAR or code == K_FORGET_CHK:
-                e = elems[x]
-                if code == K_FORGET_VAR:
-                    at, where, bit, nbrs = var_at, var_slot, q_bit, var_adj[e]
-                    other, other_at, other_bit = chk_slot, chk_at, j_bit
+    try:
+        while stack:
+            x, var_at, chk_at, free = stack.pop()
+            while True:
+                code = kinds[x]
+                if code == K_FORGET_VAR or code == K_FORGET_CHK:
+                    e = elems[x]
+                    if code == K_FORGET_VAR:
+                        at, where, bit, nbrs = var_at, var_slot, q_bit, var_adj[e]
+                        other, other_at, other_bit = chk_slot, chk_at, j_bit
+                    else:
+                        at, where, bit, nbrs = chk_at, chk_slot, j_bit, chk_adj[e]
+                        other, other_at, other_bit = var_slot, var_at, q_bit
+                    if at[where[e]] != -2:      # a forget gave it a slot
+                        raise InvalidDecompositionError((
+                            f"{'vc'[code == K_FORGET_CHK]}{e} is forgotten "
+                            "twice",))
+                    s = at.index(-1)
+                    at[s] = e
+                    where[e] = slots[x] = s
+                    mask = bit[s]
+                    for y in nbrs:
+                        t = other[y]
+                        if other_at[t] == y:
+                            mask |= other_bit[t]
+                    masks[x] = mask
+                    free -= 1
+                elif code == K_INTRO_VAR or code == K_INTRO_CHK:
+                    # only an introduce's bag can be the fullest: a
+                    # forget's child holds one more element, and a join's
+                    # children its own bag
+                    if free < fewest:
+                        fewest = free
+                    e = elems[x]
+                    at, s = (var_at, var_slot[e]) if code == K_INTRO_VAR \
+                        else (chk_at, chk_slot[e])
+                    if at[s] != e:
+                        raise InvalidDecompositionError((
+                            f"node {x} introduces {'vc'[code == K_INTRO_CHK]}"
+                            f"{e}, which no forget above it holds",))
+                    at[s] = -1
+                    slots[x] = s
+                    free += 1
+                elif code == K_JOIN:
+                    stack.append((child2[x], var_at[:], chk_at[:], free))
                 else:
-                    at, where, bit, nbrs = chk_at, chk_slot, j_bit, chk_adj[e]
-                    other, other_at, other_bit = var_slot, var_at, q_bit
-                if at[where[e]] != -2:      # a forget gave it a slot
-                    raise InvalidDecompositionError((
-                        f"{'vc'[code == K_FORGET_CHK]}{e} is forgotten "
-                        "twice",))
-                s = at.index(-1)
-                at[s] = e
-                where[e] = slots[x] = s
-                mask = bit[s]
-                for y in nbrs:
-                    t = other[y]
-                    if other_at[t] == y:
-                        mask |= other_bit[t]
-                masks[x] = mask
-                free -= 1
-            elif code == K_INTRO_VAR or code == K_INTRO_CHK:
-                # only an introduce's bag can be the fullest: a forget's
-                # child holds one more element, and a join's children its
-                # own bag
-                if free < fewest:
-                    fewest = free
-                e = elems[x]
-                at, s = (var_at, var_slot[e]) if code == K_INTRO_VAR \
-                    else (chk_at, chk_slot[e])
-                if at[s] != e:
-                    raise InvalidDecompositionError((
-                        f"node {x} introduces {'vc'[code == K_INTRO_CHK]}"
-                        f"{e}, which no forget above it holds",))
-                at[s] = -1
-                slots[x] = s
-                free += 1
-            elif code == K_JOIN:
-                stack.append((child2[x], var_at[:], chk_at[:], free))
-            else:
-                if free != kv + kc:
-                    raise InvalidDecompositionError((
-                        f"leaf {x} has a nonempty bag",))
-                break
-            x = child[x]
+                    if code != K_LEAF:
+                        raise InvalidDecompositionError((
+                            f"node {x} has unknown kind byte {code}",))
+                    if free != kv + kc:
+                        raise InvalidDecompositionError((
+                            f"leaf {x} has a nonempty bag",))
+                    break
+                x = child[x]
+    except InvalidDecompositionError:
+        raise
+    except IndexError:                  # an element id or a child index
+        raise InvalidDecompositionError((
+            f"node {x}: {'vc'[code in (K_FORGET_CHK, K_INTRO_CHK)]}"
+            f"{elems[x]} is out of range" if 0 <= x < len(kinds)
+            else f"child {x} is no node",)) from None
+    except ValueError:                  # ``index`` finds no free slot
+        raise InvalidDecompositionError((
+            f"node {x}: the bag below it holds more "
+            + (f"checks than chk_slots = {kc}" if code == K_FORGET_CHK
+               else f"variables than var_slots = {kv}"),)) from None
     for name, where, past in (("v", var_slot, kv), ("c", chk_slot, kc)):
         if past in where:
             raise InvalidDecompositionError((
@@ -598,24 +620,22 @@ def make_nice(g: TannerGraph, td: TreeDecomposition) -> NiceTreeDecomposition:
     set, otherwise at the smallest-index bag of tree-degree at most one (for
     a path: an endpoint, which yields a join-free nice form); the nice form
     follows that tree's breadth-first order and ascending children from the
-    report, with no second walk, through ``_nice_columns`` and then
-    ``check_nice_columns``.  Raises ``InvalidDecompositionError`` when
-    ``validate`` finds violations.
+    report, with no second walk, through ``_nice_columns``, whose
+    constructor call checks the columns.  Raises
+    ``InvalidDecompositionError`` when ``validate`` finds violations.
     """
     report = validate(g, td)
     if not report.ok:
         raise InvalidDecompositionError(report.violations)
-    ntd = _nice_columns(g, td.bags, *report.tree)
-    check_nice_columns(g, ntd, width(td))
-    return ntd
+    return _nice_columns(g, td.bags, *report.tree)
 
 
 def _nice_columns(g: TannerGraph, bags: Sequence[Collection[int]],
                   order: Sequence[int],
                   children: list[list[int]]) -> NiceTreeDecomposition:
     """The nice columns of a valid decomposition whose tree is rooted at
-    ``order[0]``, ``reversed(order)`` listing every bag after its children;
-    the slots and masks are left for ``check_nice_columns``.
+    ``order[0]``, ``reversed(order)`` listing every bag after its children,
+    checked at construction against its largest bag less one.
 
     Multi-child bags become binary join cascades; adjacent differing bags
     are bridged by forget-then-introduce chains in ascending id order,
@@ -747,9 +767,8 @@ def _nice_columns(g: TannerGraph, bags: Sequence[Collection[int]],
         top[x] = chain(idx, steps)
 
     bridge(top[root], sorted(bags[root]), [])
-    return NiceTreeDecomposition(n, g.n_chk, bytes(kind), elem,
-                                 _ABSENT * len(kind), child, child2,
-                                 var_slots, chk_slots)
+    return NiceTreeDecomposition(g, bytes(kind), elem, child, child2,
+                                 var_slots, chk_slots, largest - 1)
 
 
 def check_window(g: TannerGraph, p: ScLdpcParams) -> None:
@@ -819,13 +838,10 @@ def sc_path_nice(g: TannerGraph,
         if t:
             put(K_INTRO_CHK, t - 1, r)
     size = len(kinds)
-    ntd = NiceTreeDecomposition(g.n_var, g.n_chk, bytes(kinds),
-                                array("i", elems), _ABSENT * size,
-                                array("i", range(-1, size - 1)),
-                                _ABSENT * size, min(w, L) * c, r)
     tw = min(w, L) * c + r - 1
-    check_nice_columns(g, ntd, tw)
-    return ntd, tw
+    return NiceTreeDecomposition(g, bytes(kinds), array("i", elems),
+                                 array("i", range(-1, size - 1)),
+                                 _ABSENT * size, min(w, L) * c, r, tw), tw
 
 
 def heuristic_decomposition(g: TannerGraph) -> TreeDecomposition:
@@ -848,8 +864,8 @@ def heuristic_nice(g: TannerGraph) -> tuple[NiceTreeDecomposition, int]:
     is rooted at the last-eliminated bag and read in breadth-first order,
     as ``make_nice`` reads a validated tree.  Each bridge is then "forget
     the eliminated node, introduce the rest" and each fold adds one
-    element.  ``check_nice_columns`` takes ``validate``'s place as it lays
-    the columns out.
+    element.  The constructor's column walk, ``check_nice_columns``, takes
+    ``validate``'s place.
     """
     bags, edges = _eliminate(g)
     children: list[list[int]] = [[] for _ in bags]
@@ -858,10 +874,7 @@ def heuristic_nice(g: TannerGraph) -> tuple[NiceTreeDecomposition, int]:
     order = [len(bags) - 1]
     for x in order:
         order += children[x]
-    ntd = _nice_columns(g, bags, order, children)
-    tw = max(map(len, bags)) - 1
-    check_nice_columns(g, ntd, tw)
-    return ntd, tw
+    return _nice_columns(g, bags, order, children), max(map(len, bags)) - 1
 
 
 def _eliminate(g: TannerGraph) -> tuple[list[tuple[int, ...]],

@@ -23,14 +23,16 @@ the state (0, 0, d), whose packed key is the same under either reading
 since Q = 0 gives I = J; on the empty root bag it is the answer at b = d.
 No other key is translated.
 
-A table holds no graph and no slot layout.  The nice form's column walk
-(``decomp.check_nice_columns``) writes each forget's key bits into the
-``mask`` column and checks the columns, so the kernels check no bag: a
-forgotten variable's mask is its Q bit and the J bits of its bag checks,
-the bits its forget moves, and a forgotten check's mask is its J bit and
-the Q bits of its bag variables, whose parity says whether it is odd.
+A table holds no graph and no slot layout.  The column walk that every
+nice form's constructor runs (``decomp.check_nice_columns``) writes each
+forget's key bits into the ``mask`` column and checks the columns, so the
+kernels check no bag: a forgotten variable's mask is its Q bit and the J
+bits of its bag checks, the bits its forget moves, and a forgotten check's
+mask is its J bit and the Q bits of its bag variables, whose parity says
+whether it is odd.
 
-There is one kernel per node kind, and one for a pair.
+There is one kernel per node kind but the leaf, whose table is an empty
+``DPTable``, and one for a pair.
 ``introduce_variable`` takes a chain of introduce-variable nodes, each the
 child of the next, as their variables and slots, and ``forget_variable``
 a chain of forget-variable nodes as their masks, each in one pass over
@@ -133,11 +135,6 @@ class DPTable:
 # has, a join adds the right side's bits outside Q), so every entry carries
 # the integer-smallest minimizer of its state, whatever order the entries
 # merge in: a chain gives the same table in one pass as node by node.
-
-def leaf_table(kc: int, kv: int) -> DPTable:
-    """Empty table: every state is implicitly (+inf, 0)."""
-    return DPTable(kc, kv)
-
 
 def introduce_variable(child: DPTable, elems: Sequence[int],
                        slots: Sequence[int], cap: Sequence[int]) -> DPTable:
@@ -409,7 +406,7 @@ def run_dp(g: TannerGraph, ntd: NiceTreeDecomposition, b: int,
         end = idx
         c1 = child[idx]
         if kind == K_LEAF:
-            table = leaf_table(ntd.chk_slots, ntd.var_slots)
+            table = DPTable(ntd.chk_slots, ntd.var_slots)
         elif kind == K_JOIN:
             table = join(tables[c1], tables[child2[idx]], cap)
         elif kind == K_INTRO_CHK:

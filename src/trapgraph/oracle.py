@@ -53,20 +53,16 @@ def brute_force_enumerate(g: TannerGraph, a_max: int, b_target: int,
     return records
 
 
-def brute_force_spectrum(g: TannerGraph, b_target: int, a_cap: int | None = None,
+def brute_force_spectrum(g: TannerGraph, b_target: int,
                          work_limit: int = DEFAULT_WORK_LIMIT
                          ) -> tuple[int, int] | None:
-    """Smallest a <= a_cap with at least one (a, b_target)-trapping set, plus
-    the exact count at that size; None when no such set exists."""
-    a_cap = g.n_var if a_cap is None else min(a_cap, g.n_var)
-    if a_cap <= 0:
-        return None
-    if a_cap == g.n_var and g.n_var <= _DENSE_LIMIT_BITS \
-            and (1 << g.n_var) <= work_limit:
+    """Smallest a with at least one (a, b_target)-trapping set, plus the
+    exact count at that size; None when no such set exists."""
+    if g.n_var <= _DENSE_LIMIT_BITS and (1 << g.n_var) <= work_limit:
         return _dense_spectrum(g, b_target)
     masks = g.var_masks
     work = 0
-    for a in range(1, a_cap + 1):
+    for a in range(1, g.n_var + 1):
         count = 0
         for combo in itertools.combinations(range(g.n_var), a):
             work += 1

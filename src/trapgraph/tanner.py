@@ -142,25 +142,16 @@ class ScLdpcParams(_ScLdpcFields):
         return self.base_rows * (self.coupling_len + self.coupling_width - 1)
 
 
-def gamma_odd(g: TannerGraph, s: Iterable[int],
-              restrict: Iterable[int] | None = None) -> set[int]:
+def gamma_odd(g: TannerGraph, s: Iterable[int]) -> set[int]:
     """Check nodes with an odd number of neighbors in the variable set ``s``.
 
-    When ``restrict`` is given, the result is intersected with it.  The empty
-    set maps to the empty set.
+    The empty set maps to the empty set.
     """
     x = 0
     for v in s:
         if not 0 <= v < g.n_var:
             raise ValueError(f"variable id {v} out of range")
         x ^= g.var_masks[v]
-    if restrict is not None:
-        r = 0
-        for c in restrict:
-            if not 0 <= c < g.n_chk:
-                raise ValueError(f"check id {c} out of range")
-            r |= 1 << c
-        x &= r
     return set(bit_ids(x))
 
 

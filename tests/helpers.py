@@ -24,6 +24,8 @@ from collections import Counter, deque
 
 from array import array
 
+import pytest
+
 from trapgraph.decomp import (
     INTRO_CHK,
     INTRO_VAR,
@@ -32,6 +34,7 @@ from trapgraph.decomp import (
     JOIN,
     KINDS,
     LEAF,
+    InvalidDecompositionError,
     NiceNode,
     NiceTreeDecomposition,
     TreeDecomposition,
@@ -408,17 +411,25 @@ def check_masks(g: TannerGraph, ntd: NiceTreeDecomposition) -> None:
             assert ntd.mask[x] == 0
 
 
-def hand_nice(g: TannerGraph, nodes, var_slots: int,
-              chk_slots: int) -> NiceTreeDecomposition:
-    """Nice columns built by hand from ``(kind code, element, children)``
-    per node in post-order; the slots and masks are left for the walk."""
-    size = len(nodes)
+def hand_nice(g: TannerGraph, nodes, var_slots: int, chk_slots: int,
+              tw: int) -> NiceTreeDecomposition:
+    """The nice form of columns built by hand from ``(kind code, element,
+    children)`` per node in post-order, checked by its constructor."""
     children = [tuple(ch) + (-1, -1) for _, _, ch in nodes]
     return NiceTreeDecomposition(
-        g.n_var, g.n_chk, bytes(code for code, _, _ in nodes),
-        array("i", [e for _, e, _ in nodes]), array("i", [-1] * size),
+        g, bytes(code for code, _, _ in nodes),
+        array("i", [e for _, e, _ in nodes]),
         array("i", [ch[0] for ch in children]),
-        array("i", [ch[1] for ch in children]), var_slots, chk_slots)
+        array("i", [ch[1] for ch in children]), var_slots, chk_slots, tw)
+
+
+def walk_fault(g: TannerGraph, nodes, var_slots: int,
+               chk_slots: int) -> tuple[str, ...]:
+    """The violations the column walk raises when ``hand_nice`` constructs
+    the columns ``nodes`` at width var_slots + chk_slots - 1."""
+    with pytest.raises(InvalidDecompositionError) as exc:
+        hand_nice(g, nodes, var_slots, chk_slots, var_slots + chk_slots - 1)
+    return exc.value.violations
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,9 @@ from trapgraph.decomp import (
     INTRO_CHK,
     INTRO_VAR,
     JOIN,
+    K_FORGET_CHK,
     K_FORGET_VAR,
+    K_INTRO_CHK,
     K_INTRO_VAR,
     K_LEAF,
     LEAF,
@@ -19,7 +21,6 @@ from trapgraph.decomp import (
     NiceTreeDecomposition,
     TdFormatError,
     TreeDecomposition,
-    check_nice_columns,
     heuristic_decomposition,
     heuristic_nice,
     make_nice,
@@ -47,6 +48,7 @@ from helpers import (
     rooted_tree_reference,
     single_bag_td,
     validate_reference,
+    walk_fault,
 )
 
 
@@ -884,12 +886,14 @@ def test_heuristic_nice_equals_make_nice_of_the_decomposition():
     assert chained > 20
 
 
-def nice_columns_with(ntd, kind=None, elem=None):
-    """A copy of the nice columns, with ``kind`` or ``elem`` replaced."""
+def nice_columns_with(g, ntd, tw, kind=None, elem=None):
+    """A fresh nice form of ``g`` on a copy of the columns of ``ntd``, with
+    ``kind`` or ``elem`` replaced, checked by its constructor at width
+    ``tw``."""
     return NiceTreeDecomposition(
-        ntd.n_var, ntd.n_chk, ntd.kind if kind is None else kind,
-        array("i", ntd.elem if elem is None else elem), array("i", ntd.slot),
-        ntd.child, ntd.child2, ntd.var_slots, ntd.chk_slots)
+        g, ntd.kind if kind is None else kind,
+        array("i", ntd.elem if elem is None else elem), ntd.child,
+        ntd.child2, ntd.var_slots, ntd.chk_slots, tw)
 
 
 SC40 = ScLdpcParams(3, 4, 40, 2, var_degree=3, seed=1)
@@ -912,14 +916,72 @@ def test_nice_columns_check_passes_the_route_and_catches_an_uncovered_edge():
     adj[-1] = [0, *adj[-1]]
     wider = TannerGraph.from_check_adj(g.n_var, g.n_chk, adj)
     for ntd, tw in sc40_routes(g):
-        check_nice_columns(g, ntd, tw)
+        again = nice_columns_with(g, ntd, tw)
+        assert (again.slot, again.mask) == (ntd.slot, ntd.mask)
         assert not validate(wider, ntd.as_tree_decomposition()).ok
         with pytest.raises(InvalidDecompositionError) as exc:
-            check_nice_columns(wider, ntd, tw)
+            nice_columns_with(wider, ntd, tw)
         assert exc.value.violations == (
             f"Tanner edges in no nice bag: 1 of {sum(map(len, adj))}",)
         with pytest.raises(InvalidDecompositionError, match="width"):
-            check_nice_columns(g, ntd, tw + 1)
+            nice_columns_with(g, ntd, tw + 1)
+
+
+def test_a_copy_of_make_nice_columns_is_laid_out_at_construction():
+    # the columns make_nice writes for H = [[1, 1]], copied into a fresh
+    # form: its constructor writes the same slots and masks, so the DP
+    # answers (2, 1); with no walk the masks stay 0 and it answers (1, 1)
+    g = TannerGraph.from_matrix([[1, 1]])
+    td = heuristic_decomposition(g)
+    ntd = make_nice(g, td)
+    copy = nice_columns_with(g, ntd, width(td))
+    assert (copy.slot, copy.mask) == (ntd.slot, ntd.mask)
+    assert any(copy.mask) and max(copy.slot) == 0
+    result = run_dp(g, copy, 0)
+    assert (result.a_min, result.count) == (2, 1)
+
+
+def test_nice_columns_check_catches_a_bag_larger_than_its_slots():
+    # leaf, intro v0, intro v1, forget v0, forget v1: read from the root
+    # down, the forget of v0 finds v1 in the one variable slot
+    g = TannerGraph.from_matrix([[1, 1]])
+    nodes = [(K_LEAF, -1, ()), (K_INTRO_VAR, 0, (0,)), (K_INTRO_VAR, 1, (1,)),
+             (K_FORGET_VAR, 0, (2,)), (K_FORGET_VAR, 1, (3,))]
+    assert walk_fault(g, nodes, 1, 0) == (
+        "node 3: the bag below it holds more variables than var_slots = 1",)
+    checks = TannerGraph.from_check_adj(0, 2, [[], []])
+    nodes = [(K_LEAF, -1, ()), (K_INTRO_CHK, 0, (0,)), (K_INTRO_CHK, 1, (1,)),
+             (K_FORGET_CHK, 0, (2,)), (K_FORGET_CHK, 1, (3,))]
+    assert walk_fault(checks, nodes, 0, 1) == (
+        "node 3: the bag below it holds more checks than chk_slots = 1",)
+
+
+def test_nice_columns_check_catches_an_element_out_of_range():
+    # an element id equal to its namespace's size, at a forget and at an
+    # introduce, and a child index past the last node
+    g = TannerGraph.from_matrix([[1, 1]])
+    nodes = [(K_LEAF, -1, ()), (K_INTRO_VAR, 0, (0,)), (K_FORGET_VAR, 0, (1,)),
+             (K_INTRO_VAR, 1, (2,)), (K_FORGET_VAR, 2, (3,))]
+    assert walk_fault(g, nodes, 1, 0) == (
+        "node 4: v2 is out of range",)
+    nodes = [(K_LEAF, -1, ()), (K_INTRO_CHK, 1, (0,)), (K_FORGET_CHK, 0, (1,))]
+    assert walk_fault(g, nodes, 0, 1) == (
+        "node 1: c1 is out of range",)
+    nodes = [(K_LEAF, -1, ()), (K_FORGET_VAR, 0, (2,))]
+    assert walk_fault(g, nodes, 1, 0) == ("child 2 is no node",)
+
+
+def test_nice_columns_check_catches_an_unknown_kind_byte():
+    # kind byte 99 at the root of a nice form of H = [[1, 1]], which the
+    # walk reaches first; not read as a leaf
+    g = TannerGraph.from_matrix([[1, 1]])
+    td = heuristic_decomposition(g)
+    ntd = make_nice(g, td)
+    with pytest.raises(InvalidDecompositionError) as exc:
+        nice_columns_with(g, ntd, width(td),
+                          kind=ntd.kind[:-1] + bytes([99]))
+    assert exc.value.violations == (
+        f"node {ntd.root} has unknown kind byte 99",)
 
 
 def test_nice_columns_check_catches_an_element_forgotten_twice():
@@ -930,21 +992,15 @@ def test_nice_columns_check_catches_an_element_forgotten_twice():
         elem = list(ntd.elem)
         elem[x2] = v1
         with pytest.raises(InvalidDecompositionError) as exc:
-            check_nice_columns(g, nice_columns_with(ntd, elem=elem), tw)
+            nice_columns_with(g, ntd, tw, elem=elem)
         assert exc.value.violations == (f"v{v1} is forgotten twice",)
 
 
 def test_nice_columns_check_catches_an_element_never_forgotten():
     # v1 is in no bag of the columns leaf, intro v0, forget v0
     g = TannerGraph.from_check_adj(2, 0, [])
-    ntd = NiceTreeDecomposition(2, 0, bytes([K_LEAF, K_INTRO_VAR,
-                                             K_FORGET_VAR]),
-                                array("i", [-1, 0, 0]), array("i", [-1] * 3),
-                                array("i", [-1, 0, 1]), array("i", [-1] * 3),
-                                1, 0)
-    with pytest.raises(InvalidDecompositionError) as exc:
-        check_nice_columns(g, ntd, 0)
-    assert exc.value.violations == ("v1 is never forgotten",)
+    nodes = [(K_LEAF, -1, ()), (K_INTRO_VAR, 0, (0,)), (K_FORGET_VAR, 0, (1,))]
+    assert walk_fault(g, nodes, 1, 0) == ("v1 is never forgotten",)
 
 
 def test_nice_columns_check_catches_an_introduce_with_no_forget_above():
@@ -959,7 +1015,7 @@ def test_nice_columns_check_catches_an_introduce_with_no_forget_above():
         elem = list(ntd.elem)
         elem[x] = u
         with pytest.raises(InvalidDecompositionError) as exc:
-            check_nice_columns(g, nice_columns_with(ntd, elem=elem), tw)
+            nice_columns_with(g, ntd, tw, elem=elem)
         assert exc.value.violations == (
             f"node {x} introduces v{u}, which no forget above it holds",)
 
@@ -967,10 +1023,6 @@ def test_nice_columns_check_catches_an_introduce_with_no_forget_above():
 def test_nice_columns_check_catches_a_forget_with_no_introduce_below():
     # a leaf under the forget of v0 holds v0, read from the root down
     g = TannerGraph.from_check_adj(1, 0, [])
-    ntd = NiceTreeDecomposition(1, 0, bytes([K_LEAF, K_FORGET_VAR]),
-                                array("i", [-1, 0]), array("i", [-1, -1]),
-                                array("i", [-1, 0]), array("i", [-1, -1]),
-                                1, 0)
-    with pytest.raises(InvalidDecompositionError, match="leaf 0 has a "
-                       "nonempty bag"):
-        check_nice_columns(g, ntd, 0)
+    nodes = [(K_LEAF, -1, ()), (K_FORGET_VAR, 0, (0,))]
+    assert walk_fault(g, nodes, 1, 0) == (
+        "leaf 0 has a nonempty bag",)

@@ -16,9 +16,6 @@ from trapgraph.decomp import (
     K_JOIN,
     K_LEAF,
     LEAF,
-    InvalidDecompositionError,
-    NiceTreeDecomposition,
-    check_nice_columns,
     heuristic_decomposition,
     heuristic_nice,
     make_nice,
@@ -32,7 +29,6 @@ from trapgraph.dpcore import (
     introduce_check,
     introduce_variable,
     join,
-    leaf_table,
     run_dp,
 )
 from trapgraph.oracle import brute_force_spectrum
@@ -46,13 +42,13 @@ from helpers import (
     check_masks,
     forget_mask_reference,
     gamma_odd_mask,
-    hand_nice,
     min_weight_and_count,
     random_graph,
     random_td,
     run_dp_b0,
     single_bag_td,
     trellis_spectrum,
+    walk_fault,
 )
 
 
@@ -129,16 +125,8 @@ def intro_v(child, v, slot):
     return introduce_variable(child, [v], [slot], uncapped(0))
 
 
-def walk_fault(g, nodes, var_slots, chk_slots):
-    """The violations the column walk raises on hand-built columns."""
-    ntd = hand_nice(g, nodes, var_slots, chk_slots)
-    with pytest.raises(InvalidDecompositionError) as exc:
-        check_nice_columns(g, ntd, var_slots + chk_slots - 1)
-    return exc.value.violations
-
-
 def test_leaf_table_is_empty():
-    t = leaf_table(1, 2)
+    t = DPTable(1, 2)
     assert t.entries == {}
     assert (t.kc, t.kv) == (1, 2)
     assert t.answer(0) is None
@@ -355,14 +343,12 @@ def test_check_kernels_bag_mismatch():
 
 
 def test_run_dp_rejects_unknown_node_kind():
+    # the constructor refuses the kind byte, so it is set afterwards
     g = TannerGraph.from_matrix([[1, 1]])
     ntd = nice_for(g)
-    bogus = NiceTreeDecomposition(
-        ntd.n_var, ntd.n_chk, ntd.kind[:-1] + bytes([99]), ntd.elem,
-        ntd.slot, ntd.child, ntd.child2, ntd.var_slots, ntd.chk_slots)
-    bogus.mask = ntd.mask
+    ntd.kind = ntd.kind[:-1] + bytes([99])
     with pytest.raises(ValueError, match="unknown node kind 99"):
-        run_dp(g, bogus, 0)
+        run_dp(g, ntd, 0)
 
 
 def test_join_shared_members_counted_once():
@@ -824,7 +810,7 @@ def test_freed_run_caps_equal_reading_every_table(monkeypatch):
             return table
         return call
 
-    for name, at in (("leaf_table", None), ("introduce_variable", 3),
+    for name, at in (("introduce_variable", 3),
                      ("forget_variable", None), ("introduce_check", None),
                      ("forget_check", 2), ("join", 2),
                      ("introduce_forget_variable", 3)):

@@ -98,22 +98,15 @@ def test_spectrum_isolated_variables():
     assert brute_force_spectrum(g, 0) == (1, 3)
 
 
-def test_spectrum_a_cap():
-    g = TannerGraph.from_matrix([[1, 1, 0], [0, 1, 1]])
-    assert brute_force_spectrum(g, 0, a_cap=2) is None
-    assert brute_force_spectrum(g, 0, a_cap=3) == (3, 1)
-    assert brute_force_spectrum(g, 0, a_cap=0) is None
-
-
 def test_spectrum_dense_and_sparse_paths_agree():
     rng = random.Random(7)
     for _ in range(40):
         g = random_graph(rng, max_var=9, max_chk=7)
         for b in (0, 1, 2):
-            dense = brute_force_spectrum(g, b)
-            # capping below n_var forces the size-by-size path
-            if g.n_var > 1 and dense is not None and dense[0] <= g.n_var - 1:
-                assert brute_force_spectrum(g, b, a_cap=g.n_var - 1) == dense
+            # the dense sweep needs 2^n subset evaluations within the work
+            # limit, and the size-by-size path never makes more than 2^n - 1
+            assert brute_force_spectrum(g, b, work_limit=(1 << g.n_var) - 1) \
+                == brute_force_spectrum(g, b)
 
 
 def test_work_limit():

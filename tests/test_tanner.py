@@ -51,13 +51,10 @@ def test_gamma_odd_basics():
     assert gamma_odd(g2, {0, 1}) == set()
 
 
-def test_gamma_odd_restrict_and_range_errors():
+def test_gamma_odd_range_error():
     g = TannerGraph.from_matrix(H23)
-    assert gamma_odd(g, {1}, restrict={0}) == {0}
     with pytest.raises(ValueError):
         gamma_odd(g, {5})
-    with pytest.raises(ValueError):
-        gamma_odd(g, {0}, restrict={9})
 
 
 def test_gamma_odd_symmetric_difference_linearity():
@@ -68,19 +65,6 @@ def test_gamma_odd_symmetric_difference_linearity():
         a = {v for v in range(g.n_var) if rng.random() < 0.4}
         b = {v for v in range(g.n_var) if rng.random() < 0.4}
         assert gamma_odd(g, a ^ b) == gamma_odd(g, a) ^ gamma_odd(g, b)
-
-
-def test_gamma_odd_restriction_partition():
-    rng = random.Random(8)
-    for _ in range(300):
-        g = random_graph(rng, max_var=10, max_chk=8)
-        s = {v for v in range(g.n_var) if rng.random() < 0.4}
-        checks = list(range(g.n_chk))
-        rng.shuffle(checks)
-        cut = rng.randint(0, g.n_chk)
-        r1, r2 = set(checks[:cut]), set(checks[cut:])
-        assert gamma_odd(g, s, restrict=r1) | gamma_odd(g, s, restrict=r2) \
-            == gamma_odd(g, s, restrict=r1 | r2)
 
 
 def test_edge_parity_matches_gamma_odd():
