@@ -19,10 +19,10 @@ determine.  The nice form's constructor ends with one top-down walk,
 
 from __future__ import annotations
 
-import heapq
 from array import array
 from bisect import bisect_left
 from collections import Counter
+from heapq import heapify, heappop, heappush
 from itertools import chain
 from typing import Collection, NamedTuple, Sequence
 
@@ -505,8 +505,9 @@ def check_nice_columns(g: TannerGraph, ntd: NiceTreeDecomposition,
     forget's slot and every forget's mask; the ``NiceTreeDecomposition``
     constructor ends with it.  Raises ``InvalidDecompositionError`` at the
     first fault, naming the node for a column fault: a kind byte none of
-    the six, an element id or child index out of range, or a bag over
-    ``var_slots`` or ``chk_slots``.
+    the six, an element id or child index out of range, a join child not
+    below the join (any other cycle revisits a forget or an introduce,
+    which fails) or a bag over ``var_slots`` or ``chk_slots``.
 
     Read downward, a forget puts its element in the lowest free slot of its
     namespace's layout (one list per namespace, updated in place along a
@@ -528,10 +529,16 @@ def check_nice_columns(g: TannerGraph, ntd: NiceTreeDecomposition,
     fewest = kv + kc
     var_adj, chk_adj = g.var_adj, g.chk_adj
     # per element its slot, or before its forget is read the index past the
-    # layout's end, where -2 matches no element and the key bit is 0
-    var_slot, chk_slot = [kv] * g.n_var, [kc] * g.n_chk
+    # layout's end, where -2 matches no element and the key bit is 0; id -1
+    # reads the entry past the last element, which indexes past the layout
+    var_slot, chk_slot = [kv] * g.n_var + [kv + 1], [kc] * g.n_chk + [kc + 1]
     q_bit = [1 << s for s in range(kc, kc + kv)] + [0]
     j_bit = [1 << s for s in range(kc)] + [0]
+    if min(elems, default=-1) < -1:     # below -1 an id would wrap too
+        x = elems.index(min(elems))
+        raise InvalidDecompositionError((
+            f"node {x}: {'vc'[kinds[x] in (K_FORGET_CHK, K_INTRO_CHK)]}"
+            f"{elems[x]} is out of range",))
     stack = [(ntd.root, [-1] * kv + [-2], [-1] * kc + [-2], fewest)]
     try:
         while stack:
@@ -577,6 +584,9 @@ def check_nice_columns(g: TannerGraph, ntd: NiceTreeDecomposition,
                     slots[x] = s
                     free += 1
                 elif code == K_JOIN:
+                    if not (0 <= child[x] < x and 0 <= child2[x] < x):
+                        raise InvalidDecompositionError((
+                            f"join {x} has a child that is not below it",))
                     stack.append((child2[x], var_at[:], chk_at[:], free))
                 else:
                     if code != K_LEAF:
@@ -620,155 +630,125 @@ def make_nice(g: TannerGraph, td: TreeDecomposition) -> NiceTreeDecomposition:
     set, otherwise at the smallest-index bag of tree-degree at most one (for
     a path: an endpoint, which yields a join-free nice form); the nice form
     follows that tree's breadth-first order and ascending children from the
-    report, with no second walk, through ``_nice_columns``, whose
-    constructor call checks the columns.  Raises
-    ``InvalidDecompositionError`` when ``validate`` finds violations.
+    report, with no second walk, through ``_nice_columns``, given each bag
+    sorted and the members it forgets toward its parent (the root: all).
+    Raises ``InvalidDecompositionError`` when ``validate`` finds violations.
     """
     report = validate(g, td)
     if not report.ok:
         raise InvalidDecompositionError(report.violations)
-    return _nice_columns(g, td.bags, *report.tree)
+    order, children = report.tree
+    bags = list(map(sorted, td.bags))
+    gone = bags[:]                          # the root's stays its whole bag
+    for x in order:
+        above = td.bags[x]
+        for k in children[x]:
+            gone[k] = [y for y in bags[k] if y not in above]
+    return _nice_columns(g, bags, gone, order, children)
 
 
-def _nice_columns(g: TannerGraph, bags: Sequence[Collection[int]],
-                  order: Sequence[int],
+def _nice_columns(g: TannerGraph, bags: Sequence[Sequence[int]],
+                  gone: Sequence[Sequence[int]], order: Sequence[int],
                   children: list[list[int]]) -> NiceTreeDecomposition:
     """The nice columns of a valid decomposition whose tree is rooted at
     ``order[0]``, ``reversed(order)`` listing every bag after its children,
-    checked at construction against its largest bag less one.
+    checked at construction against its largest bag less one.  Bags are
+    ascending, and ``gone[k]`` lists, ascending, the members of bag k
+    outside its parent's bag (the root's: its whole bag).
 
-    Multi-child bags become binary join cascades; adjacent differing bags
-    are bridged by forget-then-introduce chains in ascending id order,
-    found by merging the two bags read in ascending order (``sorted``: a
-    short copy, already in order for tuple bags) rather than by set
-    differences.
+    Multi-child bags become binary join cascades, and a child is bridged to
+    its parent by the forgets of ``gone[k]``, then the introduces of the
+    parent's members it lacks, ascending.  Each bag emits its leaf
+    children, bags with no children.  A leaf whose ``gone`` fits beside
+    the bag within the largest bag is folded: after the bag's join cascade
+    those members are introduced, then forgotten, in place of the leaf's
+    branch and join; by running intersection they lie in no other bag.
+    When every child would fold, the first still starts the chain.
 
-    Each bag emits its leaf children, the bags with no children of their
-    own.  A leaf whose members outside the bag fit beside it, within the
-    input's largest bag, is folded: after the bag's join cascade its extra
-    members are introduced, then forgotten, in ascending id, in place of
-    the leaf's own leaf node, introduce chain, bridge and join.  By running
-    intersection those members lie in no other bag, so the result is a
-    nice form of the same width.  A leaf with no extra members adds no
-    node; a leaf that does not fit keeps its branch, and when every child
-    would fold, the first still starts the chain.  A path's one leaf never
-    fits.
-
-    Each chain is appended to the columns in one go; no per-node object is
-    made.
+    Each node is one int code: the combined id a forget removes, ``total``
+    plus the id an introduce adds, or past those a leaf or a join.  Its
+    child is the node before it unless ``links`` says otherwise.
     """
     root = order[0]
-    n = g.n_var
-    end = n + g.n_chk                     # above every id
-    kind = bytearray()
-    elem, child, child2 = array("i"), array("i"), array("i")
-    # per combined-namespace id: its id in its own namespace, and the kind
-    # byte of its forget and of its introduce
-    local = array("i", range(n)) + array("i", range(g.n_chk))
-    forget_kind = bytes([K_FORGET_VAR]) * n + bytes([K_FORGET_CHK]) * g.n_chk
-    intro_kind = bytes([K_INTRO_VAR]) * n + bytes([K_INTRO_CHK]) * g.n_chk
+    n, total = g.n_var, g.n_var + g.n_chk
+    leaf, join = 2 * total, 2 * total + 1
+    codes: list[int] = []
+    links: list[int] = []       # node, child, child2 for each chain start
 
-    def chain(idx: int, steps: list[int]) -> int:
-        """Put the nodes of combined ids ``steps``, whose kind bytes are
-        already appended, in a chain above node ``idx``; the top node."""
+    def put(idx: int, steps: Sequence[int], idx2: int = -1) -> int:
+        """The top node of ``steps`` chained above ``idx`` and ``idx2``."""
         if not steps:
             return idx
-        elem.extend(map(local.__getitem__, steps))
-        start = len(child)
-        child.append(idx)
-        child.extend(range(start, start + len(steps) - 1))
-        child2.extend(_ABSENT * len(steps))
-        return len(child) - 1
+        links.extend((len(codes), idx, idx2))
+        codes.extend(steps)
+        return len(codes) - 1
 
-    def bridge(idx: int, cur: list[int], target: list[int]) -> int:
-        """Bridge node ``idx``, holding bag ``cur``, to bag ``target`` with
-        forgets (ascending id) then introduces, one element per node; both
-        bags ascending, merged in one pass."""
-        steps: list[int] = []
-        new: list[int] = []
-        rest = iter(target)
-        y = next(rest, end)
-        for x in cur:
-            while y < x:
-                new.append(y)
-                y = next(rest, end)
-            if y == x:
-                y = next(rest, end)
-            else:
-                steps.append(x)
-        if y != end:
-            new.append(y)
-            new += rest
-        kind.extend(map(forget_kind.__getitem__, steps))
-        kind.extend(map(intro_kind.__getitem__, new))
-        steps += new
-        return chain(idx, steps)
+    def bridge(idx: int, k: int, bag: Sequence[int]) -> int:
+        """Bridge node ``idx``, holding bag k, to its parent's ``bag``."""
+        kbag = bags[k]
+        return put(idx, [*gone[k], *[y + total for y in bag
+                                     if y not in kbag]])
 
-    def branch(bag: list[int]) -> int:
-        """A leaf node bridged up to ``bag``."""
-        kind.append(K_LEAF)
-        elem.append(-1)
-        child.append(-1)
-        child2.append(-1)
-        return bridge(len(kind) - 1, [], bag)
+    def branch(k: int) -> int:
+        """A leaf node and the introduces of bag k above it."""
+        return put(-1, [leaf, *[y + total for y in bags[k]]])
 
     # every nice bag is an input bag or a parent bag widened by a folded
     # leaf's extra members, which holds that leaf's bag; so these give the
     # slot counts
     largest = max(map(len, bags))
-    var_slots = chk_slots = 0
+    bag_vars = [bisect_left(bag, n) for bag in bags]
+    var_slots = max(bag_vars)
+    chk_slots = max(len(bag) - v for bag, v in zip(bags, bag_vars))
     top: dict[int, int] = {}
     for x in reversed(order):              # post-order over original bags
-        bag = sorted(bags[x])
-        n_vars = bisect_left(bag, n)
-        var_slots = max(var_slots, n_vars)
-        chk_slots = max(chk_slots, len(bag) - n_vars)
         kids = children[x]
         if not kids:
             if x == root:
-                top[x] = branch(bag)
+                top[x] = branch(x)
             continue                        # its parent emits it
+        bag = bags[x]
         tops: list[int] = []
-        folds: list[list[int]] = []        # the folded leaves' extra members
+        folds: list[Sequence[int]] = []    # the folded leaves' extra members
         room = largest - len(bag)
         for k in kids:
-            kbag = sorted(bags[k])
             if children[k]:
-                tops.append(bridge(top[k], kbag, bag))
-                continue
-            extra = [y for y in kbag if y not in bag]
-            if len(extra) <= room:
-                folds.append(extra)
+                tops.append(bridge(top[k], k, bag))
+            elif len(gone[k]) <= room:
+                folds.append(gone[k])
             else:
-                tops.append(bridge(branch(kbag), kbag, bag))
+                tops.append(bridge(branch(k), k, bag))
         if not tops:                        # the first leaf starts the chain
-            kbag = sorted(bags[kids[0]])
-            tops.append(bridge(branch(kbag), kbag, bag))
+            tops.append(bridge(branch(kids[0]), kids[0], bag))
             del folds[0]
         idx = tops[0]
         for other in tops[1:]:
-            kind.append(K_JOIN)
-            elem.append(-1)
-            child.append(idx)
-            child2.append(other)
-            idx = len(kind) - 1
+            idx = put(idx, [join], other)
         # a folded leaf's extra members lie in no other bag, so they are
         # introduced and forgotten again on this bag's chain, ascending
         steps: list[int] = []
         for extra in folds:
+            steps += [y + total for y in extra]
             steps += extra
-            steps += extra
-            kind.extend(map(intro_kind.__getitem__, extra))
-            kind.extend(map(forget_kind.__getitem__, extra))
-            extra_vars = bisect_left(extra, n)
-            var_slots = max(var_slots, n_vars + extra_vars)
-            chk_slots = max(chk_slots,
-                            len(bag) - n_vars + len(extra) - extra_vars)
-        top[x] = chain(idx, steps)
+            v = bisect_left(extra, n)
+            var_slots = max(var_slots, bag_vars[x] + v)
+            chk_slots = max(chk_slots, len(bag) + len(extra) - bag_vars[x] - v)
+        top[x] = put(idx, steps)
+    put(top[root], gone[root])
 
-    bridge(top[root], sorted(bags[root]), [])
-    return NiceTreeDecomposition(g, bytes(kind), elem, child, child2,
-                                 var_slots, chk_slots, largest - 1)
+    child, child2 = array("i", range(-1, len(codes) - 1)), _ABSENT * len(codes)
+    for x, c1, c2 in zip(links[::3], links[1::3], links[2::3]):
+        child[x], child2[x] = c1, c2
+    # per code its kind byte and its element in its own namespace
+    local = array("i", range(n)) + array("i", range(g.n_chk))
+    kind_of = bytes([K_FORGET_VAR] * n + [K_FORGET_CHK] * g.n_chk
+                    + [K_INTRO_VAR] * n + [K_INTRO_CHK] * g.n_chk
+                    + [K_LEAF, K_JOIN])
+    elem_of = local + local + array("i", [-1, -1])
+    return NiceTreeDecomposition(
+        g, bytes(map(kind_of.__getitem__, codes)),
+        array("i", map(elem_of.__getitem__, codes)), child, child2,
+        var_slots, chk_slots, largest - 1)
 
 
 def check_window(g: TannerGraph, p: ScLdpcParams) -> None:
@@ -847,12 +827,22 @@ def sc_path_nice(g: TannerGraph,
 def heuristic_decomposition(g: TannerGraph) -> TreeDecomposition:
     """Greedy min-fill elimination decomposition; valid for any graph.
 
-    The bags and tree edges of ``_eliminate``, as a ``TreeDecomposition``
-    that ``serialize_td`` writes as the ``decomp heuristic`` text.
-    ``heuristic_nice`` reads the same record straight into nice form.
+    The bags of ``_eliminate`` and, in ``_edge_order``, a tree edge (bag,
+    parent) per bag but the root; ``serialize_td`` writes it as the
+    ``decomp heuristic`` text, and ``heuristic_nice`` reads the same record
+    straight into nice form.
     """
-    bags, edges = _eliminate(g)
-    return TreeDecomposition(g.n_var + g.n_chk, tuple(bags), tuple(edges))
+    bags, gone, parent = _eliminate(g)
+    ids = sorted(chain.from_iterable(gone))     # shared, and number the bags
+    return TreeDecomposition(g.n_var + g.n_chk, tuple(bags), tuple(
+        (ids[i], parent[i]) for i in _edge_order(bags, parent)))
+
+
+def _edge_order(bags: list[tuple[int, ...]], parent: list[int]) -> list[int]:
+    """The bags of an elimination record that have a parent, in tree-edge
+    order: the bags of more than one node, then the chained singletons."""
+    return [i for i, bag in enumerate(bags) if len(bag) > 1] + \
+        [i for i, bag in enumerate(bags) if len(bag) == 1 and parent[i] >= 0]
 
 
 def heuristic_nice(g: TannerGraph) -> tuple[NiceTreeDecomposition, int]:
@@ -860,55 +850,57 @@ def heuristic_nice(g: TannerGraph) -> tuple[NiceTreeDecomposition, int]:
     from the elimination record with no ``TreeDecomposition``, no
     ``validate`` and no ``_walk_tree``.
 
-    Each bag's children are the bags that name it as parent, and the tree
-    is rooted at the last-eliminated bag and read in breadth-first order,
-    as ``make_nice`` reads a validated tree.  Each bridge is then "forget
-    the eliminated node, introduce the rest" and each fold adds one
-    element.  The constructor's column walk, ``check_nice_columns``, takes
-    ``validate``'s place.
+    Each bag's children are the bags that name it as parent, in tree-edge
+    order, and the tree is rooted at the last-eliminated bag and read
+    breadth first, as ``make_nice`` reads a validated tree.  A bag forgets
+    its eliminated node toward its parent, so each bridge is "forget that
+    node, introduce the rest" and each fold adds one element, with no bag
+    scanned for it.  The constructor's column walk takes ``validate``'s
+    place.
     """
-    bags, edges = _eliminate(g)
+    bags, gone, parent = _eliminate(g)
     children: list[list[int]] = [[] for _ in bags]
-    for i, p in edges:
-        children[p].append(i)
+    for i in _edge_order(bags, parent):
+        children[parent[i]].append(i)
     order = [len(bags) - 1]
     for x in order:
         order += children[x]
-    return _nice_columns(g, bags, order, children), max(map(len, bags)) - 1
+    return _nice_columns(g, bags, gone, order, children), \
+        max(map(len, bags)) - 1
 
 
 def _eliminate(g: TannerGraph) -> tuple[list[tuple[int, ...]],
-                                        list[tuple[int, int]]]:
-    """Greedy min-fill elimination: its bags, in elimination order, and the
-    tree edges (child, parent) of its decomposition.
+                                        list[tuple[int, ...]], list[int]]:
+    """Greedy min-fill elimination: its bags in elimination order, each
+    bag's eliminated node as a one-tuple, and each bag's parent, -1 for
+    the root.
 
     Repeatedly eliminates the node with the smallest (fill-in, current
     degree, id), where fill-in counts the missing edges among its current
     neighbours, and turns that neighbourhood into a clique.  Node x
-    eliminated with neighbourhood N gives bag {x} | N, whose parent is the
-    bag of the earliest-eliminated node of N; parentless bags are chained
-    together.  Bag i belongs to the i-th eliminated node, and every other
-    member of it is eliminated later, so the parent is read off the bags
-    once the order is known: nothing else of N is kept, and x's adjacency
-    set is dropped with its step.  No width guarantee (Bodlaender & Koster,
-    "Treewidth computations I. Upper bounds", Inf. Comput. 2010).
-
-    Each bag is a sorted tuple; adjacency sets, bags and tree edges share
-    one int object per id.
+    eliminated with neighbourhood N gives bag {x} | N.  Its parent is the
+    bag of the earliest-eliminated node of N, which holds all of N, a
+    clique by then, so x alone is what the bag forgets toward its parent.
+    Parentless bags are singletons, each the child of the next; the last
+    is the root.  Every member of bag i but its node is eliminated later,
+    so the parents are read off the bags once the order is known, and x's
+    adjacency set is dropped with its step.  Each bag is a sorted tuple,
+    and all share one int object per id.  No width guarantee (Bodlaender
+    & Koster, "Treewidth computations I. Upper bounds", Inf. Comput. 2010).
 
     Every fill-in is kept exact by incremental updates instead of being
     recounted.  A Tanner graph is bipartite, so no two neighbours of a node
     start out adjacent and its initial fill-in is deg * (deg - 1) / 2.
     Eliminating x first drops, at each a in N, the missing pairs (x, c)
-    with c outside N.  Each missing pair (a, b) in N then becomes a fill
-    edge: a gains the missing pairs (b, c) for c in N(a) - N(b), b likewise,
-    and every common neighbour of a and b loses one.  Only N and those
-    common neighbours are rescored, so a step costs O(|N|) set operations
-    plus O(degree) per fill edge it adds.
+    with c outside N.  Then each missing pair (a, b) in N, if any, becomes
+    a fill edge: with C the common neighbours of a and b, a gains the
+    |N(a)| - |C| missing pairs (b, c), b likewise, and each node of C
+    loses one.  Only N and C are rescored, so a step costs O(|N|) set
+    operations plus O(degree) per fill edge it adds.
     """
     total = g.n_var + g.n_chk
     if total == 0:
-        return [()], []
+        return [()], [()], [-1]
     # the ids, which also number the bags: bag i is the i-th elimination
     ids = list(range(total))
     adj: list[set[int] | None] = [set() for _ in range(total)]
@@ -926,50 +918,58 @@ def _eliminate(g: TannerGraph) -> tuple[list[tuple[int, ...]],
     current = [(f * total + len(nbrs)) * total + x
                for x, (f, nbrs) in enumerate(zip(fill, adj))]
     heap = list(current)
-    heapq.heapify(heap)
+    heapify(heap)
     position = [-1] * total
     bags: list[tuple[int, ...]] = []
+    gone: list[tuple[int, ...]] = []
     while heap:
-        k = heapq.heappop(heap)
+        k = heappop(heap)
         x = k % total
-        if position[x] >= 0 or k != current[x]:
+        if k != current[x]:
             continue
+        current[x] = -1               # no later entry of x is live
         position[x] = ids[len(bags)]
         nbrs = adj[x]
         adj[x] = None                 # the set dies with this step's nbrs
         bag = [*nbrs, ids[x]]
         bag.sort()
         bags.append(tuple(bag))
+        gone.append((ids[x],))
         for a in nbrs:
             na = adj[a]
             na.discard(x)
             fill[a] -= len(na - nbrs)
-        touched = set(nbrs)
-        for a in nbrs:
-            na = adj[a]
-            for b in nbrs - na:
-                if b <= a:            # a itself, or a pair added from b
-                    continue
-                nb = adj[b]
-                fill[a] += len(na - nb)
-                fill[b] += len(nb - na)
-                common = na & nb
-                for y in common:
-                    fill[y] -= 1
-                touched |= common
-                na.add(b)
-                nb.add(a)
+        touched = nbrs
+        missing = fill[x]             # pairs of N to add, often none
+        if missing:
+            touched = set(nbrs)
+            for a in nbrs:
+                na = adj[a]
+                for b in nbrs - na:
+                    if b <= a:        # a itself, or a pair added from b
+                        continue
+                    nb = adj[b]
+                    common = na & nb
+                    fill[a] += len(na) - len(common)
+                    fill[b] += len(nb) - len(common)
+                    for y in common:
+                        fill[y] -= 1
+                    touched |= common
+                    na.add(b)
+                    nb.add(a)
+                    missing -= 1
+                if not missing:
+                    break
         for y in touched:
             k = (fill[y] * total + len(adj[y])) * total + y
             if k != current[y]:
                 current[y] = k
-                heapq.heappush(heap, k)
+                heappush(heap, k)
 
-    edges, parentless = [], []
-    for i, bag in zip(ids, bags):
-        if len(bag) > 1:               # i is the smallest position in bag i
-            edges.append((i, sorted(map(position.__getitem__, bag))[1]))
-        else:
-            parentless.append(i)
-    edges.extend(zip(parentless, parentless[1:]))
-    return bags, edges
+    # i is the smallest position in bag i, and a singleton has no parent
+    parent = [sorted(map(position.__getitem__, bag))[1] if len(bag) > 1
+              else -1 for bag in bags]
+    parentless = [i for i, p in zip(ids, parent) if p < 0]
+    for i, j in zip(parentless, parentless[1:]):
+        parent[i] = j
+    return bags, gone, parent

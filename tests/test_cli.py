@@ -182,8 +182,10 @@ def test_sc_params_out_of_window_check_exits_1(tmp_path, capsys):
 
 def test_default_route_check_failure_exits_2(hamming_alist, monkeypatch,
                                              capsys):
-    # an elimination record that misses the graph's edges fails the column
-    # check, which the default route reports as an invalid decomposition
+    # the elimination record (bags, eliminated nodes, parents) of the graph
+    # with its edges removed, every bag a chained singleton, misses every
+    # edge: the column check fails, and the default route reports an
+    # invalid decomposition
     eliminate = decomp._eliminate
 
     def edgeless(g):

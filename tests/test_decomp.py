@@ -2,6 +2,8 @@ import random
 import sys
 import tracemalloc
 from array import array
+from itertools import chain
+from pathlib import Path
 
 import pytest
 
@@ -15,12 +17,14 @@ from trapgraph.decomp import (
     K_FORGET_VAR,
     K_INTRO_CHK,
     K_INTRO_VAR,
+    K_JOIN,
     K_LEAF,
     LEAF,
     InvalidDecompositionError,
     NiceTreeDecomposition,
     TdFormatError,
     TreeDecomposition,
+    _eliminate,
     heuristic_decomposition,
     heuristic_nice,
     make_nice,
@@ -50,6 +54,8 @@ from helpers import (
     validate_reference,
     walk_fault,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 def bipartite_example():
@@ -886,6 +892,37 @@ def test_heuristic_nice_equals_make_nice_of_the_decomposition():
     assert chained > 20
 
 
+def test_elimination_record_forgets_each_bags_node():
+    # a bag forgets toward its parent exactly the node it eliminated, and
+    # the parentless bags are singletons chained in elimination order up
+    # to the last-eliminated root; the record still gives the from-scratch
+    # min-fill decomposition
+    for g in nice_route_corpus():
+        bags, gone, parent = _eliminate(g)
+        total = g.n_var + g.n_chk
+        assert len(gone) == len(parent) == len(bags) == max(total, 1)
+        assert sorted(chain.from_iterable(gone)) == list(range(total))
+        for k, (bag, out, p) in enumerate(zip(bags, gone, parent)):
+            assert len(out) == min(total, 1) and set(out) <= set(bag)
+            if p >= 0:
+                assert p > k
+                assert set(bag) - set(bags[p]) == set(out)
+        root = len(bags) - 1
+        assert gone[root] == bags[root] and parent[root] == -1
+        singles = [k for k, bag in enumerate(bags) if len(bag) <= 1]
+        assert [parent[k] for k in singles] == singles[1:] + [-1]
+        assert heuristic_decomposition(g) == min_fill_reference(g)
+
+
+def test_default_route_nice_form_matches_golden():
+    # pins the whole nice form the default route reads from the min-fill
+    # elimination, byte for byte: its root, the order of its nodes and
+    # every bag
+    ntd, _ = heuristic_nice(sc40())
+    assert serialize_td(ntd.as_tree_decomposition()) == \
+        (DATA / "nice_sc40_seed1_default_route.td").read_text()
+
+
 def nice_columns_with(g, ntd, tw, kind=None, elem=None):
     """A fresh nice form of ``g`` on a copy of the columns of ``ntd``, with
     ``kind`` or ``elem`` replaced, checked by its constructor at width
@@ -969,6 +1006,36 @@ def test_nice_columns_check_catches_an_element_out_of_range():
         "node 1: c1 is out of range",)
     nodes = [(K_LEAF, -1, ()), (K_FORGET_VAR, 0, (2,))]
     assert walk_fault(g, nodes, 1, 0) == ("child 2 is no node",)
+
+
+def test_nice_columns_check_catches_a_negative_element():
+    # v-1 would read and write the last variable's slot: these columns
+    # used to construct, and run_dp then failed with a bare ValueError
+    g = TannerGraph.from_matrix([[1, 1]])
+    nodes = [(K_LEAF, -1, ()), (K_INTRO_CHK, 0, (0,)), (K_INTRO_VAR, -1, (1,)),
+             (K_FORGET_VAR, -1, (2,)), (K_INTRO_VAR, 0, (3,)),
+             (K_FORGET_VAR, 0, (4,)), (K_FORGET_CHK, 0, (5,))]
+    assert walk_fault(g, nodes, 1, 1) == ("node 3: v-1 is out of range",)
+    nodes[2:4] = [(K_INTRO_VAR, -2, (1,)), (K_FORGET_VAR, -2, (2,))]
+    assert walk_fault(g, nodes, 1, 1) == ("node 2: v-2 is out of range",)
+    checks = TannerGraph.from_check_adj(0, 1, [[]])
+    nodes = [(K_LEAF, -1, ()), (K_INTRO_CHK, -1, (0,)), (K_FORGET_CHK, -1, (1,)),
+             (K_INTRO_CHK, 0, (2,)), (K_FORGET_CHK, 0, (3,))]
+    assert walk_fault(checks, nodes, 0, 1) == ("node 2: c-1 is out of range",)
+
+
+def test_nice_columns_check_catches_a_join_child_not_below_it():
+    # a join whose children are -1 wrapped to the root, itself, and the
+    # walk spun with a growing stack; a join that is its own second child
+    # would cycle as well
+    empty = TannerGraph.from_check_adj(0, 0, [])
+    assert walk_fault(empty, [(K_JOIN, -1, (-1, -1))], 0, 0) == (
+        "join 0 has a child that is not below it",)
+    g = TannerGraph.from_matrix([[1, 1]])
+    nodes = [(K_LEAF, -1, ()), (K_JOIN, -1, (0, 1)), (K_INTRO_VAR, 0, (1,)),
+             (K_FORGET_VAR, 0, (2,))]
+    assert walk_fault(g, nodes, 1, 0) == (
+        "join 1 has a child that is not below it",)
 
 
 def test_nice_columns_check_catches_an_unknown_kind_byte():
