@@ -639,22 +639,34 @@ def make_nice(g: TannerGraph, td: TreeDecomposition) -> NiceTreeDecomposition:
         raise InvalidDecompositionError(report.violations)
     order, children = report.tree
     bags = list(map(sorted, td.bags))
+    # gone looks each child member up in its parent, and a bridge each
+    # parent member up in its child: in a set for a bag of more than 8
+    # members (a path window holds 11), since a min-fill bag of 3-5 members
+    # is scanned faster than it is made a set
+    members: list[Collection[int]] = bags[:]
     gone = bags[:]                          # the root's stays its whole bag
     for x in order:
-        above = td.bags[x]
-        for k in children[x]:
-            gone[k] = [y for y in bags[k] if y not in above]
-    return _nice_columns(g, bags, gone, order, children)
+        if children[x]:
+            if len(bags[x]) > 8:
+                members[x] = set(bags[x])
+            above = members[x]
+            for k in children[x]:
+                gone[k] = [y for y in bags[k] if y not in above]
+    return _nice_columns(g, bags, gone, order, children, members)
 
 
 def _nice_columns(g: TannerGraph, bags: Sequence[Sequence[int]],
                   gone: Sequence[Sequence[int]], order: Sequence[int],
-                  children: list[list[int]]) -> NiceTreeDecomposition:
+                  children: list[list[int]],
+                  members: Sequence[Collection[int]] | None = None,
+                  ) -> NiceTreeDecomposition:
     """The nice columns of a valid decomposition whose tree is rooted at
     ``order[0]``, ``reversed(order)`` listing every bag after its children,
     checked at construction against its largest bag less one.  Bags are
     ascending, and ``gone[k]`` lists, ascending, the members of bag k
-    outside its parent's bag (the root's: its whole bag).
+    outside its parent's bag (the root's: its whole bag).  ``members[k]``,
+    bag k as any container of its ids (by default ``bags[k]``), answers
+    the bridges' membership tests.
 
     Multi-child bags become binary join cascades, and a child is bridged to
     its parent by the forgets of ``gone[k]``, then the introduces of the
@@ -670,6 +682,7 @@ def _nice_columns(g: TannerGraph, bags: Sequence[Sequence[int]],
     child is the node before it unless ``links`` says otherwise.
     """
     root = order[0]
+    kbags = bags if members is None else members
     n, total = g.n_var, g.n_var + g.n_chk
     leaf, join = 2 * total, 2 * total + 1
     codes: list[int] = []
@@ -685,7 +698,7 @@ def _nice_columns(g: TannerGraph, bags: Sequence[Sequence[int]],
 
     def bridge(idx: int, k: int, bag: Sequence[int]) -> int:
         """Bridge node ``idx``, holding bag k, to its parent's ``bag``."""
-        kbag = bags[k]
+        kbag = kbags[k]
         return put(idx, [*gone[k], *[y + total for y in bag
                                      if y not in kbag]])
 

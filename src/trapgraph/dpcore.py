@@ -32,7 +32,7 @@ mask is its J bit and the Q bits of its bag variables, whose parity says
 whether it is odd.
 
 There is one kernel per node kind but the leaf, whose table is an empty
-``DPTable``, and one for a pair.
+``DPTable``, one for a pair and one for a stretch.
 ``introduce_variable`` takes a chain of introduce-variable nodes, each the
 child of the next, as their variables and slots, and ``forget_variable``
 a chain of forget-variable nodes as their masks, each in one pass over
@@ -41,11 +41,15 @@ column slices, so only the chain's last node gets a table.
 ``introduce_forget_variable`` takes a one-variable introduce and the
 forget of it just above in one pass, ``forget_check`` one node's mask, and
 ``introduce_check`` returns its child's table, as introducing a check
-changes no key.  On a tie in f the kernels keep the integer-smaller w, so
-every entry carries the integer-smallest minimizer of its state and a
-chain gives the same table in one pass as node by node.
-``retain_tables=True`` hands the variable kernels one node at a time, so
-every node's table is kept.
+changes no key.  ``stretch`` takes a stretch, a chain of introduce-variable
+nodes, the introduce-check nodes above it and the maximal run of forget
+nodes above those, as one linear map of the key bits over GF(2) (see
+``stretch``), in one pass over its child table: a window step of an SC
+path is one stretch.  On a tie in f the kernels keep the integer-smaller
+w, so every entry carries the integer-smallest minimizer of its state and
+a chain or a stretch gives the same table in one pass as node by node.
+``retain_tables=True`` hands the variable kernels one node at a time and
+fuses no stretch, so every node's table is kept.
 
 The freed run is an exact branch and bound in one pass.  Each table's
 ``answer(d)`` is a complete (f, d)-trapping set of the whole graph (see
@@ -58,12 +62,13 @@ to the sum of deg(v) over S (mod 2), so when every variable degree is
 even no odd b' has a set; an entry at an odd d = b is then pruned
 outright, since no b' >= d can have a set.  ``run_dp`` hands the per-d
 cap to the kernels that raise f (``introduce_variable``,
-``introduce_forget_variable`` and ``join``) or d (``forget_check`` and
-``join``) as a list ``cap[0..b]``, from which they also read b, and they
+``introduce_forget_variable``, ``stretch`` and ``join``) or d
+(``forget_check``, ``stretch`` and ``join``) as a list ``cap[0..b]``, from which they also read b, and they
 skip every entry above the cap at its d.  An introduce adds |S|, a join
 gives f1 + f2 - |Q| >= max(f1, f2) at d1 + d2, and a forget keeps f, so
 f and d never decrease toward the root, while cap[d] never increases in
-d and only tightens as the run goes on.
+d and only tightens as the run goes on, though a stretch reads it once
+for all its nodes, a looser cap than node by node.
 A state at or below its cap is thus built only from states at or below
 theirs, and those are exact: f, count and minimizer.
 The root bag is empty, so the root table holds only the answers (0, 0, b')
@@ -230,6 +235,134 @@ def introduce_forget_variable(child: DPTable, v: int, mask: int,
     return DPTable(kc, kv, entries)
 
 
+def stretch(child: DPTable, kinds: bytes, elems: Sequence[int],
+            slots: Sequence[int], masks: Sequence[int],
+            cap: Sequence[int]) -> DPTable:
+    """One pass for a stretch: a chain of introduce-variable nodes, the
+    introduce-check nodes above it, then a run of forget nodes of either
+    namespace, each the child of the next, given as their columns.
+
+    No slot is freed and reused inside a stretch.  So with each forgotten
+    check's parity kept in its own J bit until the end, the stretch maps
+    the keys' (J, Q) bits linearly over GF(2): a forgotten variable's mask
+    XORs in when its Q bit is set, and a forgotten check's J bit takes the
+    parity of its mask's bits and of the Q bit of each variable forgotten
+    before it whose mask holds that J bit.  A child key k with new
+    variables S ends at L(k) xor L(S); then d grows by the popcount of the
+    forgotten checks' J bits, which are cleared.  L(k) is k xor
+    ``flip[k & fq]``, over the child variables fq the stretch forgets, xor
+    the J bit of each forgotten check that an odd number of the child's
+    staying variables meet.  The entries are extended as
+    ``introduce_variable`` extends them, but for a key that maps to 0,
+    whose base entry dominates.  An output above b, or above the cap at
+    its final d, is dropped, but an entry whose d does not rise is kept,
+    so the table is the one the nodes give one by one under the same cap.
+    """
+    kc, kv = child.kc, child.kv
+    shift = kc + kv
+    over = len(cap) << shift          # keys at or above it have d > b
+    nv = kinds.count(K_INTRO_VAR)
+    nf = nv + kinds.count(K_INTRO_CHK)
+    fresh = fj = 0                    # new key bits; forgotten checks' J bits
+    gone, reach = [], []              # (Q bit, mask), (bits read, J bit)
+    for kind, m in zip(kinds[nf:], masks[nf:]):
+        if kind == K_FORGET_VAR:
+            gone.append((m >> kc << kc, m))     # its J bits lie below
+        else:
+            jb = m & -m
+            fj |= jb
+            for qb, mv in gone:
+                if mv & jb:
+                    m |= qb
+            reach.append((m, jb))
+    for s in slots[nv:nf]:
+        fresh |= 1 << s
+    # L of a Q bit: a forgotten variable's staying checks' J bits, any
+    # other Q bit itself, and the J bit of each forgotten check reading it
+    drop = {qb: (mv ^ qb) & ~fj for qb, mv in gone}
+
+    def image(qb: int) -> int:
+        m = drop.get(qb, qb)
+        for e, jb in reach:
+            if qb & e:
+                m ^= jb
+        return m
+
+    subsets = []                      # (L of their Q bits, |S|, w bits)
+    for v, slot in zip(elems[:nv], slots[:nv]):
+        qb = 1 << (kc + slot)
+        fresh |= qb
+        m = image(qb)
+        vb = 1 << v
+        for q, n, w in subsets[:]:
+            subsets.append((q ^ m, n + 1, w | vb))
+        subsets.append((m, 1, vb))
+    # by size, so the subsets that fit under the cap are a prefix
+    subsets.sort(key=itemgetter(1))
+    flip = {0: 0}
+    fq = 0
+    for qb, _ in gone:
+        if not qb & fresh:
+            m = image(qb) ^ qb
+            for s, t in list(flip.items()):
+                flip[s | qb] = t ^ m
+            fq |= qb
+    stay = ~((1 << kc) - 1 | fq | fresh)      # the child's staying Q bits
+    reads = [(e & stay, jb) for e, jb in reach if e & stay]
+    entries: dict[int, Entry] = {}
+    get = entries.get
+    for k, (f, cnt, w) in child.entries.items():
+        a = k ^ flip[k & fq]
+        for e, jb in reads:
+            if (k & e).bit_count() & 1:
+                a ^= jb
+        j = a & fj
+        k = a
+        if j:
+            k = (a ^ j) + (j.bit_count() << shift)
+        if not j or k < over and f <= cap[k >> shift]:
+            old = get(k)
+            if old is None or f < old[0]:
+                entries[k] = (f, cnt, w)
+            elif f == old[0]:
+                entries[k] = (f, old[1] + cnt, w if w < old[2] else old[2])
+        if not a:
+            continue
+        room = cap[a >> shift] - f
+        for m, n, ws in subsets:
+            if n > room:
+                break
+            k = a ^ m
+            j = k & fj
+            n += f
+            if j:
+                k = (k ^ j) + (j.bit_count() << shift)
+                if k >= over or n > cap[k >> shift]:
+                    continue
+            old = get(k)
+            if old is None or n < old[0]:
+                entries[k] = (n, cnt, w | ws)
+            elif n == old[0]:
+                ws |= w
+                entries[k] = (n, old[1] + cnt, ws if ws < old[2] else old[2])
+    # the base entries, each subset alone
+    room = cap[0]
+    for k, n, ws in subsets:
+        if n > room:
+            break
+        j = k & fj
+        if j:
+            k = (k ^ j) + (j.bit_count() << shift)
+            if k >= over or n > cap[k >> shift]:
+                continue
+        old = get(k)
+        if old is None or n < old[0]:
+            entries[k] = (n, 1, ws)
+        elif n == old[0]:
+            entries[k] = (n, old[1] + 1, ws if ws < old[2] else old[2])
+    return DPTable(kc, kv, entries)
+
+
 def introduce_check(child: DPTable) -> DPTable:
     """The child's table: no neighbour of the new check is forgotten below
     its introduce (edge coverage), so its J bit is 0 in every key."""
@@ -355,6 +488,25 @@ def _caps(best: list[int | None], even_only: bool) -> list[int]:
     return cap
 
 
+def _stretch_top(kinds: bytes, child: Sequence[int], end: int) -> int:
+    """The top node of the stretch whose introduce-variable chain ends at
+    ``end``: the introduce-check nodes above the chain, then the maximal
+    run of forget nodes above those, each the child of the next; ``end``
+    itself unless that run forgets a variable and a check."""
+    last = len(kinds) - 1
+    top = end
+    while top < last and child[top + 1] == top \
+            and kinds[top + 1] == K_INTRO_CHK:
+        top += 1
+    bottom = top
+    while top < last and child[top + 1] == top \
+            and kinds[top + 1] in (K_FORGET_VAR, K_FORGET_CHK):
+        top += 1
+    forgets = kinds[bottom + 1:top + 1]
+    return top if K_FORGET_VAR in forgets and K_FORGET_CHK in forgets \
+        else end
+
+
 def run_dp(g: TannerGraph, ntd: NiceTreeDecomposition, b: int,
            retain_tables: bool = False) -> DPResult:
     """Process nice nodes in post-order and read out the root state (0, 0, b).
@@ -367,8 +519,15 @@ def run_dp(g: TannerGraph, ntd: NiceTreeDecomposition, b: int,
     the child of the next, runs as one kernel pass that leaves only its
     last node's table, and a one-node introduce-variable chain whose parent
     forgets that variable, as every one-variable leaf fold gives, runs with
-    the forget as one ``introduce_forget_variable`` pass; with it, every
-    node runs alone and every table is kept.
+    the forget as one ``introduce_forget_variable`` pass.  An introduce
+    chain of three or more variables whose stretch (``_stretch_top``)
+    forgets at least one variable and one check runs with it as one
+    ``stretch`` pass; every window step of an SC path with three or more
+    variables per block does.  On min-fill forms, whose tables are small
+    enough (about 12 entries) for a call's setup to decide, the same rule
+    with two-variable chains measured 2-4% slower in ``run_dp``, and looser
+    rules slower still.  With ``retain_tables``, every node runs alone and
+    every table is kept.
 
     Without ``retain_tables`` the run also prunes (see the module
     docstring): after each forget and join table it lowers U[d] to the f of
@@ -376,10 +535,12 @@ def run_dp(g: TannerGraph, ntd: NiceTreeDecomposition, b: int,
     kernels that take a cap.  Other tables cannot lower U: a leaf table is
     empty, and an introduce table keeps its child's keys with Q = 0 as they
     are and adds only keys with Q bits, so its ``answer(d)`` is its child's.
+    A stretch lowers U once, after its last node.
     The root table is the one an uncapped run gives, w included.  On seed-1
     SC (3,4,640,2) at b = 2 on the path route, the kernels other than
-    ``introduce_check`` output 142,187 entries, against 198,490 with one
-    cap max(U) for every d.
+    ``introduce_check`` output 12,020 entries in 647 calls; with five
+    kernel passes per window step they output 142,187 in 3,203 calls, and
+    198,490 with one cap max(U) for every d.
     """
     if b < 0:
         raise ValueError("b must be >= 0")
@@ -420,6 +581,13 @@ def run_dp(g: TannerGraph, ntd: NiceTreeDecomposition, b: int,
             run = slice(idx, end + 1)
             if kind == K_FORGET_VAR:
                 table = forget_variable(tables[c1], masks[run])
+            elif end - idx >= 2 \
+                    and (top := _stretch_top(kinds, child, end)) > end:
+                run = slice(idx, top + 1)
+                end = top
+                kind = kinds[end]     # the stretch's table is a forget's
+                table = stretch(tables[c1], kinds[run], elems[run],
+                                slots[run], masks[run], cap)
             elif fuse and end == idx < last and child[end + 1] == end \
                     and kinds[end + 1] == K_FORGET_VAR \
                     and elems[end + 1] == elems[idx]:

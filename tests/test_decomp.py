@@ -1,3 +1,4 @@
+import gc
 import random
 import sys
 import tracemalloc
@@ -613,13 +614,15 @@ def test_decomposition_keeps_few_bytes_per_bag_entry(route):
     # a bag is a sorted tuple of ids shared by the whole decomposition:
     # on seed-1 SC L=160, tree edges included, about 29 bytes per bag
     # entry on the path route and 40 on min-fill; frozenset bags kept
-    # about 90 and 105
+    # about 90 and 105.  gc.collect() empties CPython's free lists, whose
+    # freed small tuples tracemalloc would count as kept
     params = ScLdpcParams(3, 4, 160, 2, var_degree=3, seed=1)
     g = generate_sc_ldpc(params)
     tracemalloc.start()
     try:
         td = sc_path_decomposition(g, params) if route == "path" \
             else heuristic_decomposition(g)
+        gc.collect()
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -630,7 +633,9 @@ def test_decomposition_keeps_few_bytes_per_bag_entry(route):
 @pytest.mark.parametrize("route", ["path", "min-fill"])
 def test_make_nice_keeps_few_bytes_per_node(route):
     # the nice form is flat columns, about 17 bytes per node; a tuple per
-    # node with its own layout tuples kept about 290
+    # node with its own layout tuples kept about 290.  gc.collect() empties
+    # CPython's free lists, whose freed small tuples tracemalloc would
+    # count as kept
     params = ScLdpcParams(3, 4, 160, 2, var_degree=3, seed=1)
     g = generate_sc_ldpc(params)
     td = sc_path_decomposition(g, params) if route == "path" \
@@ -638,6 +643,7 @@ def test_make_nice_keeps_few_bytes_per_node(route):
     tracemalloc.start()
     try:
         ntd = make_nice(g, td)
+        gc.collect()
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()

@@ -1,3 +1,4 @@
+import itertools
 import random
 import sys
 
@@ -30,6 +31,7 @@ from trapgraph.dpcore import (
     introduce_variable,
     join,
     run_dp,
+    stretch,
 )
 from trapgraph.oracle import brute_force_spectrum
 from trapgraph.tanner import (
@@ -573,7 +575,8 @@ def test_sc_routes_agree_beyond_brute_force():
 
 
 def count_runs(monkeypatch):
-    """The runs that run_dp hands to the variable kernels, in call order."""
+    """The runs that run_dp hands to the multi-node kernels, in call order:
+    a variable chain's elements or masks, and a stretch's kind bytes."""
     runs = []
 
     def recording(kernel):
@@ -582,15 +585,21 @@ def count_runs(monkeypatch):
             return kernel(child, run, *rest)
         return call
 
-    for name in ("forget_variable", "introduce_variable"):
+    for name in ("forget_variable", "introduce_variable", "stretch"):
         monkeypatch.setattr(dpcore, name, recording(getattr(dpcore, name)))
     return runs
 
 
+def fuse_no_stretch(monkeypatch):
+    """Have run_dp's freed run fuse no stretch: each node that a stretch
+    would take runs on its own kernel, while variable chains still fuse."""
+    monkeypatch.setattr(dpcore, "_stretch_top", lambda kinds, child, end: end)
+
+
 def assert_fused_equals_per_node(g, ntd, b, runs):
-    """The freed run (maximal variable chains) and the retained run
-    (one-node chains) give the same root table, minimizers included.
-    ``runs`` keeps only the freed run's chains."""
+    """The freed run (maximal variable chains and stretches) and the
+    retained run (one-node chains) give the same root table, minimizers
+    included.  ``runs`` keeps only the freed run's chains and stretches."""
     n = len(runs)
     per_node = run_dp(g, ntd, b, retain_tables=True).root_table
     assert all(len(run) == 1 for run in runs[n:])
@@ -619,13 +628,178 @@ def test_fused_sc_path_matches_per_node_kernels(monkeypatch):
     g = generate_sc_ldpc(params)
     assert_fused_equals_per_node(
         g, make_nice(g, sc_path_decomposition(g, params)), 2, runs)
-    # one forget run and one introduce run per window step
-    assert len(runs) == 2 * 40
+    # one stretch per window step, and at the path's two ends the first
+    # bag's introduce chain and the last bag's forget chain
+    assert len(runs) == 40 + 1
+    assert runs.count(PATH_STEP) == 40 - 1
+
+
+# the nice nodes of one SC (3,4,L,2) window step: a variable block and a
+# check block introduced, then a variable block and a check block forgotten
+PATH_STEP = bytes([K_INTRO_VAR] * 4 + [K_INTRO_CHK] * 3
+                  + [K_FORGET_VAR] * 4 + [K_FORGET_CHK] * 3)
+
+
+def node_by_node(child, kinds, elems, slots, masks, cap):
+    """A stretch's nodes run one at a time by the per-node kernels."""
+    t = child
+    for kind, v, slot, mask in zip(kinds, elems, slots, masks):
+        if kind == K_INTRO_VAR:
+            t = introduce_variable(t, [v], [slot], cap)
+        elif kind == K_INTRO_CHK:
+            t = introduce_check(t)
+        elif kind == K_FORGET_VAR:
+            t = forget_variable(t, [mask])
+        else:
+            t = forget_check(t, mask, cap)
+    return t
+
+
+def stretches(ntd):
+    """(start, stop) of every column slice that is a stretch: a maximal
+    chain of introduce-variable nodes, introduce-check nodes, then forget
+    nodes of either namespace, each the child of the next, cut anywhere in
+    the forgets."""
+    kinds, child = ntd.kind, ntd.child
+    for start, kind in enumerate(kinds):
+        if kind != K_INTRO_VAR or kinds[child[start]] == K_INTRO_VAR:
+            continue
+        stage = 0                     # 0: introduces, 1: forgets
+        for top in range(start + 1, len(kinds)):
+            if child[top] != top - 1:
+                break
+            kind = kinds[top]
+            if kind in (K_FORGET_VAR, K_FORGET_CHK):
+                stage = 1
+                yield start, top + 1
+            elif kind == K_JOIN or kind == K_LEAF or stage \
+                    or kind == K_INTRO_VAR and kinds[top - 1] != K_INTRO_VAR:
+                break
+
+
+def test_stretch_equals_node_by_node():
+    # the one-pass kernel gives the table of its nodes run one at a time,
+    # minimizers included, under the same cap: on every stretch of random
+    # nice forms and of a w = 3 SC path, from the retained run's table
+    # below it, uncapped and under random caps that never increase in d,
+    # -1 among them; the caps that differ in d drop entries.  The stretches
+    # cover each case of the linear map: a child variable forgotten, a
+    # forgotten check from the child's bag, a forgotten check meeting a
+    # staying child variable, and no child bit changed
+    rng = random.Random(92)
+    cases = []
+    for _ in range(100):
+        g = random_graph(rng, max_var=10, max_chk=8)
+        cases += [(g, make_nice(g, td), rng.randint(0, 3))
+                  for td in (random_td(g, rng), single_bag_td(g),
+                             heuristic_decomposition(g))]
+    for seed in (5, 6):
+        params = ScLdpcParams(2, 3, 6, 3, var_degree=3, seed=seed)
+        g = generate_sc_ldpc(params)
+        cases += [(g, sc_path_nice(g, params)[0], b) for b in range(4)]
+    seen = {"flip": 0, "old check": 0, "reads": 0, "no change": 0}
+    dropped = 0                       # by per-d caps
+    for g, ntd, b in cases:
+        tables = run_dp(g, ntd, b, retain_tables=True).tables
+        nodes = ntd.nodes
+        for start, stop in stretches(ntd):
+            cols = (ntd.kind[start:stop], ntd.elem[start:stop],
+                    ntd.slot[start:stop], ntd.mask[start:stop])
+            child = tables[ntd.child[start]]
+            cap = sorted((rng.randint(-1, 5) for _ in range(b + 1)),
+                         reverse=True)
+            full, one = (stretch(child, *cols, c) for c in (uncapped(b), cap))
+            for c, t in ((uncapped(b), full), (cap, one)):
+                assert t.entries == node_by_node(child, *cols, c).entries
+                assert (t.kc, t.kv) == (child.kc, child.kv)
+            if len(set(cap)) > 1:
+                dropped += len(full.entries) - len(one.entries)
+            below = nodes[ntd.child[start]]
+            new_c = {e for k, e in zip(cols[0], cols[1])
+                     if k == K_INTRO_CHK}
+            gone_v = {e for k, e in zip(cols[0], cols[1])
+                      if k == K_FORGET_VAR}
+            gone_c = {e for k, e in zip(cols[0], cols[1])
+                      if k == K_FORGET_CHK}
+            kept_v = set(below.var_at) - gone_v - {-1}
+            flip = bool(gone_v & set(below.var_at))
+            old_check = bool(gone_c - new_c)
+            reads = any(v in kept_v for c in gone_c
+                        for v in g.chk_adj[c])
+            seen["flip"] += flip
+            seen["old check"] += old_check
+            seen["reads"] += reads
+            seen["no change"] += not (flip or old_check or reads)
+    assert min(seen.values()) > 50, seen
+    assert dropped > 10000
+
+
+@pytest.mark.parametrize("shape", [(3, 4, 1, 2, 3), (3, 4, 2, 3, 3),
+                                   (3, 6, 12, 3, 3), (4, 8, 10, 2, 4)])
+def test_fused_stretches_match_per_node_kernels_on_sc_paths(monkeypatch,
+                                                            shape):
+    # L = 1, w > L, a window of width 20 and an even degree (the parity
+    # caps, odd b' with no set): at b = 0..3 the freed run with its
+    # stretches gives the root table of the freed run without them and
+    # the syndrome trellis's answers, minimizers included; where the width
+    # allows, the retained run's root table too
+    r, c, length, w, degree = shape
+    params = ScLdpcParams(r, c, length, w, var_degree=degree, seed=5)
+    g = generate_sc_ldpc(params)
+    ntd, tw = sc_path_nice(g, params)
+    expected = trellis_spectrum(g, 3)
+    runs = count_runs(monkeypatch)
+    for b in range(4):
+        root = run_dp(g, ntd, b).root_table
+        assert [root.answer(d) for d in range(b + 1)] == expected[:b + 1]
+        with monkeypatch.context() as m:
+            fuse_no_stretch(m)
+            assert run_dp(g, ntd, b).root_table.entries == root.entries
+        if tw <= 12:
+            assert run_dp(g, ntd, b, retain_tables=True).root_table.entries \
+                == root.entries
+    # a stretch per window step that forgets a variable block after
+    # introducing one
+    assert sum(isinstance(run, bytes) for run in runs) \
+        == 4 * max(0, length - w + 1)
+
+
+def test_fused_stretches_match_retained_runs_at_every_b(monkeypatch):
+    # random graphs on random_td, one bag and min-fill, at each b = 0..3
+    runs = count_runs(monkeypatch)
+    rng = random.Random(93)
+    for _ in range(40):
+        g = random_graph(rng, max_var=10, max_chk=8)
+        for td in (random_td(g, rng), single_bag_td(g),
+                   heuristic_decomposition(g)):
+            ntd = make_nice(g, td)
+            for b in range(4):
+                assert_fused_equals_per_node(g, ntd, b, runs)
+    assert sum(isinstance(run, bytes) for run in runs) > 100
+
+
+def test_path_steps_run_as_one_stretch_pass(monkeypatch):
+    # on SC (3,4,40,2) every window step but the path's two end chains is
+    # one stretch pass, and the kernels output over 5x fewer entries per
+    # variable than with every node run by its own kernel (measured at
+    # L = 640: 12,020 against 142,187)
+    params = ScLdpcParams(3, 4, 40, 2, var_degree=3, seed=1)
+    g = generate_sc_ldpc(params)
+    ntd = sc_path_nice(g, params)[0]
+    runs = count_runs(monkeypatch)
+    _, sizes = record_kernels(monkeypatch)
+    root = run_dp(g, ntd, 2).root_table
+    assert runs.count(PATH_STEP) == len(runs) - 2 == 40 - 1
+    fused = sum(sizes)
+    sizes.clear()
+    fuse_no_stretch(monkeypatch)
+    assert run_dp(g, ntd, 2).root_table.entries == root.entries
+    assert fused * 5 <= sum(sizes)
 
 
 def record_kernels(monkeypatch):
-    """The cap that run_dp hands each introduce_variable, forget_check and
-    join call, and the size of every table the kernels return,
+    """The cap that run_dp hands each introduce_variable, forget_check,
+    join and stretch call, and the size of every table the kernels return,
     introduce_check's excepted (it shares its child's entries)."""
     caps, sizes = [], []
 
@@ -639,7 +813,8 @@ def record_kernels(monkeypatch):
         return call
 
     for name, at in (("introduce_variable", 3), ("join", 2),
-                     ("forget_variable", None), ("forget_check", 2)):
+                     ("forget_variable", None), ("forget_check", 2),
+                     ("stretch", 5)):
         monkeypatch.setattr(dpcore, name,
                             recording(getattr(dpcore, name), at))
     return caps, sizes
@@ -654,8 +829,12 @@ def test_capped_root_tables_equal_uncapped(monkeypatch):
     # the freed run prunes entries above its cap and the retained run never
     # prunes; the root tables agree, minimizers included, on runs where the
     # cap engages at some d, among them runs where some b' <= b has no set,
-    # so the cap stays unbounded at every d <= b'
+    # so the cap stays unbounded at every d <= b'.  No stretch is fused, so
+    # each node's kernel reads the cap as it stands at that node (a
+    # stretch reads it once for all its nodes; its caps are tested in
+    # test_stretch_equals_node_by_node and the two tests below)
     caps, _ = record_kernels(monkeypatch)
+    fuse_no_stretch(monkeypatch)
     rng = random.Random(86)
     engaged = partial = 0
     for _ in range(300):
@@ -679,7 +858,9 @@ def test_per_d_cap_engages_without_codewords(monkeypatch):
     # with no codeword, U[0] is never known and cap[0] stays unbounded, but
     # cap[1..b] bound f: forget_check drops entries whose d rises past
     # their cap, it keeps every entry at or below its cap exactly, and the
-    # root table is the retained run's, minimizers included
+    # root table is the retained run's, minimizers included.  No stretch
+    # is fused: over these runs stretches dropped no entry, and their
+    # per-d caps are tested in test_stretch_equals_node_by_node
     drops = checked = 0
 
     def capped_forget_check(child, mask, cap):
@@ -694,6 +875,7 @@ def test_per_d_cap_engages_without_codewords(monkeypatch):
         return table
 
     monkeypatch.setattr(dpcore, "forget_check", capped_forget_check)
+    fuse_no_stretch(monkeypatch)
     rng = random.Random(90)
     while checked < 300:
         g = random_graph(rng, max_var=9, max_chk=9)
@@ -734,7 +916,7 @@ def test_path_route_counts_per_variable_stay_flat(monkeypatch):
     # slow machine phase cannot fail it: from L = 160 to L = 1280 on the
     # path route, nice nodes and kernel-output entries per variable stay
     # within a fixed factor of L = 160 (measured: 3.51 -> 3.50 nodes and
-    # 56.1 -> 55.7 entries per variable), and so does the largest table
+    # 4.69 -> 4.68 entries per variable), and so does the largest table
     _, sizes = record_kernels(monkeypatch)
     per_var = []
     for length in (160, 320, 640, 1280):
@@ -794,18 +976,20 @@ def test_leaf_and_introduce_tables_keep_every_answer():
 
 
 def test_freed_run_caps_equal_reading_every_table(monkeypatch):
-    # the cap each introduce_variable, forget_check and join call gets is,
-    # at each d, the max of U[b'] over the b' in d..b that can have a set,
-    # with U lowered by the answer(d) of every table built before it,
-    # whatever its kind; unbounded while some of those U[b'] is unknown,
-    # and -1 when there are none.  Every b' can have a set, except an odd
-    # b' when every variable degree is even.
-    calls = []                        # (takes a cap, cap, table) in order
+    # the cap each introduce_variable, forget_check, join and stretch call
+    # gets is, at each d, the max of U[b'] over the b' in d..b that can
+    # have a set, with U lowered by the answer(d) of every table built
+    # before it, whatever its kind; unbounded while some of those U[b'] is
+    # unknown, and -1 when there are none.  Every b' can have a set,
+    # except an odd b' when every variable degree is even.  Each case runs
+    # with no stretch fused, where the per-node kernels' caps are counted,
+    # and with stretches, where the stretches' caps are.
+    calls = []                        # (kernel, cap or None, table) in order
 
     def recording(kernel, at):
         def call(*args):
             table = kernel(*args)
-            calls.append((at is not None,
+            calls.append((kernel.__name__,
                           None if at is None else args[at], table))
             return table
         return call
@@ -813,23 +997,26 @@ def test_freed_run_caps_equal_reading_every_table(monkeypatch):
     for name, at in (("introduce_variable", 3),
                      ("forget_variable", None), ("introduce_check", None),
                      ("forget_check", 2), ("join", 2),
-                     ("introduce_forget_variable", 3)):
+                     ("introduce_forget_variable", 3), ("stretch", 5)):
         monkeypatch.setattr(dpcore, name,
                             recording(getattr(dpcore, name), at))
     rng = random.Random(89)
-    engaged = per_d = parity = 0
+    engaged = per_d = parity = stretched = 0
     for _ in range(150):
         g = random_graph(rng, max_var=9, max_chk=7)
         even = all(len(cs) % 2 == 0 for cs in g.var_adj)
         for td in (random_td(g, rng), single_bag_td(g),
                    heuristic_decomposition(g)):
             ntd = make_nice(g, td)
-            for b in range(4):
+            for b, fused in itertools.product(range(4), (False, True)):
                 calls.clear()
-                run_dp(g, ntd, b)
+                with monkeypatch.context() as m:
+                    if not fused:
+                        fuse_no_stretch(m)
+                    run_dp(g, ntd, b)
                 best = [None] * (b + 1)
-                for takes_cap, cap, t in calls:
-                    if takes_cap:
+                for name, cap, t in calls:
+                    if cap is not None:
                         expected = []
                         for d in range(b + 1):
                             known = [best[b2] for b2 in range(d, b + 1)
@@ -837,15 +1024,19 @@ def test_freed_run_caps_equal_reading_every_table(monkeypatch):
                             expected.append(sys.maxsize if None in known
                                             else max(known, default=-1))
                         assert list(cap) == expected
-                        engaged += bounded(cap)
-                        per_d += len(set(cap)) > 1
-                        parity += even and b % 2 == 1
+                        if fused:
+                            stretched += name == "stretch" and bounded(cap)
+                        else:
+                            engaged += bounded(cap)
+                            per_d += len(set(cap)) > 1
+                            parity += even and b % 2 == 1
                     for d in range(b + 1):
                         ent = t.answer(d)
                         if ent is not None and (best[d] is None
                                                 or ent[0] < best[d]):
                             best[d] = ent[0]
     assert engaged > 5000 and per_d > 1500 and parity > 500
+    assert stretched > 15
 
 
 def random_even_graph(rng: random.Random, max_var=9,
