@@ -1,4 +1,6 @@
-"""Trapping-set analysis for LDPC codes on bounded-width tree decompositions."""
+"""Trapping-set analysis for LDPC codes on bounded-width tree decompositions;
+``make_nice``, ``heuristic_nice`` and ``sc_path_nice`` each return a checked
+``NiceTreeDecomposition``, whose ``width()`` is the width its walk checked."""
 
 from trapgraph.tanner import (
     AlistError,

@@ -95,17 +95,15 @@ def cmd_analyze(args) -> int:
     try:
         if args.td:
             source = f"td:{args.td}"
-            td = _load_td(args.td)
-            ntd, tw = decomp.make_nice(g, td), decomp.width(td)
-            del td                    # the DP reads only the nice form
+            ntd = decomp.make_nice(g, _load_td(args.td))
         elif args.sc_params:
             source = f"sc-params:{args.sc_params}"
             params = tanner.ScLdpcParams(*_parse_sc_flag(args.sc_params),
                                          var_degree=1)
-            ntd, tw = decomp.sc_path_nice(g, params)
+            ntd = decomp.sc_path_nice(g, params)
         else:
             source = "heuristic"
-            ntd, tw = decomp.heuristic_nice(g)
+            ntd = decomp.heuristic_nice(g)
     except decomp.InvalidDecompositionError as exc:
         for v in exc.violations:
             print(f"invalid decomposition: {v}", file=sys.stderr)
@@ -151,14 +149,14 @@ def cmd_analyze(args) -> int:
         "code": {"n": g.n_var, "m": g.n_chk, "source": args.alist},
         "decomposition": {
             "source": source,
-            "width": tw,
+            "width": ntd.width(),
             "node_kinds": _node_kind_counts(ntd),
         },
         "results": results,
     }
     if args.text:
         lines = [f"code: {args.alist} n={g.n_var} m={g.n_chk}",
-                 f"decomposition: {source} width={tw}"]
+                 f"decomposition: {source} width={ntd.width()}"]
         for r in results:
             if r["a_min"] is None:
                 lines.append(f"b={r['b']}: no trapping set")

@@ -13,8 +13,9 @@ The nice form lays the rooted tree out as flat post-order columns
 introduces or forgets in its own namespace, that element's bag-local slot,
 a forget's key mask for the DP and its children.  Bags are not stored;
 each is a pair of slot layouts, one per namespace, that the columns
-determine.  The nice form's constructor ends with one top-down walk,
-``check_nice_columns``, that writes the slots and masks and checks them.
+determine.  The nice form's constructor runs ``check_nice_columns``, one
+walk that writes the slots and masks and checks them and the width, which
+the form keeps.
 """
 
 from __future__ import annotations
@@ -285,6 +286,8 @@ def parse_td(text: str | bytes) -> TreeDecomposition:
                 header = tuple(int(t) for t in toks[2:])
             except ValueError:
                 raise TdFormatError("non-integer header field", lineno) from None
+            if min(header) < 0:
+                raise TdFormatError("negative header field", lineno)
             header_line = lineno
         elif toks[0] == "b":
             if header is None:
@@ -418,7 +421,7 @@ class NiceTreeDecomposition:
     up to var_slots + chk_slots bits, so the column is a list of ints.
     The constructor takes the graph, the other columns and the width ``tw``
     of the bags they came from, and ends with ``check_nice_columns``, so
-    every instance is laid out and checked.
+    every instance is laid out and checked, and ``width()`` is that ``tw``.
 
     No bag is stored.  ``nodes`` rebuilds every node with its slot layouts
     from the columns on first read and keeps them, for readers off the hot
@@ -426,7 +429,7 @@ class NiceTreeDecomposition:
     """
 
     __slots__ = ("n_var", "n_chk", "kind", "elem", "slot", "mask", "child",
-                 "child2", "var_slots", "chk_slots", "_nodes")
+                 "child2", "var_slots", "chk_slots", "_width", "_nodes")
 
     def __init__(self, g: TannerGraph, kind: bytes, elem: array,
                  child: array, child2: array, var_slots: int, chk_slots: int,
@@ -443,6 +446,7 @@ class NiceTreeDecomposition:
         self.chk_slots = chk_slots
         self._nodes: tuple[NiceNode, ...] | None = None
         check_nice_columns(g, self, tw)
+        self._width = tw
 
     @property
     def root(self) -> int:
@@ -479,7 +483,7 @@ class NiceTreeDecomposition:
         return self._nodes
 
     def width(self) -> int:
-        return max(node.bag_size for node in self.nodes) - 1
+        return self._width
 
     def as_tree_decomposition(self) -> TreeDecomposition:
         """Combined-namespace view, e.g. for re-validation, with sorted
@@ -801,16 +805,15 @@ def sc_path_decomposition(g: TannerGraph, p: ScLdpcParams) -> TreeDecomposition:
     return TreeDecomposition(n + g.n_chk, bags, edges, root=0)
 
 
-def sc_path_nice(g: TannerGraph,
-                 p: ScLdpcParams) -> tuple[NiceTreeDecomposition, int]:
-    """The nice form of ``sc_path_decomposition(g, p)`` and its width,
-    written straight from the window that ``check_window`` proves valid:
-    the columns ``make_nice`` writes, with no ``TreeDecomposition``, no
-    ``validate`` and no bag merges.  One chain runs from a leaf that
-    introduces the last bag, L + w - 2, to the root; from each bag t to
-    t - 1 it forgets variable block t (when t < L) and check block t, then
-    introduces variable block t - w (when t >= w) and check block t - 1,
-    each in ascending id, and at the root it forgets bag 0.
+def sc_path_nice(g: TannerGraph, p: ScLdpcParams) -> NiceTreeDecomposition:
+    """The nice form of ``sc_path_decomposition(g, p)``, written straight
+    from the window that ``check_window`` proves valid: the columns
+    ``make_nice`` writes, with no ``TreeDecomposition``, no ``validate``
+    and no bag merges.  One chain runs from a leaf that introduces the
+    last bag, L + w - 2, to the root; from each bag t to t - 1 it forgets
+    variable block t (when t < L) and check block t, then introduces
+    variable block t - w (when t >= w) and check block t - 1, each in
+    ascending id, and at the root it forgets bag 0.
     """
     check_window(g, p)
     r, c, L, w = p.base_rows, p.base_cols, p.coupling_len, p.coupling_width
@@ -830,11 +833,10 @@ def sc_path_nice(g: TannerGraph,
             put(K_INTRO_VAR, t - w, c)
         if t:
             put(K_INTRO_CHK, t - 1, r)
-    size = len(kinds)
-    tw = min(w, L) * c + r - 1
+    size, kv = len(kinds), min(w, L) * c
     return NiceTreeDecomposition(g, bytes(kinds), array("i", elems),
                                  array("i", range(-1, size - 1)),
-                                 _ABSENT * size, min(w, L) * c, r, tw), tw
+                                 _ABSENT * size, kv, r, kv + r - 1)
 
 
 def heuristic_decomposition(g: TannerGraph) -> TreeDecomposition:
@@ -858,10 +860,10 @@ def _edge_order(bags: list[tuple[int, ...]], parent: list[int]) -> list[int]:
         [i for i, bag in enumerate(bags) if len(bag) == 1 and parent[i] >= 0]
 
 
-def heuristic_nice(g: TannerGraph) -> tuple[NiceTreeDecomposition, int]:
-    """The nice form of ``heuristic_decomposition(g)`` and its width, built
-    from the elimination record with no ``TreeDecomposition``, no
-    ``validate`` and no ``_walk_tree``.
+def heuristic_nice(g: TannerGraph) -> NiceTreeDecomposition:
+    """The nice form of ``heuristic_decomposition(g)``, built from the
+    elimination record with no ``TreeDecomposition``, no ``validate`` and
+    no ``_walk_tree``.
 
     Each bag's children are the bags that name it as parent, in tree-edge
     order, and the tree is rooted at the last-eliminated bag and read
@@ -878,8 +880,7 @@ def heuristic_nice(g: TannerGraph) -> tuple[NiceTreeDecomposition, int]:
     order = [len(bags) - 1]
     for x in order:
         order += children[x]
-    return _nice_columns(g, bags, gone, order, children), \
-        max(map(len, bags)) - 1
+    return _nice_columns(g, bags, gone, order, children)
 
 
 def _eliminate(g: TannerGraph) -> tuple[list[tuple[int, ...]],

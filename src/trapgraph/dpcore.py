@@ -75,7 +75,7 @@ The root bag is empty, so the root table holds only the answers (0, 0, b')
 for b' <= b, each with f = a_min(b') <= U[b'] <= cap[b']: it is the
 uncapped table.  Entries above the cap may be missing or off in
 intermediate tables, which is why ``retain_tables=True`` is never capped:
-its kernels get ``[sys.maxsize] * (b + 1)``.
+its kernels get ``sys.maxsize`` at every d.
 
 The b=0 run is simply the d-pinned-to-0 slice of the general recurrence.
 """
@@ -536,11 +536,10 @@ def run_dp(g: TannerGraph, ntd: NiceTreeDecomposition, b: int,
     empty, and an introduce table keeps its child's keys with Q = 0 as they
     are and adds only keys with Q bits, so its ``answer(d)`` is its child's.
     A stretch lowers U once, after its last node.
-    The root table is the one an uncapped run gives, w included.  On seed-1
-    SC (3,4,640,2) at b = 2 on the path route, the kernels other than
-    ``introduce_check`` output 12,020 entries in 647 calls; with five
-    kernel passes per window step they output 142,187 in 3,203 calls, and
-    198,490 with one cap max(U) for every d.
+    The root table is the one an uncapped run gives, w included.  No set
+    has more odd checks than there are checks, so the pass runs at
+    min(b, n_chk); its root table is the one a pass at b gives, and the
+    answer is read at b, None above n_chk.
     """
     if b < 0:
         raise ValueError("b must be >= 0")
@@ -555,11 +554,11 @@ def run_dp(g: TannerGraph, ntd: NiceTreeDecomposition, b: int,
     # best[d]: the smallest f seen so far in any table's answer(d), a
     # complete (f, d)-trapping set; cap[d] = max(best[d:]) once those are
     # all known
-    best: list[int | None] = [None] * (b + 1)
+    best: list[int | None] = [None] * (min(b, g.n_chk) + 1)
     shift = ntd.var_slots + ntd.chk_slots       # answer(d) is key d << shift
     # every degree even: no odd b' has a set (|Gamma_odd(S)| is even)
     even_only = all(len(chks) % 2 == 0 for chks in g.var_adj)
-    cap = _caps(best, even_only) if fuse else [sys.maxsize] * (b + 1)
+    cap = _caps(best, even_only) if fuse else [sys.maxsize] * len(best)
     end = -1                          # the node the latest table belongs to
     for idx, kind in enumerate(kinds):
         if idx <= end:

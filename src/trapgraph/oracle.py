@@ -33,24 +33,32 @@ class TrappingSetRecord(NamedTuple):
         return {"a": self.a, "b": self.b, "members": list(self.members)}
 
 
-def brute_force_enumerate(g: TannerGraph, a_max: int, b_target: int,
-                          work_limit: int = DEFAULT_WORK_LIMIT
-                          ) -> list[TrappingSetRecord]:
-    """All nonempty variable sets S with |S| <= a_max and exactly b_target
-    odd checks, sorted lexicographically by members."""
+def _sweep(g: TannerGraph, a_max: int, b_target: int, work_limit: int):
+    """Per size a = 1..min(a_max, n), after sweeping every a-subset, the
+    pair (a, its subsets with exactly b_target odd checks); raises
+    WorkLimitExceeded at the subset past ``work_limit`` evaluations."""
     masks = g.var_masks
-    records = []
     work = 0
     for a in range(1, min(a_max, g.n_var) + 1):
+        found = []
         for combo in itertools.combinations(range(g.n_var), a):
             work += 1
             if work > work_limit:
                 raise WorkLimitExceeded(f"exceeded {work_limit} subset evaluations")
             x = reduce(lambda acc, v: acc ^ masks[v], combo, 0)
             if x.bit_count() == b_target:
-                records.append(TrappingSetRecord(combo, a, b_target))
-    records.sort(key=lambda r: r.members)
-    return records
+                found.append(combo)
+        yield a, found
+
+
+def brute_force_enumerate(g: TannerGraph, a_max: int, b_target: int,
+                          work_limit: int = DEFAULT_WORK_LIMIT
+                          ) -> list[TrappingSetRecord]:
+    """All nonempty variable sets S with |S| <= a_max and exactly b_target
+    odd checks, sorted lexicographically by members."""
+    return sorted((TrappingSetRecord(combo, a, b_target)
+                   for a, found in _sweep(g, a_max, b_target, work_limit)
+                   for combo in found), key=lambda r: r.members)
 
 
 def brute_force_spectrum(g: TannerGraph, b_target: int,
@@ -60,20 +68,10 @@ def brute_force_spectrum(g: TannerGraph, b_target: int,
     exact count at that size; None when no such set exists."""
     if g.n_var <= _DENSE_LIMIT_BITS and (1 << g.n_var) <= work_limit:
         return _dense_spectrum(g, b_target)
-    masks = g.var_masks
-    work = 0
-    for a in range(1, g.n_var + 1):
-        count = 0
-        for combo in itertools.combinations(range(g.n_var), a):
-            work += 1
-            if work > work_limit:
-                raise WorkLimitExceeded(f"exceeded {work_limit} subset evaluations")
-            x = reduce(lambda acc, v: acc ^ masks[v], combo, 0)
-            if x.bit_count() == b_target:
-                count += 1
-        if count:
-            return a, count
-    return None
+    # the sweep stops after the first size with a set
+    return next(((a, len(found))
+                 for a, found in _sweep(g, g.n_var, b_target, work_limit)
+                 if found), None)
 
 
 def _dense_spectrum(g: TannerGraph, b_target: int) -> tuple[int, int] | None:

@@ -75,16 +75,19 @@ def test_analyze_builds_no_var_masks(hamming_alist, monkeypatch, capsys):
 
 def test_analyze_builds_no_nice_nodes_view(tmp_path, monkeypatch, capsys):
     # analyze reads the nice form's columns only; the per-node view with
-    # its slot layouts is for tests and `decomp nice`
+    # its slot layouts is for tests and `decomp nice`.  It reports the
+    # width the nice form kept, with no decomp.width of the bags
     alist, td = str(tmp_path / "sc.alist"), str(tmp_path / "sc.td")
     assert main(["generate", "--sc", "3,4,10,2", "--deg", "3", "--seed", "7",
                  "--out", alist, "--emit-td", td]) == 0
 
-    def refuse(ntd):
-        raise AssertionError("analyze built NiceTreeDecomposition.nodes")
+    def refuse(_):
+        raise AssertionError("analyze built NiceTreeDecomposition.nodes "
+                             "or called decomp.width")
 
     monkeypatch.setattr(decomp.NiceTreeDecomposition, "nodes",
                         property(refuse))
+    monkeypatch.setattr(decomp, "width", refuse)
     reports = []
     for route in (["--sc-params", "3,4,10,2"], [], ["--td", td]):
         rc = main(["analyze", "--alist", alist, "--b", "0,1,2", "--witness",
@@ -228,6 +231,18 @@ def test_undecodable_input_exit_1(job, hamming_alist, tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"{bad}: line" in err and "non-ASCII" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", ["s td -1 0 0\n", "s td 1 -1 1\nb 1\n",
+                                  "s td 1 0 -3\nb 1\n"])
+@pytest.mark.parametrize("job", ["analyze", "decomp validate", "decomp nice"])
+def test_negative_td_header_field_exit_1(job, text, hamming_alist, tmp_path,
+                                         capsys):
+    bad = tmp_path / "negative.td"
+    bad.write_text(text)
+    assert main([*job.split(), "--alist", hamming_alist, "--td", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"{bad}: line 1: negative header field\n"
 
 
 def test_unwritable_output_exit_1(hamming_alist, tmp_path, capsys):

@@ -46,6 +46,7 @@ from trapgraph.tanner import (
 )
 from helpers import (
     check_masks,
+    hand_nice,
     min_fill_reference,
     nice_nodes_reference,
     random_graph,
@@ -347,6 +348,19 @@ def test_td_parse_checks_the_max_bag_field():
                                             "up to 6 nodes, the largest has 5"):
         parse_td("s td 1 6 5\nb 1 1 2 3 4 5\n")
     assert width(parse_td("s td 1 5 5\nb 1 1 2 3 4 5\n")) == 4
+
+
+NEGATIVE_HEADERS = ["s td -1 0 0\n", "s td 1 -1 1\nb 1\n",
+                    "s td 1 0 -3\nb 1\n"]
+
+
+@pytest.mark.parametrize("text", NEGATIVE_HEADERS)
+def test_td_parse_rejects_a_negative_header_field(text):
+    # the bag count, the max-bag field and the node count each fail at the
+    # header line, before a bag line is read against them
+    with pytest.raises(TdFormatError,
+                       match="^line 1: negative header field$"):
+        parse_td(text)
 
 
 def test_td_parse_rejects_a_bag_without_b_line():
@@ -775,8 +789,8 @@ def test_sc_path_nice_equals_make_nice_of_the_window():
         td = sc_path_decomposition(g, p)
         assert validate(g, td).ok
         want = make_nice(g, td)
-        got, tw = sc_path_nice(g, p)
-        assert tw == width(td) == got.width() == want.width()
+        got = sc_path_nice(g, p)
+        assert width(td) == got.width() == want.width()
         for column in ("kind", "elem", "slot", "mask", "child", "child2",
                        "var_slots", "chk_slots"):
             assert getattr(got, column) == getattr(want, column), column
@@ -885,8 +899,7 @@ def test_heuristic_nice_equals_make_nice_of_the_decomposition():
     chained = 0
     for g in nice_route_corpus():
         td = heuristic_decomposition(g)
-        ntd, tw = heuristic_nice(g)
-        assert tw == width(td)
+        ntd = heuristic_nice(g)
         check_nice_structure(g, td, ntd)
         got = run_dp(g, ntd, 3).root_table
         want = run_dp(g, make_nice(g, td), 3).root_table
@@ -924,7 +937,7 @@ def test_default_route_nice_form_matches_golden():
     # pins the whole nice form the default route reads from the min-fill
     # elimination, byte for byte: its root, the order of its nodes and
     # every bag
-    ntd, _ = heuristic_nice(sc40())
+    ntd = heuristic_nice(sc40())
     assert serialize_td(ntd.as_tree_decomposition()) == \
         (DATA / "nice_sc40_seed1_default_route.td").read_text()
 
@@ -947,8 +960,43 @@ def sc40():
 
 
 def sc40_routes(g):
-    """The nice forms and widths of both built-in routes on ``sc40()``."""
+    """The nice forms of both built-in routes on ``sc40()``."""
     return heuristic_nice(g), sc_path_nice(g, SC40)
+
+
+def test_width_is_the_largest_nice_bag_less_one(monkeypatch):
+    # width() returns the width the column walk checked and reads no
+    # nodes; the largest bag of the rebuilt nodes gives it independently,
+    # on every route's form, on make_nice of random decompositions and on
+    # columns built by hand
+    g = sc40()
+    forms = [*sc40_routes(g), make_nice(g, sc_path_decomposition(g, SC40)),
+             make_nice(g, heuristic_decomposition(g))]
+    rng = random.Random(97)
+    for _ in range(60):
+        h = random_graph(rng, max_var=8, max_chk=6)
+        forms.append(make_nice(h, random_td(h, rng)))
+    pair = TannerGraph.from_matrix([[1, 1]])
+    # a join below the bag (v0, v1, c0), and a path whose bags hold two of
+    # three slots, so its width is below var_slots + chk_slots - 1
+    branch = [(K_LEAF, -1, ()), (K_INTRO_CHK, 0, (0,)), (K_INTRO_VAR, 0, (1,))]
+    forms.append(hand_nice(pair, [
+        *branch, *[(k, e, (ch[0] + 3,) if ch else ()) for k, e, ch in branch],
+        (K_JOIN, -1, (2, 5)), (K_INTRO_VAR, 1, (6,)), (K_FORGET_VAR, 1, (7,)),
+        (K_FORGET_VAR, 0, (8,)), (K_FORGET_CHK, 0, (9,))], 2, 1, 2))
+    forms.append(hand_nice(pair, [
+        *branch, (K_FORGET_VAR, 0, (2,)), (K_INTRO_VAR, 1, (3,)),
+        (K_FORGET_VAR, 1, (4,)), (K_FORGET_CHK, 0, (5,))], 2, 1, 1))
+
+    def refuse(ntd):
+        raise AssertionError("width() built NiceTreeDecomposition.nodes")
+
+    with monkeypatch.context() as m:
+        m.setattr(NiceTreeDecomposition, "nodes", property(refuse))
+        widths = [ntd.width() for ntd in forms]
+    assert widths == [max(node.bag_size for node in ntd.nodes) - 1
+                      for ntd in forms]
+    assert widths[:4] == [5, 10, 10, 5] and widths[-2:] == [2, 1]
 
 
 def test_nice_columns_check_passes_the_route_and_catches_an_uncovered_edge():
@@ -958,7 +1006,8 @@ def test_nice_columns_check_passes_the_route_and_catches_an_uncovered_edge():
     adj = [list(vs) for vs in g.chk_adj]
     adj[-1] = [0, *adj[-1]]
     wider = TannerGraph.from_check_adj(g.n_var, g.n_chk, adj)
-    for ntd, tw in sc40_routes(g):
+    for ntd in sc40_routes(g):
+        tw = ntd.width()
         again = nice_columns_with(g, ntd, tw)
         assert (again.slot, again.mask) == (ntd.slot, ntd.mask)
         assert not validate(wider, ntd.as_tree_decomposition()).ok
@@ -1059,13 +1108,13 @@ def test_nice_columns_check_catches_an_unknown_kind_byte():
 
 def test_nice_columns_check_catches_an_element_forgotten_twice():
     g = sc40()
-    for ntd, tw in sc40_routes(g):
+    for ntd in sc40_routes(g):
         x1, x2 = [x for x, k in enumerate(ntd.kind) if k == K_FORGET_VAR][:2]
         v1 = ntd.elem[x1]
         elem = list(ntd.elem)
         elem[x2] = v1
         with pytest.raises(InvalidDecompositionError) as exc:
-            nice_columns_with(g, ntd, tw, elem=elem)
+            nice_columns_with(g, ntd, ntd.width(), elem=elem)
         assert exc.value.violations == (f"v{v1} is forgotten twice",)
 
 
@@ -1078,7 +1127,7 @@ def test_nice_columns_check_catches_an_element_never_forgotten():
 
 def test_nice_columns_check_catches_an_introduce_with_no_forget_above():
     g = sc40()
-    for ntd, tw in sc40_routes(g):
+    for ntd in sc40_routes(g):
         forget_at = {ntd.elem[x]: x for x, k in enumerate(ntd.kind)
                      if k == K_FORGET_VAR}
         # an introduce of a variable forgotten below it, so on no path above
@@ -1088,7 +1137,7 @@ def test_nice_columns_check_catches_an_introduce_with_no_forget_above():
         elem = list(ntd.elem)
         elem[x] = u
         with pytest.raises(InvalidDecompositionError) as exc:
-            nice_columns_with(g, ntd, tw, elem=elem)
+            nice_columns_with(g, ntd, ntd.width(), elem=elem)
         assert exc.value.violations == (
             f"node {x} introduces v{u}, which no forget above it holds",)
 

@@ -550,13 +550,13 @@ def test_retained_tables_and_masks_match_nodes():
         g = random_graph(rng, max_var=10, max_chk=8)
         for ntd in (make_nice(g, random_td(g, rng)),
                     make_nice(g, heuristic_decomposition(g)),
-                    heuristic_nice(g)[0]):
+                    heuristic_nice(g)):
             assert_tables_and_masks_match_nodes(g, ntd)
     params = ScLdpcParams(3, 4, 40, 2, var_degree=3, seed=1)
     g = generate_sc_ldpc(params)
     for ntd in (make_nice(g, sc_path_decomposition(g, params)),
                 make_nice(g, heuristic_decomposition(g)),
-                sc_path_nice(g, params)[0], heuristic_nice(g)[0]):
+                sc_path_nice(g, params), heuristic_nice(g)):
         assert_tables_and_masks_match_nodes(g, ntd)
 
 
@@ -696,7 +696,7 @@ def test_stretch_equals_node_by_node():
     for seed in (5, 6):
         params = ScLdpcParams(2, 3, 6, 3, var_degree=3, seed=seed)
         g = generate_sc_ldpc(params)
-        cases += [(g, sc_path_nice(g, params)[0], b) for b in range(4)]
+        cases += [(g, sc_path_nice(g, params), b) for b in range(4)]
     seen = {"flip": 0, "old check": 0, "reads": 0, "no change": 0}
     dropped = 0                       # by per-d caps
     for g, ntd, b in cases:
@@ -746,7 +746,7 @@ def test_fused_stretches_match_per_node_kernels_on_sc_paths(monkeypatch,
     r, c, length, w, degree = shape
     params = ScLdpcParams(r, c, length, w, var_degree=degree, seed=5)
     g = generate_sc_ldpc(params)
-    ntd, tw = sc_path_nice(g, params)
+    ntd = sc_path_nice(g, params)
     expected = trellis_spectrum(g, 3)
     runs = count_runs(monkeypatch)
     for b in range(4):
@@ -755,7 +755,7 @@ def test_fused_stretches_match_per_node_kernels_on_sc_paths(monkeypatch,
         with monkeypatch.context() as m:
             fuse_no_stretch(m)
             assert run_dp(g, ntd, b).root_table.entries == root.entries
-        if tw <= 12:
+        if ntd.width() <= 12:
             assert run_dp(g, ntd, b, retain_tables=True).root_table.entries \
                 == root.entries
     # a stretch per window step that forgets a variable block after
@@ -785,7 +785,7 @@ def test_path_steps_run_as_one_stretch_pass(monkeypatch):
     # L = 640: 12,020 against 142,187)
     params = ScLdpcParams(3, 4, 40, 2, var_degree=3, seed=1)
     g = generate_sc_ldpc(params)
-    ntd = sc_path_nice(g, params)[0]
+    ntd = sc_path_nice(g, params)
     runs = count_runs(monkeypatch)
     _, sizes = record_kernels(monkeypatch)
     root = run_dp(g, ntd, 2).root_table
@@ -977,8 +977,8 @@ def test_leaf_and_introduce_tables_keep_every_answer():
 
 def test_freed_run_caps_equal_reading_every_table(monkeypatch):
     # the cap each introduce_variable, forget_check, join and stretch call
-    # gets is, at each d, the max of U[b'] over the b' in d..b that can
-    # have a set, with U lowered by the answer(d) of every table built
+    # gets is, at each d, the max of U[b'] over the b' in d..min(b, n_chk)
+    # that can have a set, with U lowered by the answer(d) of every table built
     # before it, whatever its kind; unbounded while some of those U[b'] is
     # unknown, and -1 when there are none.  Every b' can have a set,
     # except an odd b' when every variable degree is even.  Each case runs
@@ -1014,12 +1014,13 @@ def test_freed_run_caps_equal_reading_every_table(monkeypatch):
                     if not fused:
                         fuse_no_stretch(m)
                     run_dp(g, ntd, b)
-                best = [None] * (b + 1)
+                top = min(b, g.n_chk)       # the b the pass runs at
+                best = [None] * (top + 1)
                 for name, cap, t in calls:
                     if cap is not None:
                         expected = []
-                        for d in range(b + 1):
-                            known = [best[b2] for b2 in range(d, b + 1)
+                        for d in range(top + 1):
+                            known = [best[b2] for b2 in range(d, top + 1)
                                      if not (even and b2 % 2)]
                             expected.append(sys.maxsize if None in known
                                             else max(known, default=-1))
@@ -1029,14 +1030,39 @@ def test_freed_run_caps_equal_reading_every_table(monkeypatch):
                         else:
                             engaged += bounded(cap)
                             per_d += len(set(cap)) > 1
-                            parity += even and b % 2 == 1
-                    for d in range(b + 1):
+                            parity += even and top % 2 == 1
+                    for d in range(top + 1):
                         ent = t.answer(d)
                         if ent is not None and (best[d] is None
                                                 or ent[0] < best[d]):
                             best[d] = ent[0]
     assert engaged > 5000 and per_d > 1500 and parity > 500
     assert stretched > 15
+
+
+def test_a_b_above_the_check_count_runs_at_the_check_count(monkeypatch):
+    # no set has more odd checks than the graph has checks, so however
+    # large b is, every cap list a kernel gets holds at most n_chk + 1
+    # entries, and the root table at b = n_chk + 10**5 is the one at n_chk,
+    # with no answer at that b
+    caps, _ = record_kernels(monkeypatch)
+    rng = random.Random(95)
+    params = ScLdpcParams(3, 4, 6, 2, var_degree=3, seed=2)
+    sc = generate_sc_ldpc(params)
+    cases = [(sc, sc_path_nice(sc, params)), (sc, heuristic_nice(sc))]
+    no_checks = TannerGraph.from_check_adj(2, 0, [])
+    cases.append((no_checks, make_nice(no_checks, single_bag_td(no_checks))))
+    for _ in range(20):
+        g = random_graph(rng, max_var=8, max_chk=6)
+        cases.append((g, make_nice(g, random_td(g, rng))))
+    for g, ntd in cases:
+        for retain in (False, True):
+            want = run_dp(g, ntd, g.n_chk, retain_tables=retain)
+            caps.clear()
+            got = run_dp(g, ntd, g.n_chk + 10**5, retain_tables=retain)
+            assert caps and max(map(len, caps)) <= g.n_chk + 1
+            assert got.root_table.entries == want.root_table.entries
+            assert (got.a_min, got.count) == (None, None)
 
 
 def random_even_graph(rng: random.Random, max_var=9,
@@ -1056,7 +1082,7 @@ def test_parity_caps_keep_root_tables_on_even_degree_graphs(monkeypatch):
     # even b' alone; its root tables stay the retained run's
     caps, _ = record_kernels(monkeypatch)
     rng = random.Random(91)
-    pruned = 0
+    pruned = odd = 0
     for _ in range(200):
         g = random_even_graph(rng)
         for td in (random_td(g, rng), single_bag_td(g),
@@ -1068,8 +1094,10 @@ def test_parity_caps_keep_root_tables_on_even_degree_graphs(monkeypatch):
                 caps.clear()
                 assert run_dp(g, ntd, b).root_table.entries == full.entries
                 pruned += any(cap[-1] == -1 for cap in caps)
-    # every run at an odd b hands cap[b] = -1 to its kernels
-    assert pruned == 200 * 3 * 2
+                odd += min(b, g.n_chk) % 2
+    # every run at an odd b hands cap[b] = -1 to its kernels; a b above
+    # n_chk runs at n_chk
+    assert pruned == odd > 1000
 
 
 @pytest.mark.parametrize("route", ["path", "min-fill"])
@@ -1173,10 +1201,10 @@ def test_fold_pass_matches_the_two_kernels_and_a_retained_run(monkeypatch):
     cases = []
     for _ in range(60):
         g = random_graph(rng, max_var=10, max_chk=8)
-        cases += [(g, heuristic_nice(g)[0], rng.randint(0, 3)),
+        cases += [(g, heuristic_nice(g), rng.randint(0, 3)),
                   (g, make_nice(g, random_td(g, rng)), rng.randint(0, 3))]
     g = generate_sc_ldpc(ScLdpcParams(3, 4, 160, 2, var_degree=3, seed=1))
-    cases.append((g, heuristic_nice(g)[0], 2))
+    cases.append((g, heuristic_nice(g), 2))
     for g, ntd, b in cases:
         retained = run_dp(g, ntd, b, retain_tables=True).root_table
         n = len(passes)

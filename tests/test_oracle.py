@@ -1,4 +1,5 @@
 import random
+from math import comb
 
 import pytest
 
@@ -115,6 +116,26 @@ def test_work_limit():
         brute_force_enumerate(g, 12, 0, work_limit=10)
     with pytest.raises(WorkLimitExceeded):
         brute_force_spectrum(g, 3, work_limit=10)
+
+
+def test_work_limit_is_reached_at_the_same_subset_by_both_sweeps():
+    # both sweeps count every subset they evaluate, size by size: a limit
+    # of exactly the subsets up to the last size swept passes, one less
+    # raises; the spectrum sweeps no size past its answer
+    g = TannerGraph.from_matrix([[1] * 12])         # a_min(b = 1) is 1
+    up_to = [sum(comb(12, i) for i in range(1, a + 1)) for a in range(13)]
+    for a_max in (1, 3, 12):
+        assert len(brute_force_enumerate(g, a_max, 1,
+                                         work_limit=up_to[a_max])) \
+            == sum(comb(12, i) for i in range(1, a_max + 1, 2))
+        with pytest.raises(WorkLimitExceeded):
+            brute_force_enumerate(g, a_max, 1, work_limit=up_to[a_max] - 1)
+    # b = 0: the even sets, the smallest of size 2; b = 2 has no set
+    for b, a, limit in ((1, 1, up_to[1]), (0, 2, up_to[2]), (2, None, 4095)):
+        want = None if a is None else (a, comb(12, a))
+        assert brute_force_spectrum(g, b, work_limit=limit) == want
+        with pytest.raises(WorkLimitExceeded):
+            brute_force_spectrum(g, b, work_limit=limit - 1)
 
 
 def test_record_json():
